@@ -27,7 +27,7 @@ _CONFIG_REQUIRED = ("distribution", "sizes", "variances")
 
 
 def _read_grouped_csv(path: str) -> tuple[list[str], GroupedSample]:
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["group", "value"]:
@@ -128,16 +128,19 @@ def _config_from_json(obj, index: int) -> ExperimentConfig:
         dist = Distribution(obj["distribution"])
     except ValueError:
         raise ValueError(f"{where}: unknown distribution {obj['distribution']!r}") from None
-    return ExperimentConfig(
-        distribution=dist,
-        sizes=tuple(obj["sizes"]),
-        variances=tuple(obj["variances"]),
-        alpha=obj.get("alpha", 0.05),
-        replications=obj.get("replications", 1000),
-        bootstrap_b=obj.get("bootstrap_b", 500),
-        master_seed=obj.get("seed", 0),
-        tests=tuple(obj.get("tests", ALL_METHODS)),
-    )
+    try:
+        return ExperimentConfig(
+            distribution=dist,
+            sizes=obj["sizes"],
+            variances=obj["variances"],
+            alpha=obj.get("alpha", 0.05),
+            replications=obj.get("replications", 1000),
+            bootstrap_b=obj.get("bootstrap_b", 500),
+            master_seed=obj.get("seed", 0),
+            tests=obj.get("tests", ALL_METHODS),
+        )
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def _load_configs(path: str) -> list[ExperimentConfig]:

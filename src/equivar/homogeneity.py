@@ -15,17 +15,25 @@ level ``alpha`` and returns a :class:`TestResult`.  At the degenerate
 boundary ``alpha = 1`` every test rejects unconditionally (the level-1
 test has an empty acceptance region); the comparison rules below describe
 levels in (0, 1).
+
+Every test is written once, for a batch of datasets with equal group
+sizes (``batched``): the statistics come from row kernels over the
+datasets stacked group by group, and a bootstrap test draws each
+dataset's resamples from that dataset's own generator before one kernel
+evaluates all of them.  The functions above are the batch of one; the
+Monte Carlo harness runs chunks of replications.  Rows are evaluated
+independently, in the same arithmetic order whatever the batch, so
+results do not depend on how datasets are batched.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .bootstrap import SMOOTH_FACTOR, center, search_critical
-from .descriptive import GroupedSample, estimate_moments, log_variance_contrasts
+from .descriptive import GroupedSample, log_variance_rows, moment_rows, stack
 from .errors import DegenerateDataError, NumericError
 from .rng import stream
 from .special import chi2_quantile, f_quantile
@@ -43,6 +51,8 @@ __all__ = [
     "bootstrap_levene",
     "box_test",
     "run_all",
+    "Outcomes",
+    "batched",
 ]
 
 LEVENE = "levene"
@@ -95,36 +105,102 @@ class BootstrapConfig:
         return cls(rng=stream(seed), b=b, pivot_variant=pivot_variant)
 
 
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+@dataclass
+class Outcomes:
+    """One test applied to each dataset of a batch; row r belongs to dataset r."""
 
+    method: str
+    alpha: float
+    statistic: np.ndarray         # (R,), or (R, groups) t vectors for the box test
+    reject: np.ndarray            # (R,) bool; meaningless on rows in ``errors``
+    errors: dict[int, Exception]  # rows the test cannot run on, with the reason
+    critical_value: np.ndarray | None = None  # (R,)
+    p_value: np.ndarray | None = None         # (R,), bootstrap Levene only
+    df: tuple[float, ...] | None = None
 
-def _levene_stat(groups) -> tuple[float, int, int]:
-    """Levene/Brown-Forsythe F ratio with median centering.
+    @property
+    def rejections(self) -> int:
+        """Number of rows, among those the test ran on, that reject."""
+        return int(self.reject.sum()) - sum(bool(self.reject[r]) for r in self.errors)
 
-    Returns (statistic, df1, df2) with df2 the one-way ANOVA residual
-    degrees of freedom n - (k + 1).  A zero between-group sum of squares
-    short-circuits to statistic 0 even when the within sum is also zero;
-    zero within-group variation with nonzero between variation is
-    degenerate.
-    """
-    k = len(groups) - 1
-    n = sum(g.size for g in groups)
-    df2 = n - (k + 1)
-    e = [np.abs(g - np.median(g)) for g in groups]
-    group_means = np.array([x.mean() for x in e])
-    grand = sum(float(x.sum()) for x in e) / n
-    sizes = np.array([x.size for x in e], dtype=float)
-    ssb = float((sizes * (group_means - grand) ** 2).sum())
-    ssw = float(sum(((x - m) ** 2).sum() for x, m in zip(e, group_means)))
-    if ssb == 0.0:
-        return 0.0, k, df2
-    if ssw == 0.0:
-        raise DegenerateDataError(
-            "absolute deviations from the group medians have no within-group variation"
+    def result(self, row: int = 0) -> TestResult:
+        """The result for one dataset; raises the reason if the test cannot run on it."""
+        if row in self.errors:
+            raise self.errors[row]
+        stat = self.statistic[row]
+        return TestResult(
+            self.method,
+            stat.copy() if stat.ndim else float(stat),
+            bool(self.reject[row]),
+            self.alpha,
+            critical_value=None if self.critical_value is None else float(self.critical_value[row]),
+            p_value=None if self.p_value is None else float(self.p_value[row]),
+            df=self.df,
         )
-    return (ssb / k) / (ssw / df2), k, df2
+
+
+def _decide(alpha: float, reject: np.ndarray) -> np.ndarray:
+    # the level-1 test has an empty acceptance region
+    return np.ones_like(reject) if alpha >= 1.0 else reject
+
+
+def _levene_df(sizes) -> tuple[int, int]:
+    """(k, n - k - 1): the numerator and one-way ANOVA residual degrees of freedom."""
+    k = len(sizes) - 1
+    return k, sum(sizes) - (k + 1)
+
+
+def _row_medians(x: np.ndarray) -> np.ndarray:
+    """Medians of the rows of x as an (R, 1) column; for an even row size, the midpoint of the central pair.
+
+    On rows as short as group samples and their resamples, sorting is
+    several times faster than the partition in ``np.median``; the values
+    are the same.
+    """
+    s = np.sort(x, axis=1)
+    h = x.shape[1] // 2
+    if x.shape[1] % 2:
+        return s[:, h:h + 1]
+    return (s[:, h - 1:h] + s[:, h:h + 1]) / 2.0
+
+
+def _levene_stat_rows(blocks) -> tuple[np.ndarray, np.ndarray]:
+    """Levene/Brown-Forsythe F ratios with median centering, one per row; blocks[i] is (R, n_i).
+
+    Returns the statistics and the rows that are degenerate: zero
+    within-group variation with nonzero between variation.  Those map to
+    +inf and rows with zero between variation to 0, so that resampled
+    statistics compare with an observed one in every case.
+    """
+    k, df2 = _levene_df([bl.shape[1] for bl in blocks])
+    n = df2 + k + 1
+    e = [np.abs(bl - _row_medians(bl)) for bl in blocks]
+    sums = [x.sum(axis=1) for x in e]
+    means = np.stack([total / x.shape[1] for total, x in zip(sums, e)], axis=1)
+    grand = sum(sums) / n
+    sizes = np.array([x.shape[1] for x in e], dtype=float)
+    ssb = (sizes * (means - grand[:, None]) ** 2).sum(axis=1)
+    ssw = sum(((x - m[:, None]) ** 2).sum(axis=1) for x, m in zip(e, means.T))
+    out = np.zeros_like(ssb)
+    ok = ssw > 0.0
+    out[ok] = (ssb[ok] / k) / (ssw[ok] / df2)
+    degenerate = ~ok & (ssb > 0.0)
+    out[degenerate] = np.inf
+    return out, degenerate
+
+
+def _observed_levene(groups) -> tuple[np.ndarray, dict[int, Exception]]:
+    stat, degenerate = _levene_stat_rows(groups)
+    message = "absolute deviations from the group medians have no within-group variation"
+    return stat, {int(r): DegenerateDataError(message) for r in np.flatnonzero(degenerate)}
+
+
+def _levene_outcomes(datasets, alpha: float, critical: float) -> Outcomes:
+    stat, errors = _observed_levene(stack(datasets))
+    return Outcomes(
+        LEVENE, alpha, stat, _decide(alpha, stat > critical), errors,
+        critical_value=np.full(len(stat), critical), df=_levene_df(datasets[0].sizes),
+    )
 
 
 def levene(data: GroupedSample, alpha: float = 0.05) -> TestResult:
@@ -133,11 +209,16 @@ def levene(data: GroupedSample, alpha: float = 0.05) -> TestResult:
     Scale variables are |observation - group median|; their one-way ANOVA
     F ratio is compared with the F(k, n - k - 1) quantile at 1 - alpha.
     """
-    _check_alpha(alpha)
-    stat, df1, df2 = _levene_stat(data.groups)
-    crit = 0.0 if alpha >= 1.0 else f_quantile(1.0 - alpha, df1, df2)
-    reject = True if alpha >= 1.0 else stat > crit
-    return TestResult(LEVENE, stat, reject, alpha, critical_value=crit, df=(df1, df2))
+    return batched(LEVENE, data.sizes, alpha)([data], None).result()
+
+
+def _shoemaker_outcomes(datasets, alpha: float, critical: float) -> Outcomes:
+    contrasts, var_log_s2, errors = log_variance_rows(stack(datasets), use_harmonic=True)
+    stat = (contrasts.contrast**2 / var_log_s2).sum(axis=1)
+    return Outcomes(
+        SHOEMAKER, alpha, stat, _decide(alpha, stat > critical), errors,
+        critical_value=np.full(len(stat), critical), df=(len(datasets[0]) - 1,),
+    )
 
 
 def shoemaker(data: GroupedSample, alpha: float = 0.05) -> TestResult:
@@ -147,78 +228,127 @@ def shoemaker(data: GroupedSample, alpha: float = 0.05) -> TestResult:
     var(ln s_i^2) estimated from the pooled kurtosis ratio and the harmonic
     mean group size, and is compared with the chi-square(k) quantile.
     """
-    _check_alpha(alpha)
-    s2 = np.array([g.var(ddof=1) for g in data.groups])
-    bad = np.flatnonzero(s2 <= 0.0)
-    if bad.size:
-        raise DegenerateDataError(f"group {bad[0]} has zero sample variance; log variance undefined")
-    moments = estimate_moments(data, use_harmonic=True)
-    log_s2 = np.log(s2)
-    centered = log_s2 - log_s2.mean()
-    stat = float((centered**2 / moments.var_log_s2).sum())
-    crit = 0.0 if alpha >= 1.0 else chi2_quantile(1.0 - alpha, data.k)
-    reject = True if alpha >= 1.0 else stat > crit
-    return TestResult(SHOEMAKER, stat, reject, alpha, critical_value=crit, df=(data.k,))
+    return batched(SHOEMAKER, data.sizes, alpha)([data], None).result()
 
 
-def _jitter_scale(data: GroupedSample) -> float:
-    """Smoothing scale q: pooled standard deviation about the group means."""
-    return math.sqrt(sum(float(((g - g.mean()) ** 2).sum()) for g in data.groups) / data.n)
+def _jitter_scale(groups) -> np.ndarray:
+    """Smoothing scale q of each row: the pooled standard deviation about the group means."""
+    return np.sqrt(moment_rows(groups)[2])
+
+
+def _take(values: np.ndarray, indices: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # values[indices] written straight into out; the indices are in range,
+    # and mode="clip" spares take the copy it makes under mode="raise"
+    return np.take(values, indices, out=out, mode="clip")
+
+
+def _pooled_resamples(pool: np.ndarray, q: float, sizes, rng, out: np.ndarray) -> None:
+    """Fill ``out``, shape (b, n), with one dataset's bootstrap-Levene resamples.
+
+    Each row draws n residuals with replacement from ``pool``; the groups
+    take contiguous blocks of the row, and blocks for groups smaller than
+    10 are smoothed with variance-preserving uniform jitter of scale q.
+    """
+    _take(pool, rng.integers(0, pool.size, size=out.shape), out)
+    start = 0
+    for ni in sizes:
+        if ni < 10:
+            block = out[:, start:start + ni]
+            block[...] = SMOOTH_FACTOR * (block + q * rng.uniform(-0.5, 0.5, block.shape))
+        start += ni
+
+
+def _bootstrap_levene_outcomes(datasets, alpha: float, rngs, b: int) -> Outcomes:
+    groups = stack(datasets)
+    stat, errors = _observed_levene(groups)
+    pools = np.concatenate([g - _row_medians(g) for g in groups], axis=1)
+    for r in np.flatnonzero(np.all(pools == 0.0, axis=1)):
+        errors.setdefault(int(r), DegenerateDataError("residual pool is identically zero"))
+    q = _jitter_scale(groups)
+    sizes = datasets[0].sizes
+    rows = [r for r in range(len(datasets)) if r not in errors]
+    p = np.full(len(datasets), np.nan)
+    if rows:
+        draws = np.empty((len(rows) * b, pools.shape[1]))
+        for j, r in enumerate(rows):
+            _pooled_resamples(pools[r], q[r], sizes, rngs[r], draws[j * b:(j + 1) * b])
+        bounds = np.cumsum((0,) + sizes)
+        boot, _ = _levene_stat_rows([draws[:, lo:hi] for lo, hi in zip(bounds, bounds[1:])])
+        p[rows] = (boot.reshape(len(rows), b) > stat[rows, None]).sum(axis=1) / b
+    return Outcomes(
+        BOOTSTRAP_LEVENE, alpha, stat, _decide(alpha, p < alpha), errors,
+        p_value=p, df=_levene_df(sizes),
+    )
 
 
 def bootstrap_levene(data: GroupedSample, alpha: float, cfg: BootstrapConfig) -> TestResult:
     """Pooled-residual bootstrap of the Levene test; rejects when p < alpha.
 
     Residuals are observations minus their group median, pooled across
-    groups.  Each round redraws n residuals with replacement and assigns
-    them to groups in contiguous blocks; blocks for groups smaller than 10
-    are smoothed with variance-preserving uniform jitter of scale q, the
-    pooled standard deviation about group means.  The p-value is the
-    fraction of rounds whose statistic exceeds the observed one.
+    groups.  Each of ``cfg.b`` rounds redraws n residuals with replacement
+    and assigns them to groups in contiguous blocks; blocks for groups
+    smaller than 10 are smoothed with variance-preserving uniform jitter of
+    scale q, the pooled standard deviation about group means.  The p-value
+    is the fraction of rounds whose statistic exceeds the observed one.
     """
-    _check_alpha(alpha)
-    if cfg.b < 1:
-        raise ValueError(f"bootstrap replicate count must be >= 1, got {cfg.b}")
-    stat, df1, df2 = _levene_stat(data.groups)
-    pool = np.concatenate([g - np.median(g) for g in data.groups])
-    if np.all(pool == 0.0):
-        raise DegenerateDataError("residual pool is identically zero")
-    q = _jitter_scale(data)
-    draws = pool[cfg.rng.integers(0, data.n, size=(cfg.b, data.n))]
-    blocks = []
-    start = 0
-    for ni in data.sizes:
-        block = draws[:, start:start + ni]
-        if ni < 10:
-            block = SMOOTH_FACTOR * (block + q * cfg.rng.uniform(-0.5, 0.5, block.shape))
-        blocks.append(block)
-        start += ni
-    exceed = int((_levene_stat_rows(blocks) > stat).sum())
-    p = exceed / cfg.b
-    reject = True if alpha >= 1.0 else p < alpha
-    return TestResult(BOOTSTRAP_LEVENE, stat, reject, alpha, p_value=p, df=(df1, df2))
+    return batched(BOOTSTRAP_LEVENE, data.sizes, alpha, cfg.b)([data], [cfg.rng]).result()
 
 
-def _levene_stat_rows(blocks) -> np.ndarray:
-    """Levene statistics for stacked resamples; blocks[i] has shape (B, n_i).
+def _resample_rows(groups, rng: np.random.Generator, outs) -> list[np.ndarray]:
+    """Fill outs[i], shape (count, n_i), with resamples of group i drawn with replacement."""
+    return [_take(g, rng.integers(0, g.size, size=out.shape), out) for g, out in zip(groups, outs)]
 
-    Rows with zero within-group variation map to +inf when the between
-    term is positive and to 0 otherwise, so comparisons against the
-    observed statistic stay well defined.
-    """
-    k = len(blocks) - 1
-    n = sum(bl.shape[1] for bl in blocks)
-    df2 = n - (k + 1)
-    e = [np.abs(bl - np.median(bl, axis=1, keepdims=True)) for bl in blocks]
-    means = [x.mean(axis=1) for x in e]
-    grand = sum(x.sum(axis=1) for x in e) / n
-    ssb = sum(x.shape[1] * (m - grand) ** 2 for x, m in zip(e, means))
-    ssw = sum(((x - m[:, None]) ** 2).sum(axis=1) for x, m in zip(e, means))
-    out = np.zeros_like(ssb)
-    ok = ssw > 0.0
-    out[ok] = (ssb[ok] / k) / (ssw[ok] / df2)
-    out[~ok] = np.where(ssb[~ok] > 0.0, np.inf, 0.0)
-    return out
+
+def _degenerate_rows(samples) -> np.ndarray:
+    """Rows where some group's resample has zero variance (log undefined)."""
+    bad = np.zeros(samples[0].shape[0], dtype=bool)
+    for s in samples:
+        dev = s - s.mean(axis=1, keepdims=True)
+        bad |= (dev * dev).sum(axis=1) == 0.0
+    return bad
+
+
+def _redraw_degenerate(samples, bad: np.ndarray, groups, rng: np.random.Generator) -> None:
+    """Redraw the rows of one dataset's resamples flagged in ``bad``, in place, until none is degenerate."""
+    attempts = 0
+    while bad.any():
+        attempts += 1
+        if attempts > _MAX_REDRAWS:
+            raise NumericError(
+                f"a bootstrap replicate stayed degenerate after {_MAX_REDRAWS} redraws"
+            )
+        count = int(bad.sum())
+        fresh = _resample_rows(groups, rng, [np.empty((count, g.size)) for g in groups])
+        for s, f in zip(samples, fresh):
+            s[bad] = f
+        bad_idx = np.flatnonzero(bad)
+        bad = np.zeros(len(bad), dtype=bool)
+        bad[bad_idx[_degenerate_rows(fresh)]] = True
+
+
+def _box_outcomes(datasets, alpha: float, rngs, b: int, pivot_variant: bool) -> Outcomes:
+    contrasts, _, errors = log_variance_rows(stack(datasets))
+    observed = contrasts.t
+    rows = [r for r in range(len(datasets)) if r not in errors]
+    c_star = np.full(len(datasets), np.nan)
+    if rows:
+        samples = [np.empty((len(rows) * b, n_i)) for n_i in datasets[0].sizes]
+        for j, r in enumerate(rows):
+            _resample_rows(datasets[r].groups, rngs[r], [s[j * b:(j + 1) * b] for s in samples])
+        bad = _degenerate_rows(samples).reshape(len(rows), b)
+        for j, r in enumerate(rows):
+            if bad[j].any():
+                views = [s[j * b:(j + 1) * b] for s in samples]  # redraws write through into samples
+                try:
+                    _redraw_degenerate(views, bad[j], datasets[r].groups, rngs[r])
+                except NumericError as exc:
+                    errors[r] = exc
+        boot, _, _ = log_variance_rows(samples)
+        for t, r in zip(boot.t.reshape(len(rows), b, -1), rows):
+            if r not in errors:
+                c_star[r] = search_critical(center(t, observed[r] if pivot_variant else None), alpha).c_star
+    t_max = np.abs(observed).max(axis=1)
+    return Outcomes(BOX, alpha, observed, _decide(alpha, t_max > c_star), errors, critical_value=c_star)
 
 
 def box_test(data: GroupedSample, alpha: float, cfg: BootstrapConfig) -> TestResult:
@@ -231,77 +361,33 @@ def box_test(data: GroupedSample, alpha: float, cfg: BootstrapConfig) -> TestRes
     smallest symmetric box covering 1 - alpha of the centered rows sets
     the critical half-width.  Reject when any |t_i| exceeds it.
     """
-    _check_alpha(alpha)
-    if cfg.b < 1:
-        raise ValueError(f"bootstrap replicate count must be >= 1, got {cfg.b}")
-    observed = log_variance_contrasts(data)
-    t_rows = _bootstrap_t_rows(data, cfg.b, cfg.rng)
-    centered = center(t_rows, observed.t if cfg.pivot_variant else None)
-    found = search_critical(centered, alpha)
-    t_max = float(np.abs(observed.t).max())
-    reject = True if alpha >= 1.0 else t_max > found.c_star
-    return TestResult(BOX, observed.t.copy(), reject, alpha, critical_value=found.c_star)
+    return batched(BOX, data.sizes, alpha, cfg.b, cfg.pivot_variant)([data], [cfg.rng]).result()
 
 
-def _resample_rows(groups, count: int, rng: np.random.Generator) -> list[np.ndarray]:
-    return [g[rng.integers(0, g.size, size=(count, g.size))] for g in groups]
+def batched(method: str, sizes, alpha: float, b: int = 500, pivot_variant: bool = False):
+    """Test ``method`` at level ``alpha`` as a function (datasets, rngs) -> Outcomes.
 
-
-def _degenerate_rows(samples) -> np.ndarray:
-    """Rows where some group's resample has zero variance (log undefined)."""
-    bad = np.zeros(samples[0].shape[0], dtype=bool)
-    for s in samples:
-        dev = s - s.mean(axis=1, keepdims=True)
-        bad |= (dev * dev).sum(axis=1) == 0.0
-    return bad
-
-
-def _bootstrap_t_rows(data: GroupedSample, b: int, rng: np.random.Generator) -> np.ndarray:
-    """B bootstrap t vectors from within-group resampling, redrawing degenerate rows."""
-    samples = _resample_rows(data.groups, b, rng)
-    bad = _degenerate_rows(samples)
-    attempts = 0
-    while bad.any():
-        attempts += 1
-        if attempts > _MAX_REDRAWS:
-            raise NumericError(
-                f"a bootstrap replicate stayed degenerate after {_MAX_REDRAWS} redraws"
-            )
-        fresh = _resample_rows(data.groups, int(bad.sum()), rng)
-        for s, f in zip(samples, fresh):
-            s[bad] = f
-        bad_idx = np.flatnonzero(bad)
-        bad = np.zeros(b, dtype=bool)
-        bad[bad_idx[_degenerate_rows(fresh)]] = True
-    return _batched_t_stats(samples, data.n)
-
-
-def _batched_t_stats(samples, n: int) -> np.ndarray:
-    """t vectors for stacked resamples; samples[i] has shape (B, n_i).
-
-    Mirrors the scalar path through estimate_moments/log_variance_contrasts
-    with per-group sizes, vectorized over the B rows.
+    The datasets must have these group sizes.  The F and chi-square
+    critical values depend on nothing else, so they are computed here,
+    once.  The bootstrap tests take ``b`` resamples per dataset, dataset r
+    drawing from ``rngs[r]``; the other tests ignore ``rngs``.
+    ``pivot_variant`` is the box-test option of ``BootstrapConfig``.
     """
-    groups = len(samples)
-    b = samples[0].shape[0]
-    ss2 = np.empty((b, groups))
-    ss4 = np.empty((b, groups))
-    s2 = np.empty((b, groups))
-    sizes = np.array([s.shape[1] for s in samples], dtype=float)
-    for i, s in enumerate(samples):
-        dev = s - s.mean(axis=1, keepdims=True)
-        d2 = dev * dev
-        ss2[:, i] = d2.sum(axis=1)
-        ss4[:, i] = (d2 * d2).sum(axis=1)
-        s2[:, i] = ss2[:, i] / (sizes[i] - 1.0)
-    sigma2 = ss2.sum(axis=1) / n
-    mu4 = ss4.sum(axis=1) / n
-    kurt = mu4 / (sigma2 * sigma2)
-    var_log_s2 = (kurt[:, None] - (sizes - 3.0) / sizes) / (sizes - 1.0)
-    se = np.sqrt((1.0 - 2.0 / groups) * var_log_s2 + var_log_s2.sum(axis=1, keepdims=True) / groups**2)
-    log_s2 = np.log(s2)
-    contrast = log_s2 - log_s2.mean(axis=1, keepdims=True)
-    return contrast / se
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    if method == LEVENE:
+        crit = 0.0 if alpha >= 1.0 else f_quantile(1.0 - alpha, *_levene_df(sizes))
+        return lambda datasets, rngs: _levene_outcomes(datasets, alpha, crit)
+    if method == SHOEMAKER:
+        crit = 0.0 if alpha >= 1.0 else chi2_quantile(1.0 - alpha, len(sizes) - 1)
+        return lambda datasets, rngs: _shoemaker_outcomes(datasets, alpha, crit)
+    if b < 1:
+        raise ValueError(f"bootstrap replicate count must be >= 1, got {b}")
+    if method == BOOTSTRAP_LEVENE:
+        return lambda datasets, rngs: _bootstrap_levene_outcomes(datasets, alpha, rngs, b)
+    if method == BOX:
+        return lambda datasets, rngs: _box_outcomes(datasets, alpha, rngs, b, pivot_variant)
+    raise ValueError(f"unknown test {method!r}; choose from {list(ALL_METHODS)}")
 
 
 def run_all(

@@ -10,23 +10,14 @@ configuration, independent of execution order or parallelism.
 from __future__ import annotations
 
 import math
+import numbers
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .descriptive import GroupedSample
 from .distributions import Distribution, sample_standardized
-from .errors import DegenerateDataError, NumericError
-from .homogeneity import (
-    ALL_METHODS,
-    BOOTSTRAP_LEVENE,
-    LEVENE,
-    SHOEMAKER,
-    BootstrapConfig,
-    box_test,
-    bootstrap_levene,
-    levene,
-    shoemaker,
-)
+from .homogeneity import ALL_METHODS, BOOTSTRAP_LEVENE, BOX, batched
 from .rng import derive_seed, stream
 
 __all__ = [
@@ -43,15 +34,49 @@ __all__ = [
 
 # Stream slots within a replication: data generation and one per bootstrap test.
 _DATA_SLOT = 0
-_BL_SLOT = 1
-_BOX_SLOT = 2
+_BOOTSTRAP_SLOTS = {BOOTSTRAP_LEVENE: 1, BOX: 2}
+
+# Cap on the values in one stacked resample array of a chunk of
+# replications, chunk width x B x n: 2**16 float64 values, 512 KiB.  Wider
+# chunks ran faster but raised peak memory; a chunk is at least one
+# replication.
+_CHUNK_ELEMENTS = 2**16
 
 TWO_GROUP_NULL_SIZES = ((5, 5), (10, 10), (15, 15), (5, 10), (7, 15), (10, 15))
 
 
+# numpy integers and floats pass these checks, bool and numpy.bool_ do not.
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _sequence(name: str, values, check, what: str) -> tuple:
+    if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
+        raise ValueError(f"{name} must be a sequence of {what}, got {values!r}")
+    values = tuple(values)
+    bad = [v for v in values if not check(v)]
+    if bad:
+        raise ValueError(f"{name} must hold {what} only, got {bad[0]!r}")
+    return values
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One simulation cell: a distribution / sizes / variances combination."""
+    """One simulation cell: a distribution / sizes / variances combination.
+
+    Construction validates every field: sizes, replications, bootstrap_b
+    and master_seed must be integers, alpha and the variances finite real
+    numbers (booleans are neither), and tests a sequence of test names.
+    """
 
     distribution: Distribution
     sizes: tuple[int, ...]
@@ -64,9 +89,20 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "distribution", Distribution(self.distribution))
-        object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
-        object.__setattr__(self, "variances", tuple(float(v) for v in self.variances))
-        object.__setattr__(self, "tests", tuple(self.tests))
+        sizes = _sequence("sizes", self.sizes, _is_int, "integers")
+        object.__setattr__(self, "sizes", tuple(int(s) for s in sizes))
+        variances = _sequence("variances", self.variances, _is_real, "finite real numbers")
+        object.__setattr__(self, "variances", tuple(float(v) for v in variances))
+        tests = _sequence("tests", self.tests, lambda t: isinstance(t, str), "test names")
+        object.__setattr__(self, "tests", tests)
+        for name in ("replications", "bootstrap_b", "master_seed"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if not _is_real(self.alpha):
+            raise ValueError(f"alpha must be a finite real number, got {self.alpha!r}")
+        object.__setattr__(self, "alpha", float(self.alpha))
         if len(self.sizes) != len(self.variances):
             raise ValueError(
                 f"sizes and variances must have equal length, got {len(self.sizes)} and {len(self.variances)}"
@@ -83,6 +119,8 @@ class ExperimentConfig:
             raise ValueError("need at least one replication")
         if self.bootstrap_b < 1:
             raise ValueError("need at least one bootstrap replicate")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be nonnegative, got {self.master_seed}")
         unknown = [t for t in self.tests if t not in ALL_METHODS]
         if unknown:
             raise ValueError(f"unknown tests: {unknown}; choose from {list(ALL_METHODS)}")
@@ -108,38 +146,36 @@ def run_cell(cfg: ExperimentConfig) -> CellEstimate:
 
     Replication r draws its data from stream (master_seed, r, 0); the
     bootstrap tests consume streams (master_seed, r, 1) and
-    (master_seed, r, 2).  Replications where a test raises a degeneracy or
-    numeric error are counted separately and excluded from that test's
-    denominator.
+    (master_seed, r, 2), each replication drawing from its own streams in
+    the order a one-dataset test call would.  The statistics are evaluated
+    over chunks of consecutive replications, stacked so that one row kernel
+    call covers a chunk; the chunk width is chosen so that a stacked
+    resample array holds at most ``_CHUNK_ELEMENTS`` values.  Rows are
+    evaluated independently, so the estimates are byte-identical to
+    evaluating each replication on its own.  The F and chi-square critical
+    values are computed once per cell.  Replications where a test raises a
+    degeneracy or numeric error are counted separately and excluded from
+    that test's denominator.
     """
-    rejects = {t: 0 for t in cfg.tests}
-    errors = {t: 0 for t in cfg.tests}
+    tests = {t: batched(t, cfg.sizes, cfg.alpha, cfg.bootstrap_b) for t in cfg.tests}
+    rejects = dict.fromkeys(cfg.tests, 0)
+    errors = dict.fromkeys(cfg.tests, 0)
     scales = [math.sqrt(v) for v in cfg.variances]
-    for r in range(cfg.replications):
-        data_rng = stream(cfg.master_seed, r, _DATA_SLOT)
-        data = GroupedSample(
-            [s * sample_standardized(cfg.distribution, n, data_rng) for s, n in zip(scales, cfg.sizes)]
-        )
-        for t in cfg.tests:
-            try:
-                if t == LEVENE:
-                    result = levene(data, cfg.alpha)
-                elif t == SHOEMAKER:
-                    result = shoemaker(data, cfg.alpha)
-                elif t == BOOTSTRAP_LEVENE:
-                    result = bootstrap_levene(
-                        data, cfg.alpha,
-                        BootstrapConfig(stream(cfg.master_seed, r, _BL_SLOT), cfg.bootstrap_b),
-                    )
-                else:
-                    result = box_test(
-                        data, cfg.alpha,
-                        BootstrapConfig(stream(cfg.master_seed, r, _BOX_SLOT), cfg.bootstrap_b),
-                    )
-            except (DegenerateDataError, NumericError):
-                errors[t] += 1
-            else:
-                rejects[t] += bool(result.reject)
+    width = max(1, _CHUNK_ELEMENTS // (cfg.bootstrap_b * sum(cfg.sizes)))
+    for first in range(0, cfg.replications, width):
+        reps = range(first, min(first + width, cfg.replications))
+        datasets = []
+        for r in reps:
+            data_rng = stream(cfg.master_seed, r, _DATA_SLOT)
+            datasets.append(GroupedSample(
+                [s * sample_standardized(cfg.distribution, n, data_rng) for s, n in zip(scales, cfg.sizes)]
+            ))
+        for t, test in tests.items():
+            slot = _BOOTSTRAP_SLOTS.get(t)
+            rngs = None if slot is None else [stream(cfg.master_seed, r, slot) for r in reps]
+            outcomes = test(datasets, rngs)
+            rejects[t] += outcomes.rejections
+            errors[t] += len(outcomes.errors)
     rates: dict[str, float] = {}
     ses: dict[str, float] = {}
     for t in cfg.tests:

@@ -73,6 +73,16 @@ class TestTestCommand:
         err = capsys.readouterr().err
         assert "'x'" in err and ":3" in err
 
+    def test_utf8_bom_before_header_accepted(self, tmp_path, capsys):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + GOOD_CSV.encode("utf-8"))
+        plain = tmp_path / "plain.csv"
+        plain.write_text(GOOD_CSV, encoding="utf-8")
+        assert main(["test", str(path), "--seed", "3", "--bootstrap-b", "40", "--format", "json"]) == 0
+        with_bom = capsys.readouterr().out
+        assert main(["test", str(plain), "--seed", "3", "--bootstrap-b", "40", "--format", "json"]) == 0
+        assert with_bom == capsys.readouterr().out
+
     def test_partial_degeneracy_reports_notes(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
         path.write_text("group,value\n" + "".join("a,5.0\n" for _ in range(5))
@@ -132,6 +142,34 @@ class TestSimulateCommand:
         out = capsys.readouterr().out
         assert "| test | normal |" in out
         assert "| levene |" in out
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"sizes": [5.7, 5]}, "sizes must hold integers"),
+            ({"sizes": 5}, "sizes must be a sequence"),
+            ({"replications": "3"}, "replications must be an integer"),
+            ({"bootstrap_b": 20.0}, "bootstrap_b must be an integer"),
+            ({"seed": True}, "master_seed must be an integer"),
+            ({"seed": -1}, "master_seed must be nonnegative"),
+            ({"alpha": True}, "alpha must be a finite real number"),
+            ({"alpha": "0.05"}, "alpha must be a finite real number"),
+            ({"variances": [1, "nan"]}, "variances must hold finite real numbers"),
+            ({"variances": [1, float("nan")]}, "variances must hold finite real numbers"),
+            ({"tests": "levene"}, "tests must be a sequence of test names"),
+            ({"tests": None}, "tests must be a sequence of test names"),
+        ],
+    )
+    def test_malformed_config_exits_2_naming_the_experiment(self, tmp_path, capsys, overrides, message):
+        good = {"distribution": "normal", "sizes": [5, 5], "variances": [1.0, 1.0],
+                "replications": 3, "bootstrap_b": 10, "seed": 1}
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps([good, {**good, **overrides}]))
+        assert main(["simulate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert f"experiment 1: {message}" in captured.err
 
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

@@ -18,7 +18,8 @@ from equivar import (
     shoemaker,
     stream,
 )
-from equivar.homogeneity import _batched_t_stats, _jitter_scale
+from equivar.descriptive import log_variance_rows, stack
+from equivar.homogeneity import _jitter_scale, _row_medians
 
 FIXED_A = [0.1, -0.3, 0.5, 1.2, -0.9]
 FIXED_B = [0.4, 0.0, -0.2, 0.8, -1.1]
@@ -87,6 +88,12 @@ class TestLevene:
         assert scaled.statistic == pytest.approx(base.statistic, rel=1e-12)
         assert scaled.reject == base.reject
 
+    def test_row_medians_equal_numpy_median(self):
+        rng = stream(202)
+        for n in (2, 3, 5, 10, 15, 40):
+            x = rng.normal(size=(50, n))
+            np.testing.assert_array_equal(_row_medians(x), np.median(x, axis=1, keepdims=True))
+
     def test_between_without_within_variation_degenerate(self):
         data = GroupedSample([[-1.0, 1.0, -1.0, 1.0], [-2.0, 2.0, -2.0, 2.0]])
         with pytest.raises(DegenerateDataError, match="within-group variation"):
@@ -120,7 +127,7 @@ class TestShoemaker:
 
 class TestBootstrapLevene:
     def test_jitter_scale_worked_example(self):
-        assert _jitter_scale(GroupedSample([[0.0, 2.0], [1.0, 3.0]])) == pytest.approx(1.0)
+        assert _jitter_scale(stack([GroupedSample([[0.0, 2.0], [1.0, 3.0]])]))[0] == pytest.approx(1.0)
 
     def test_p_value_on_lattice(self):
         cfg = BootstrapConfig.from_seed(7, b=40)
@@ -174,9 +181,11 @@ class _ConstantIndexRng:
 class TestBoxTest:
     def test_batched_stats_match_scalar_path(self):
         data = _random_data(330, sizes=(6, 9, 7))
-        boot = resample_within_groups(data, stream(331))
-        batched = _batched_t_stats([g.reshape(1, -1) for g in boot.groups], boot.n)
-        np.testing.assert_allclose(batched[0], log_variance_contrasts(boot).t, rtol=1e-12)
+        boots = [resample_within_groups(data, stream(331, i)) for i in range(5)]
+        rows, _, errors = log_variance_rows(stack(boots))
+        assert errors == {}
+        for t, boot in zip(rows.t, boots):
+            np.testing.assert_array_equal(t, log_variance_contrasts(boot).t)
 
     def test_statistic_is_observed_t_vector(self):
         data = _random_data(332)

@@ -1,15 +1,27 @@
 import math
 
+import numpy as np
 import pytest
 
+import equivar.simulation
 from equivar import (
+    BootstrapConfig,
     CellEstimate,
+    DegenerateDataError,
     Distribution,
     ExperimentConfig,
+    GroupedSample,
+    NumericError,
     averaged_power,
+    bootstrap_levene,
+    box_test,
+    levene,
     robustness,
     run_cell,
     run_grid,
+    sample_standardized,
+    shoemaker,
+    stream,
     two_group_null_grid,
 )
 
@@ -52,6 +64,32 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="alpha"):
             _cfg(alpha=0.0)
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"sizes": (5.7, 5)}, "sizes must hold integers"),
+            ({"sizes": "55"}, "sizes must be a sequence"),
+            ({"variances": (1.0, "nan")}, "variances must hold finite real numbers"),
+            ({"variances": (1.0, math.inf)}, "variances must hold finite real numbers"),
+            ({"variances": (True, 1.0)}, "variances must hold finite real numbers"),
+            ({"alpha": True}, "alpha must be a finite real number"),
+            ({"alpha": math.nan}, "alpha must be a finite real number"),
+            ({"replications": "3"}, "replications must be an integer"),
+            ({"replications": 3.0}, "replications must be an integer"),
+            ({"bootstrap_b": False}, "bootstrap_b must be an integer"),
+            ({"master_seed": -2}, "master_seed must be nonnegative"),
+            ({"tests": "levene"}, "tests must be a sequence of test names"),
+        ],
+    )
+    def test_field_types_are_exact(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            _cfg(**overrides)
+
+    def test_numpy_scalars_accepted(self):
+        cfg = _cfg(sizes=np.array([6, 7]), variances=np.array([1.0, 2.0]), replications=np.int64(4))
+        assert cfg.sizes == (6, 7) and type(cfg.sizes[0]) is int
+        assert cfg.replications == 4 and type(cfg.replications) is int
+
     def test_is_null(self):
         assert _cfg().is_null
         assert not _cfg(variances=(1.0, 2.0)).is_null
@@ -86,6 +124,93 @@ class TestRunCell:
     def test_selected_tests_only(self):
         est = run_cell(_cfg(tests=("shoemaker",)))
         assert set(est.rates) == {"shoemaker"}
+
+
+def _reference_cell(cfg: ExperimentConfig) -> CellEstimate:
+    """Replication-by-replication evaluation through the public one-dataset tests.
+
+    Replication r draws its data from stream (seed, r, 0) and the two
+    bootstrap tests from (seed, r, 1) and (seed, r, 2).
+    """
+    rejects = dict.fromkeys(cfg.tests, 0)
+    errors = dict.fromkeys(cfg.tests, 0)
+    scales = [math.sqrt(v) for v in cfg.variances]
+    for r in range(cfg.replications):
+        data_rng = stream(cfg.master_seed, r, 0)
+        data = GroupedSample([s * sample_standardized(cfg.distribution, n, data_rng)
+                              for s, n in zip(scales, cfg.sizes)])
+        for t in cfg.tests:
+            try:
+                if t == "levene":
+                    result = levene(data, cfg.alpha)
+                elif t == "shoemaker":
+                    result = shoemaker(data, cfg.alpha)
+                elif t == "bootstrap_levene":
+                    rng = stream(cfg.master_seed, r, 1)
+                    result = bootstrap_levene(data, cfg.alpha, BootstrapConfig(rng, cfg.bootstrap_b))
+                else:
+                    rng = stream(cfg.master_seed, r, 2)
+                    result = box_test(data, cfg.alpha, BootstrapConfig(rng, cfg.bootstrap_b))
+            except (DegenerateDataError, NumericError):
+                errors[t] += 1
+            else:
+                rejects[t] += bool(result.reject)
+    rates, ses = {}, {}
+    for t in cfg.tests:
+        valid = cfg.replications - errors[t]
+        p = rejects[t] / valid if valid else math.nan
+        rates[t] = p
+        ses[t] = math.sqrt(p * (1.0 - p) / valid) if valid else math.nan
+    return CellEstimate(cfg, rates, ses, errors)
+
+
+class TestChunkedRunCell:
+    """run_cell evaluates chunks of replications at once; the results must match one at a time.
+
+    Chunk widths follow from B and n (2**16 // (B * n)); the cells cover
+    replication counts that are not a multiple of the width, counts
+    below one chunk, and a width of 1.
+    """
+
+    @pytest.mark.parametrize(
+        "dist, sizes, variances, alpha, reps, b",
+        [
+            ("normal", (5, 5), (1.0, 4.0), 0.05, 16, 2000),            # smoothed; width 3
+            ("exponential", (12, 15), (1.0, 3.0), 0.05, 15, 1000),     # unsmoothed; width 2
+            ("laplace", (4, 9, 12), (1.0, 1.0, 4.0), 0.1, 22, 500),    # three groups, mixed; width 5
+            ("uniform", (5, 8, 11, 6), (1.0, 2.0, 3.0, 4.0), 0.05, 23, 400),  # four groups; width 5
+            ("student_t5", (5, 5), (1.0, 1.0), 1.0, 25, 300),          # alpha = 1; width 21
+            ("normal", (2, 2), (1.0, 1.0), 0.05, 20, 50),              # degenerate Levene; one chunk
+            ("extreme_value", (20, 20), (1.0, 2.0), 0.05, 5, 2000),    # width 1
+        ],
+    )
+    def test_matches_replication_by_replication_reference(self, dist, sizes, variances, alpha, reps, b):
+        cfg = ExperimentConfig(dist, sizes, variances, alpha=alpha, replications=reps,
+                               bootstrap_b=b, master_seed=sum(sizes) * reps)
+        est, ref = run_cell(cfg), _reference_cell(cfg)
+        np.testing.assert_equal(est.rates, ref.rates)
+        np.testing.assert_equal(est.standard_errors, ref.standard_errors)
+        assert est.error_counts == ref.error_counts
+
+    def test_two_point_groups_reach_the_degenerate_levene_path(self):
+        # |x - median| is the same for both points of a two-point group, up to rounding
+        est = run_cell(_cfg(sizes=(2, 2), replications=20, bootstrap_b=50))
+        assert est.error_counts["levene"] == est.error_counts["bootstrap_levene"] > 0
+
+    def test_non_finite_draw_escapes(self, monkeypatch):
+        real = equivar.simulation.sample_standardized
+        calls = []
+
+        def poisoned(kind, n, rng):
+            calls.append(n)
+            x = real(kind, n, rng)
+            if len(calls) == 7:  # replication 3, second group
+                x[0] = np.nan
+            return x
+
+        monkeypatch.setattr(equivar.simulation, "sample_standardized", poisoned)
+        with pytest.raises(DegenerateDataError, match="non-finite"):
+            run_cell(_cfg(replications=10))
 
 
 class TestRunGrid:
