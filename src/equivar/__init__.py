@@ -7,23 +7,13 @@ the box construction, and a reproducible Monte Carlo harness for size and
 power studies.
 """
 
-from .bootstrap import (
-    SMOOTH_FACTOR,
-    CriticalSearch,
-    center,
-    resample_pooled,
-    resample_within_groups,
-    search_critical,
-    smooth,
-)
+from .bootstrap import SMOOTH_FACTOR, CriticalSearch, search_critical
 from .descriptive import (
     GroupedSample,
-    GroupSummary,
     LogVarianceContrasts,
     MomentEstimates,
     estimate_moments,
     log_variance_contrasts,
-    summarize,
 )
 from .dirichlet import DirichletParams, NormalTheoryBox, calibrate_box, log_contrast, sample_dirichlet
 from .distributions import Distribution, sample_standardized
@@ -54,15 +44,7 @@ from .simulation import (
     run_grid,
     two_group_null_grid,
 )
-from .special import (
-    chi2_cdf,
-    chi2_quantile,
-    f_cdf,
-    f_quantile,
-    ln_gamma,
-    regularized_incomplete_beta,
-    regularized_incomplete_gamma,
-)
+from .special import chi2_cdf, chi2_quantile, f_cdf, f_quantile
 
 __version__ = "0.1.0"
 
@@ -81,7 +63,6 @@ __all__ = [
     "DirichletParams",
     "Distribution",
     "ExperimentConfig",
-    "GroupSummary",
     "GroupedSample",
     "LogVarianceContrasts",
     "MomentEstimates",
@@ -93,7 +74,6 @@ __all__ = [
     "bootstrap_levene",
     "box_test",
     "calibrate_box",
-    "center",
     "chi2_cdf",
     "chi2_quantile",
     "derive_seed",
@@ -101,13 +81,8 @@ __all__ = [
     "f_cdf",
     "f_quantile",
     "levene",
-    "ln_gamma",
     "log_contrast",
     "log_variance_contrasts",
-    "regularized_incomplete_beta",
-    "regularized_incomplete_gamma",
-    "resample_pooled",
-    "resample_within_groups",
     "robustness",
     "run_all",
     "run_cell",
@@ -116,8 +91,6 @@ __all__ = [
     "sample_standardized",
     "search_critical",
     "shoemaker",
-    "smooth",
     "stream",
-    "summarize",
     "two_group_null_grid",
 ]

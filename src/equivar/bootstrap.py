@@ -1,4 +1,4 @@
-"""Resampling primitives and the box-region critical value search."""
+"""The smoothing constant of the bootstrap Levene test and the box critical-value search."""
 
 from __future__ import annotations
 
@@ -7,15 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .descriptive import GroupedSample
-
 __all__ = [
     "SMOOTH_FACTOR",
     "CriticalSearch",
-    "resample_within_groups",
-    "resample_pooled",
-    "smooth",
-    "center",
     "search_critical",
 ]
 
@@ -24,83 +18,42 @@ __all__ = [
 SMOOTH_FACTOR = math.sqrt(12.0 / 13.0)
 
 
-def resample_within_groups(data: GroupedSample, rng: np.random.Generator) -> GroupedSample:
-    """Resample each group independently with replacement, preserving group sizes."""
-    return GroupedSample([g[rng.integers(0, g.size, g.size)] for g in data.groups])
-
-
-def resample_pooled(residuals, sizes, rng: np.random.Generator) -> GroupedSample:
-    """Draw sum(sizes) points with replacement from one pool, split into contiguous groups."""
-    pool = np.asarray(residuals, dtype=float).ravel()
-    if pool.size == 0:
-        raise ValueError("residual pool is empty")
-    sizes = [int(s) for s in sizes]
-    draws = pool[rng.integers(0, pool.size, sum(sizes))]
-    groups = []
-    start = 0
-    for ni in sizes:
-        groups.append(draws[start:start + ni])
-        start += ni
-    return GroupedSample(groups)
-
-
-def smooth(values, q: float, rng: np.random.Generator) -> np.ndarray:
-    """Add q * Uniform(-1/2, 1/2) jitter to each value and shrink by sqrt(12/13)."""
-    if q < 0.0:
-        raise ValueError(f"jitter scale must be nonnegative, got {q}")
-    v = np.asarray(values, dtype=float)
-    return SMOOTH_FACTOR * (v + q * rng.uniform(-0.5, 0.5, v.shape))
-
-
-def center(rows, observed_t=None) -> np.ndarray:
-    """Center bootstrap replicate rows by their column means.
-
-    With ``observed_t`` given, subtract that vector from every row instead
-    (the pivot variant, which recenters replicates at the observed
-    statistics rather than at the bootstrap means).
-    """
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2:
-        raise ValueError(f"expected a B x groups matrix, got shape {rows.shape}")
-    if observed_t is None:
-        return rows - rows.mean(axis=0)
-    observed_t = np.asarray(observed_t, dtype=float)
-    if observed_t.shape != (rows.shape[1],):
-        raise ValueError(
-            f"observed statistic has shape {observed_t.shape}, expected ({rows.shape[1]},)"
-        )
-    return rows - observed_t
-
-
 @dataclass
 class CriticalSearch:
-    c_star: float     # smallest candidate half-width with coverage >= 1 - alpha
-    coverage: float   # fraction of rows inside [-c_star, c_star] in every coordinate
-    index: int        # 0-based position of c_star in the descending candidate list
+    c_star: float | np.ndarray    # smallest candidate half-width with coverage >= 1 - alpha
+    coverage: float | np.ndarray  # fraction of rows inside [-c_star, c_star] in every coordinate
 
 
 def search_critical(centered, alpha: float) -> CriticalSearch:
     """Find the half-width of the smallest symmetric box covering 1 - alpha of rows.
 
-    Candidate half-widths are the absolute values of all centered entries.
-    Coverage counts rows whose every coordinate lies in [-c, c], boundary
-    inclusive, so it is non-decreasing in c; the search returns the
-    smallest candidate whose coverage reaches 1 - alpha.
+    ``centered`` is a B x groups matrix of centered bootstrap statistics,
+    or an (R, B, groups) stack of R such matrices, searched one by one;
+    for a stack, both fields are arrays of length R.  Candidate half-widths
+    are the absolute values of all centered entries.  Coverage counts rows
+    whose every coordinate lies in [-c, c], boundary inclusive, so it is
+    non-decreasing in c; the search returns the smallest candidate whose
+    coverage reaches 1 - alpha.  A row lies inside the box exactly when
+    its largest |entry| does, so for alpha < 1 that candidate is the m-th
+    smallest row maximum, m the first count with m / B >= 1 - alpha; at
+    alpha = 1 it is the smallest entry.
     """
     rows = np.asarray(centered, dtype=float)
-    if rows.ndim != 2 or rows.size == 0:
-        raise ValueError("need a nonempty B x groups matrix of centered statistics")
+    if rows.ndim not in (2, 3) or rows.size == 0:
+        raise ValueError("need a nonempty B x groups matrix, or a stack of them, of centered statistics")
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     if not np.all(np.isfinite(rows)):
         raise ValueError("centered statistics contain non-finite values")
-    b = rows.shape[0]
-    row_max = np.sort(np.abs(rows).max(axis=1))
-    candidates = np.sort(np.abs(rows), axis=None)
-    coverage = np.searchsorted(row_max, candidates, side="right") / b
-    idx = int(np.argmax(coverage >= 1.0 - alpha))  # first hit = smallest candidate
-    return CriticalSearch(
-        c_star=float(candidates[idx]),
-        coverage=float(coverage[idx]),
-        index=candidates.size - 1 - idx,
-    )
+    b = rows.shape[-2]
+    magnitude = np.abs(rows)
+    row_max = np.sort(magnitude.max(axis=-1), axis=-1)
+    if alpha >= 1.0:
+        c_star = magnitude.min(axis=(-2, -1))
+    else:
+        # m - 1, m the first count with m / B >= 1 - alpha, compared in the float division coverage uses
+        c_star = row_max[..., int(np.searchsorted(np.arange(1, b + 1) / b, 1.0 - alpha))]
+    coverage = (row_max <= c_star[..., None]).sum(axis=-1) / b
+    if rows.ndim == 2:
+        return CriticalSearch(float(c_star), float(coverage))
+    return CriticalSearch(c_star, coverage)

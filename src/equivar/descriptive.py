@@ -1,4 +1,4 @@
-"""Grouped-sample summaries and the shared moment estimators.
+"""The grouped sample that every test takes, and the shared moment estimators.
 
 The moment machinery here feeds both the kurtosis-adjusted log-variance
 test and the box-type bootstrap test: a pooled fourth central moment, a
@@ -16,10 +16,8 @@ from .errors import DegenerateDataError, NumericError
 
 __all__ = [
     "GroupedSample",
-    "GroupSummary",
     "MomentEstimates",
     "LogVarianceContrasts",
-    "summarize",
     "estimate_moments",
     "log_variance_contrasts",
     "stack",
@@ -60,14 +58,6 @@ class GroupedSample:
 
 
 @dataclass
-class GroupSummary:
-    s2: np.ndarray        # per-group sample variance, n_i - 1 divisor
-    mean: np.ndarray
-    median: np.ndarray    # even n: midpoint of the two central order statistics
-    within_ss: float      # sum over groups of (n_i - 1) * s_i^2
-
-
-@dataclass
 class MomentEstimates:
     mu4: float                # pooled fourth central moment about the group means
     sigma2: float             # pooled variance, n divisor
@@ -80,15 +70,6 @@ class LogVarianceContrasts:
     contrast: np.ndarray   # ln s_i^2 centered at the mean log variance; sums to 0
     se: np.ndarray         # standard error of each contrast
     t: np.ndarray          # standardized contrasts, contrast / se
-
-
-def summarize(data: GroupedSample) -> GroupSummary:
-    """Per-group means, medians, and variances plus the pooled within sum of squares."""
-    s2 = np.array([g.var(ddof=1) for g in data.groups])
-    mean = np.array([g.mean() for g in data.groups])
-    median = np.array([np.median(g) for g in data.groups])
-    within = float(((np.asarray(data.sizes) - 1) * s2).sum())
-    return GroupSummary(s2, mean, median, within)
 
 
 def stack(datasets) -> list[np.ndarray]:

@@ -28,11 +28,11 @@ results do not depend on how datasets are batched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .bootstrap import SMOOTH_FACTOR, center, search_critical
+from .bootstrap import SMOOTH_FACTOR, search_critical
 from .descriptive import GroupedSample, log_variance_rows, moment_rows, stack
 from .errors import DegenerateDataError, NumericError
 from .rng import stream
@@ -62,6 +62,7 @@ BOX = "box"
 ALL_METHODS = (LEVENE, SHOEMAKER, BOOTSTRAP_LEVENE, BOX)
 
 _MAX_REDRAWS = 100
+_EPS = np.finfo(float).eps
 
 
 @dataclass
@@ -170,7 +171,10 @@ def _levene_stat_rows(blocks) -> tuple[np.ndarray, np.ndarray]:
     Returns the statistics and the rows that are degenerate: zero
     within-group variation with nonzero between variation.  Those map to
     +inf and rows with zero between variation to 0, so that resampled
-    statistics compare with an observed one in every case.
+    statistics compare with an observed one in every case.  Within-group
+    variation at rounding level, at most eps * n * (grand mean)^2, counts
+    as zero: in a two-point group both deviations from the median are
+    equal, but their computed values can differ in the last bit.
     """
     k, df2 = _levene_df([bl.shape[1] for bl in blocks])
     n = df2 + k + 1
@@ -182,7 +186,7 @@ def _levene_stat_rows(blocks) -> tuple[np.ndarray, np.ndarray]:
     ssb = (sizes * (means - grand[:, None]) ** 2).sum(axis=1)
     ssw = sum(((x - m[:, None]) ** 2).sum(axis=1) for x, m in zip(e, means.T))
     out = np.zeros_like(ssb)
-    ok = ssw > 0.0
+    ok = ssw > _EPS * n * grand * grand
     out[ok] = (ssb[ok] / k) / (ssw[ok] / df2)
     degenerate = ~ok & (ssb > 0.0)
     out[degenerate] = np.inf
@@ -344,9 +348,12 @@ def _box_outcomes(datasets, alpha: float, rngs, b: int, pivot_variant: bool) -> 
                 except NumericError as exc:
                     errors[r] = exc
         boot, _, _ = log_variance_rows(samples)
-        for t, r in zip(boot.t.reshape(len(rows), b, -1), rows):
-            if r not in errors:
-                c_star[r] = search_critical(center(t, observed[r] if pivot_variant else None), alpha).c_star
+        keep = [j for j, r in enumerate(rows) if r not in errors]  # a failed redraw leaves degenerate t rows
+        if keep:
+            t = boot.t.reshape(len(rows), b, -1)[keep]
+            kept = [rows[j] for j in keep]
+            centre = observed[kept, None, :] if pivot_variant else t.mean(axis=1, keepdims=True)
+            c_star[kept] = search_critical(t - centre, alpha).c_star
     t_max = np.abs(observed).max(axis=1)
     return Outcomes(BOX, alpha, observed, _decide(alpha, t_max > c_star), errors, critical_value=c_star)
 
@@ -399,18 +406,13 @@ def run_all(
     ``cfg.rng``.  A test that cannot run on this data contributes an entry
     in the returned error mapping instead of aborting the rest.
     """
-    bl_rng, box_rng = cfg.rng.spawn(2)
-    jobs = (
-        (LEVENE, lambda: levene(data, alpha)),
-        (SHOEMAKER, lambda: shoemaker(data, alpha)),
-        (BOOTSTRAP_LEVENE, lambda: bootstrap_levene(data, alpha, replace(cfg, rng=bl_rng))),
-        (BOX, lambda: box_test(data, alpha, replace(cfg, rng=box_rng))),
-    )
+    rngs = dict(zip((BOOTSTRAP_LEVENE, BOX), cfg.rng.spawn(2)))
     results: list[TestResult] = []
     errors: dict[str, str] = {}
-    for name, job in jobs:
+    for method in ALL_METHODS:
         try:
-            results.append(job())
+            test = batched(method, data.sizes, alpha, cfg.b, cfg.pivot_variant)
+            results.append(test([data], [rngs.get(method)]).result())
         except (DegenerateDataError, NumericError) as exc:
-            errors[name] = str(exc)
+            errors[method] = str(exc)
     return results, errors

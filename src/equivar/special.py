@@ -1,21 +1,20 @@
-"""Quantiles of the F and chi-square reference distributions.
+"""CDFs and quantiles of the F and chi-square reference distributions.
 
-CDF backends delegate to scipy.special.  Quantiles invert those CDFs by
-monotone bracketing and bisection, so the returned value is tied directly
-to the CDF used elsewhere in the package rather than to a separate
-closed-form approximation.
+Each function checks its arguments and calls scipy.special: the CDFs are
+``fdtr`` and ``chdtr``, and the quantiles their inverses ``fdtri`` and
+``gammaincinv`` (the chi-square(df) quantile at p is twice the Gamma(df/2)
+quantile at p).
 """
 
 from __future__ import annotations
+
+import math
 
 from scipy import special as _sp
 
 from .errors import NumericError
 
 __all__ = [
-    "ln_gamma",
-    "regularized_incomplete_beta",
-    "regularized_incomplete_gamma",
     "f_cdf",
     "chi2_cdf",
     "f_quantile",
@@ -23,78 +22,44 @@ __all__ = [
 ]
 
 
-def ln_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
-    if x <= 0.0:
-        raise ValueError(f"ln_gamma requires x > 0, got {x}")
-    return float(_sp.gammaln(x))
+def _check_df(*df: float) -> None:
+    if not all(d > 0.0 for d in df):
+        raise ValueError(f"degrees of freedom must be positive, got {df if len(df) > 1 else df[0]}")
 
 
-def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """I_x(a, b), the CDF of a Beta(a, b) variable at x."""
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError(f"shape parameters must be positive, got a={a}, b={b}")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must lie in [0, 1], got {x}")
-    return float(_sp.betainc(a, b, x))
+def _check_p(p: float) -> None:
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"probability must lie in (0, 1), got {p}")
 
 
-def regularized_incomplete_gamma(s: float, x: float) -> float:
-    """P(s, x), the lower regularized incomplete gamma function."""
-    if s <= 0.0:
-        raise ValueError(f"shape must be positive, got s={s}")
-    if x < 0.0:
-        raise ValueError(f"x must be nonnegative, got {x}")
-    return float(_sp.gammainc(s, x))
+def _finite(x, what: str, p: float) -> float:
+    x = float(x)
+    if not math.isfinite(x):
+        raise NumericError(f"{what} quantile at p={p} is not finite: {x}")
+    return x
 
 
 def f_cdf(x: float, df1: float, df2: float) -> float:
-    """CDF of the F distribution via the incomplete beta identity."""
-    if df1 <= 0.0 or df2 <= 0.0:
-        raise ValueError(f"degrees of freedom must be positive, got ({df1}, {df2})")
-    if x <= 0.0:
-        return 0.0
-    t = df1 * x / (df1 * x + df2)
-    return regularized_incomplete_beta(0.5 * df1, 0.5 * df2, t)
+    """CDF of the F(df1, df2) distribution."""
+    _check_df(df1, df2)
+    return 0.0 if x <= 0.0 else float(_sp.fdtr(df1, df2, x))
 
 
 def chi2_cdf(x: float, df: float) -> float:
     """CDF of the chi-square distribution with ``df`` degrees of freedom."""
-    if df <= 0.0:
-        raise ValueError(f"degrees of freedom must be positive, got {df}")
-    if x <= 0.0:
-        return 0.0
-    return regularized_incomplete_gamma(0.5 * df, 0.5 * x)
-
-
-def _invert_cdf(cdf, p: float, what: str) -> float:
-    # Bracket the quantile by doubling, then bisect to float resolution.
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"probability must lie in (0, 1), got {p}")
-    lo, hi = 0.0, 1.0
-    while cdf(hi) < p:
-        if hi > 1e300:
-            raise NumericError(f"failed to bracket the {what} quantile at p={p}")
-        lo, hi = hi, 2.0 * hi
-    for _ in range(400):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # bracket is at float resolution
-            break
-        if cdf(mid) < p:
-            lo = mid
-        else:
-            hi = mid
-    x = 0.5 * (lo + hi)
-    if abs(cdf(x) - p) > 1e-9:
-        raise NumericError(f"{what} quantile did not converge at p={p}: residual {cdf(x) - p:.3e}")
-    return x
+    _check_df(df)
+    return 0.0 if x <= 0.0 else float(_sp.chdtr(df, x))
 
 
 def f_quantile(p: float, df1: float, df2: float) -> float:
     """Inverse CDF of the F(df1, df2) distribution."""
-    return _invert_cdf(lambda x: f_cdf(x, df1, df2), p, "F")
+    _check_p(p)
+    _check_df(df1, df2)
+    return _finite(_sp.fdtri(df1, df2, p), "F", p)
 
 
 def chi2_quantile(p: float, df: float) -> float:
     """Inverse CDF of the chi-square distribution with ``df`` degrees of freedom."""
-    return _invert_cdf(lambda x: chi2_cdf(x, df), p, "chi-square")
+    _check_p(p)
+    _check_df(df)
+    return _finite(2.0 * _sp.gammaincinv(0.5 * df, p), "chi-square", p)

@@ -3,14 +3,15 @@ import pytest
 
 from equivar import (
     SMOOTH_FACTOR,
+    BootstrapConfig,
     GroupedSample,
-    center,
-    resample_pooled,
-    resample_within_groups,
+    box_test,
+    log_variance_contrasts,
     search_critical,
-    smooth,
     stream,
 )
+from equivar.descriptive import log_variance_rows
+from equivar.homogeneity import _pooled_resamples, _resample_rows
 
 
 def brute_force_search(rows, alpha):
@@ -24,105 +25,109 @@ def brute_force_search(rows, alpha):
     raise AssertionError("unreachable: the largest candidate always covers everything")
 
 
+def _within(data, rng, count):
+    """``count`` within-group resamples of each group of ``data``, one (count, n_i) array per group."""
+    return _resample_rows(data.groups, rng, [np.empty((count, n)) for n in data.sizes])
+
+
+def _pooled(pool, q, sizes, rng, b):
+    out = np.empty((b, sum(sizes)))
+    _pooled_resamples(np.asarray(pool, dtype=float), q, sizes, rng, out)
+    return out
+
+
 class TestResampleWithinGroups:
     def test_single_value_group_round_trips(self):
         data = GroupedSample([[3.0, 3.0, 3.0], [1.0, 2.0]])
-        out = resample_within_groups(data, stream(0, 1))
-        np.testing.assert_array_equal(out.groups[0], [3.0, 3.0, 3.0])
+        out = _within(data, stream(0, 1), 50)
+        np.testing.assert_array_equal(out[0], 3.0)
 
     def test_sizes_preserved(self):
         data = GroupedSample([np.arange(5), np.arange(10)])
-        out = resample_within_groups(data, stream(0, 2))
-        assert out.sizes == (5, 10)
+        out = _within(data, stream(0, 2), 7)
+        assert [o.shape for o in out] == [(7, 5), (7, 10)]
+        assert all(np.isin(o, g).all() for o, g in zip(out, data.groups))
 
     def test_selection_is_uniform(self):
         data = GroupedSample([[1.0, 2.0, 3.0, 4.0], [0.0, 1.0]])
-        rng = stream(0, 3)
-        counts = np.zeros(4)
-        rounds = 25_000
-        for _ in range(rounds):
-            out = resample_within_groups(data, rng)
-            for v in out.groups[0]:
-                counts[int(v) - 1] += 1
-        freqs = counts / (4 * rounds)
+        out = _within(data, stream(0, 3), 25_000)
+        freqs = np.bincount(out[0].astype(int).ravel() - 1) / out[0].size
         np.testing.assert_allclose(freqs, 0.25, atol=0.01)
 
 
+# Groups of 10 or more are resampled without smoothing.
 class TestResamplePooled:
     def test_single_atom_pool(self):
-        out = resample_pooled([7.5], (2, 3), stream(0, 4))
-        assert all(np.all(g == 7.5) for g in out.groups)
+        out = _pooled([7.5], 1.0, (10, 12), stream(0, 4), 5)
+        np.testing.assert_array_equal(out, 7.5)
 
     def test_block_sizes(self):
-        out = resample_pooled(np.arange(12.0), (2, 3), stream(0, 5))
-        assert out.sizes == (2, 3)
+        # only the first block, a group of 3, is smoothed; with q = 0 smoothing only shrinks
+        pool = np.arange(1.0, 13.0)
+        out = _pooled(pool, 0.0, (3, 12), stream(0, 5), 40)
+        assert out.shape == (40, 15)
+        assert np.isin(out[:, 3:], pool).all()
+        assert np.isin(out[:, :3] / SMOOTH_FACTOR, pool).all()
+        assert not np.isin(out[:, :3], pool).any()
 
     def test_empty_pool_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            resample_pooled([], (2, 2), stream(0, 6))
+        with pytest.raises(ValueError):
+            _pooled([], 1.0, (2, 2), stream(0, 6), 3)
 
     def test_marginal_uniformity(self):
-        pool = np.arange(8.0)
-        rng = stream(0, 7)
-        counts = np.zeros(8)
-        rounds = 10_000
-        for _ in range(rounds):
-            out = resample_pooled(pool, (3, 2), rng)
-            for g in out.groups:
-                for v in g:
-                    counts[int(v)] += 1
-        np.testing.assert_allclose(counts / (5 * rounds), 1.0 / 8.0, atol=0.01)
+        out = _pooled(np.arange(8.0), 1.0, (10, 12), stream(0, 7), 2_000)
+        np.testing.assert_allclose(np.bincount(out.astype(int).ravel()) / out.size, 1.0 / 8.0, atol=0.01)
 
 
 class TestSmooth:
     def test_zero_scale_only_shrinks(self):
-        v = np.array([1.0, -2.0, 0.5])
-        np.testing.assert_allclose(smooth(v, 0.0, stream(0, 8)), SMOOTH_FACTOR * v)
+        pool = np.array([1.0, -2.0, 0.5])
+        out = _pooled(pool, 0.0, (4, 5), stream(0, 8), 30)
+        drawn = pool[stream(0, 8).integers(0, pool.size, size=out.shape)]
+        np.testing.assert_array_equal(out, SMOOTH_FACTOR * drawn)
 
     def test_jitter_range_on_zeros(self):
-        out = smooth(np.zeros(10_000), 1.0, stream(0, 9))
+        out = _pooled([0.0], 1.0, (5, 5), stream(0, 9), 1_000)
         bound = SMOOTH_FACTOR / 2.0
         assert np.all(out >= -bound) and np.all(out <= bound)
+        assert out.std() > bound / 2.0
 
     def test_variance_preserved_at_matching_scale(self):
-        # Smoothing a unit-variance pool with q = 1 keeps variance at
-        # (12/13) * (1 + 1/12) = 1.
+        # Smoothing draws from a unit-variance pool with q = 1 keeps variance
+        # at (12/13) * (1 + 1/12) = 1.
         rng = stream(0, 10)
-        pool = rng.standard_normal(1_000_000)
-        out = smooth(pool, 1.0, rng)
-        assert out.var() == pytest.approx((12.0 / 13.0) * (pool.var() + 1.0 / 12.0), rel=1e-3)
+        pool = rng.standard_normal(100_000)
+        out = _pooled(pool, 1.0, (5, 5), rng, 100_000)
+        assert out.var() == pytest.approx((12.0 / 13.0) * (pool.var() + 1.0 / 12.0), rel=5e-3)
         assert out.var() == pytest.approx(1.0, abs=0.01)
 
-    def test_negative_scale_rejected(self):
-        with pytest.raises(ValueError):
-            smooth([1.0], -0.1, stream(0, 11))
+
+def _box_rows(data, seed, b):
+    """The bootstrap t rows box_test draws from BootstrapConfig.from_seed(seed, b)."""
+    samples = _within(data, BootstrapConfig.from_seed(seed, b).rng, b)
+    rows, _, errors = log_variance_rows(samples)
+    assert errors == {}  # no resample is degenerate, so box_test redraws none
+    return rows.t
 
 
 class TestCenter:
+    """The box test centres its bootstrap t rows before the critical search."""
+
+    DATA = GroupedSample([s * stream(0, 12, n).normal(size=n) for n, s in ((9, 1), (11, 2), (8, 1))])
+
     def test_single_row_centers_to_zero(self):
-        np.testing.assert_array_equal(center([[4.0, -2.0]]), [[0.0, 0.0]])
+        assert box_test(self.DATA, 0.05, BootstrapConfig.from_seed(3, b=1)).critical_value == 0.0
 
     def test_column_means_subtracted(self):
-        out = center([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_allclose(out, [[-1.0, -1.0], [1.0, 1.0]])
+        t = _box_rows(self.DATA, 4, 60)
+        found = box_test(self.DATA, 0.1, BootstrapConfig.from_seed(4, b=60))
+        assert found.critical_value == brute_force_search(t - t.mean(axis=0), 0.1)[0]
 
     def test_pivot_subtracts_observed(self):
-        out = center([[1.0, 2.0]], observed_t=[1.0, 1.0])
-        np.testing.assert_allclose(out, [[0.0, 1.0]])
-
-    def test_idempotent(self):
-        rows = stream(0, 12).standard_normal((20, 3))
-        once = center(rows)
-        np.testing.assert_allclose(center(once), once, atol=1e-14)
-
-    def test_centered_columns_have_zero_mean(self):
-        rows = stream(0, 13).standard_normal((50, 4)) * 100.0
-        out = center(rows)
-        assert np.abs(out.mean(axis=0)).max() < 1e-12 * np.abs(rows).max()
-
-    def test_observed_shape_checked(self):
-        with pytest.raises(ValueError, match="shape"):
-            center([[1.0, 2.0]], observed_t=[1.0, 2.0, 3.0])
+        t = _box_rows(self.DATA, 5, 60)
+        observed = log_variance_contrasts(self.DATA).t
+        found = box_test(self.DATA, 0.1, BootstrapConfig.from_seed(5, b=60, pivot_variant=True))
+        assert found.critical_value == brute_force_search(t - observed, 0.1)[0]
 
 
 class TestSearchCritical:
@@ -182,11 +187,29 @@ class TestSearchCritical:
         cs = [search_critical(rows, float(a)).c_star for a in alphas]
         assert all(a >= b for a, b in zip(cs, cs[1:]))
 
-    def test_index_points_into_descending_list(self):
+    def test_alpha_one_gives_smallest_entry(self):
         rows = stream(0, 19).standard_normal((10, 2))
-        found = search_critical(rows, 0.2)
-        descending = np.sort(np.abs(rows), axis=None)[::-1]
-        assert descending[found.index] == found.c_star
+        found = search_critical(rows, 1.0)
+        assert (found.c_star, found.coverage) == brute_force_search(rows, 1.0)
+        assert found.c_star == np.abs(rows).min()
+
+    def test_stack_matches_slices(self):
+        # mean and pivot centring of (R, B, groups) stacks, with ties
+        rng = stream(0, 20)
+        for trial in range(60):
+            r, b, width = (int(v) for v in rng.integers(1, (6, 30, 5)))
+            t = rng.standard_normal((r, b, width))
+            if trial % 3 == 0:
+                t = np.round(t, 1)
+            pivot = trial % 2 == 1
+            centre = rng.standard_normal((r, 1, width)) if pivot else t.mean(axis=1, keepdims=True)
+            alpha = float(rng.choice([rng.uniform(0.01, 0.99), 1.0 / b, 1.0]))
+            found = search_critical(t - centre, alpha)
+            assert found.c_star.shape == found.coverage.shape == (r,)
+            for i in range(r):
+                one = search_critical(t[i] - centre[i], alpha)
+                assert (found.c_star[i], found.coverage[i]) == (one.c_star, one.coverage)
+                assert (one.c_star, one.coverage) == brute_force_search(t[i] - centre[i], alpha)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -9,8 +9,9 @@ from equivar import (
     estimate_moments,
     log_variance_contrasts,
     stream,
-    summarize,
 )
+from equivar.descriptive import moment_rows, stack
+from equivar.homogeneity import _row_medians
 
 # A fixed two-group dataset reused by the oracle comparisons here and in the
 # test-statistic checks.
@@ -71,19 +72,23 @@ class TestGroupedSample:
         assert d.k == 2
 
 
+def _s2(data):
+    return moment_rows(stack([data]))[0][0]
+
+
 class TestSummarize:
+    """Per-group summaries as the row kernels compute them."""
+
     def test_textbook_variances(self):
-        s = summarize(GroupedSample([[1, 2, 3], [2, 4, 6]]))
-        np.testing.assert_allclose(s.s2, [1.0, 4.0])
-        assert s.within_ss == pytest.approx(2 * 1.0 + 2 * 4.0)
+        s2, _, sigma2 = moment_rows(stack([GroupedSample([[1, 2, 3], [2, 4, 6]])]))
+        np.testing.assert_allclose(s2, [[1.0, 4.0]])
+        assert sigma2[0] * 6 == pytest.approx(2 * 1.0 + 2 * 4.0)
 
     def test_even_n_median_is_midpoint(self):
-        s = summarize(GroupedSample([[1, 2, 3, 4], [0, 1]]))
-        assert s.median[0] == 2.5
+        assert _row_medians(np.array([[1.0, 2.0, 3.0, 4.0]]))[0, 0] == 2.5
 
     def test_constant_group_has_zero_variance(self):
-        s = summarize(GroupedSample([[5, 5, 5], [1, 2, 3]]))
-        np.testing.assert_allclose(s.s2, [0.0, 1.0])
+        np.testing.assert_allclose(_s2(GroupedSample([[5, 5, 5], [1, 2, 3]])), [0.0, 1.0])
 
 
 class TestEstimateMoments:
@@ -178,7 +183,7 @@ class TestInvariances:
         groups = [rng.normal(size=6) for _ in range(3)]
         data = GroupedSample(groups)
         shifted = GroupedSample([np.asarray(g) + off for g, off in zip(groups, (5.0, -2.0, 100.0))])
-        np.testing.assert_allclose(summarize(shifted).s2, summarize(data).s2, rtol=1e-9)
+        np.testing.assert_allclose(_s2(shifted), _s2(data), rtol=1e-9)
         m0 = estimate_moments(data)
         m1 = estimate_moments(shifted)
         assert m1.mu4 == pytest.approx(m0.mu4, rel=1e-9)

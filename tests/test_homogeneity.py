@@ -13,7 +13,6 @@ from equivar import (
     box_test,
     levene,
     log_variance_contrasts,
-    resample_within_groups,
     run_all,
     shoemaker,
     stream,
@@ -181,7 +180,8 @@ class _ConstantIndexRng:
 class TestBoxTest:
     def test_batched_stats_match_scalar_path(self):
         data = _random_data(330, sizes=(6, 9, 7))
-        boots = [resample_within_groups(data, stream(331, i)) for i in range(5)]
+        rngs = [stream(331, i) for i in range(5)]
+        boots = [GroupedSample([rng.choice(g, g.size) for g in data.groups]) for rng in rngs]
         rows, _, errors = log_variance_rows(stack(boots))
         assert errors == {}
         for t, boot in zip(rows.t, boots):
@@ -250,6 +250,20 @@ class TestRunAll:
         ran = {r.method for r in results}
         assert "levene" in ran and "bootstrap_levene" in ran
         assert set(errors) == {"shoemaker", "box"}
+
+    @pytest.mark.parametrize("pivot", [False, True])
+    def test_matches_the_four_calls_on_spawned_streams(self, pivot):
+        data = _random_data(342, spread=(1.0, 1.5, 1.0))
+        results, errors = run_all(data, 0.1, BootstrapConfig.from_seed(15, b=70, pivot_variant=pivot))
+        bl_rng, box_rng = stream(15).spawn(2)
+        expected = [
+            levene(data, 0.1),
+            shoemaker(data, 0.1),
+            bootstrap_levene(data, 0.1, BootstrapConfig(bl_rng, b=70, pivot_variant=pivot)),
+            box_test(data, 0.1, BootstrapConfig(box_rng, b=70, pivot_variant=pivot)),
+        ]
+        assert errors == {}
+        assert [r.as_dict() for r in results] == [e.as_dict() for e in expected]
 
     def test_deterministic_across_runs(self):
         data = _random_data(341)

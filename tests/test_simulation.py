@@ -195,7 +195,8 @@ class TestChunkedRunCell:
     def test_two_point_groups_reach_the_degenerate_levene_path(self):
         # |x - median| is the same for both points of a two-point group, up to rounding
         est = run_cell(_cfg(sizes=(2, 2), replications=20, bootstrap_b=50))
-        assert est.error_counts["levene"] == est.error_counts["bootstrap_levene"] > 0
+        assert est.error_counts["levene"] == est.error_counts["bootstrap_levene"] == 20
+        assert math.isnan(est.rates["levene"]) and math.isnan(est.rates["bootstrap_levene"])
 
     def test_non_finite_draw_escapes(self, monkeypatch):
         real = equivar.simulation.sample_standardized

@@ -11,58 +11,36 @@ from equivar import (
     chi2_quantile,
     f_cdf,
     f_quantile,
-    ln_gamma,
-    regularized_incomplete_beta,
-    regularized_incomplete_gamma,
 )
 
 
-class TestLnGamma:
-    def test_known_values(self):
-        assert ln_gamma(1.0) == pytest.approx(0.0, abs=1e-15)
-        assert ln_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), abs=1e-14)
-        assert ln_gamma(10.0) == pytest.approx(math.log(362880.0), abs=1e-12)
-
-    def test_against_mpmath_moderate_range(self):
-        mp = pytest.importorskip("mpmath")
-        mp.mp.dps = 40
-        for x in np.linspace(0.5, 100.0, 200):
-            assert abs(ln_gamma(float(x)) - float(mp.loggamma(x))) < 1e-12
-
-    def test_against_mpmath_large_relative(self):
-        mp = pytest.importorskip("mpmath")
-        mp.mp.dps = 40
-        for x in [1e3, 1e4, 1e5, 1e6]:
-            ref = float(mp.loggamma(x))
-            assert abs(ln_gamma(x) - ref) / abs(ref) < 1e-13
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            ln_gamma(0.0)
-        with pytest.raises(ValueError):
-            ln_gamma(-2.0)
+def _f_at_beta(t, a, b):
+    """The x at which F(2a, 2b) has CDF I_t(a, b): t = a x / (a x + b)."""
+    return b * t / (a * (1.0 - t))
 
 
 class TestIncompleteBeta:
+    """f_cdf(x, 2a, 2b) is the regularized incomplete beta function I_t(a, b)."""
+
     def test_boundaries(self):
-        assert regularized_incomplete_beta(2.0, 3.0, 0.0) == 0.0
-        assert regularized_incomplete_beta(2.0, 3.0, 1.0) == 1.0
+        assert f_cdf(0.0, 4.0, 6.0) == 0.0
+        assert f_cdf(math.inf, 4.0, 6.0) == 1.0
 
     def test_uniform_case(self):
-        assert regularized_incomplete_beta(1.0, 1.0, 0.3) == pytest.approx(0.3, abs=1e-14)
+        assert f_cdf(_f_at_beta(0.3, 1.0, 1.0), 2.0, 2.0) == pytest.approx(0.3, abs=1e-14)
 
     def test_beta_2_3_closed_form(self):
-        # Beta(2, 3) CDF expands to 6x^2 - 8x^3 + 3x^4.
-        for x in [0.1, 0.25, 0.4, 0.5, 0.75, 0.9]:
-            expected = 6 * x**2 - 8 * x**3 + 3 * x**4
-            assert regularized_incomplete_beta(2.0, 3.0, x) == pytest.approx(expected, abs=1e-10)
-        assert regularized_incomplete_beta(2.0, 3.0, 0.4) == pytest.approx(0.5248, abs=1e-10)
+        # Beta(2, 3) CDF expands to 6t^2 - 8t^3 + 3t^4.
+        for t in [0.1, 0.25, 0.4, 0.5, 0.75, 0.9]:
+            expected = 6 * t**2 - 8 * t**3 + 3 * t**4
+            assert f_cdf(_f_at_beta(t, 2.0, 3.0), 4.0, 6.0) == pytest.approx(expected, abs=1e-10)
+        assert f_cdf(_f_at_beta(0.4, 2.0, 3.0), 4.0, 6.0) == pytest.approx(0.5248, abs=1e-10)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            regularized_incomplete_beta(0.0, 1.0, 0.5)
+            f_cdf(1.0, 0.0, 2.0)
         with pytest.raises(ValueError):
-            regularized_incomplete_beta(1.0, 1.0, 1.5)
+            f_cdf(1.0, 2.0, -1.0)
 
 
 def _gamma_series(s, x, terms=400):
@@ -78,21 +56,23 @@ def _gamma_series(s, x, terms=400):
 
 
 class TestIncompleteGamma:
+    """chi2_cdf(2x, 2s) is the lower regularized incomplete gamma function P(s, x)."""
+
     def test_boundary(self):
-        assert regularized_incomplete_gamma(2.5, 0.0) == 0.0
+        assert chi2_cdf(0.0, 5.0) == 0.0
 
     def test_exponential_case(self):
-        assert regularized_incomplete_gamma(1.0, 1.0) == pytest.approx(1.0 - math.exp(-1.0), abs=1e-14)
+        assert chi2_cdf(2.0, 2.0) == pytest.approx(1.0 - math.exp(-1.0), abs=1e-14)
 
     def test_series_oracle(self):
         for s, x in [(2.5, 3.1), (0.7, 0.2), (4.0, 1.5), (1.5, 6.0)]:
-            assert regularized_incomplete_gamma(s, x) == pytest.approx(_gamma_series(s, x), abs=1e-10)
+            assert chi2_cdf(2.0 * x, 2.0 * s) == pytest.approx(_gamma_series(s, x), abs=1e-10)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            regularized_incomplete_gamma(-1.0, 1.0)
+            chi2_cdf(1.0, -2.0)
         with pytest.raises(ValueError):
-            regularized_incomplete_gamma(1.0, -0.5)
+            chi2_cdf(1.0, 0.0)
 
 
 class TestFQuantile:
@@ -171,3 +151,10 @@ def test_f_cdf_matches_density_integral():
 
 def test_numeric_error_is_distinct_type():
     assert issubclass(NumericError, RuntimeError)
+
+
+def test_non_finite_quantile_raises_numeric_error():
+    with pytest.raises(NumericError, match="F quantile"):
+        f_quantile(0.95, math.inf, 10)
+    with pytest.raises(NumericError, match="chi-square quantile"):
+        chi2_quantile(0.95, math.inf)
