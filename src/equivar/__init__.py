@@ -11,8 +11,6 @@ from .bootstrap import SMOOTH_FACTOR, CriticalSearch, search_critical
 from .descriptive import (
     GroupedSample,
     LogVarianceContrasts,
-    MomentEstimates,
-    estimate_moments,
     log_variance_contrasts,
 )
 from .dirichlet import DirichletParams, NormalTheoryBox, calibrate_box, log_contrast, sample_dirichlet
@@ -65,7 +63,6 @@ __all__ = [
     "ExperimentConfig",
     "GroupedSample",
     "LogVarianceContrasts",
-    "MomentEstimates",
     "NormalTheoryBox",
     "NumericError",
     "RobustnessReport",
@@ -77,7 +74,6 @@ __all__ = [
     "chi2_cdf",
     "chi2_quantile",
     "derive_seed",
-    "estimate_moments",
     "f_cdf",
     "f_quantile",
     "levene",

@@ -14,9 +14,8 @@ from pathlib import Path
 
 from .descriptive import GroupedSample
 from .dirichlet import DirichletParams, calibrate_box
-from .distributions import Distribution
 from .errors import NumericError
-from .homogeneity import ALL_METHODS, BootstrapConfig, TestResult, run_all
+from .homogeneity import BootstrapConfig, TestResult, run_all
 from .rng import stream
 from .simulation import CellEstimate, ExperimentConfig, run_grid
 
@@ -125,20 +124,8 @@ def _config_from_json(obj, index: int) -> ExperimentConfig:
     if missing:
         raise ValueError(f"{where}: missing required key(s) {missing}")
     try:
-        dist = Distribution(obj["distribution"])
-    except ValueError:
-        raise ValueError(f"{where}: unknown distribution {obj['distribution']!r}") from None
-    try:
-        return ExperimentConfig(
-            distribution=dist,
-            sizes=obj["sizes"],
-            variances=obj["variances"],
-            alpha=obj.get("alpha", 0.05),
-            replications=obj.get("replications", 1000),
-            bootstrap_b=obj.get("bootstrap_b", 500),
-            master_seed=obj.get("seed", 0),
-            tests=obj.get("tests", ALL_METHODS),
-        )
+        # keys left out take the ExperimentConfig defaults
+        return ExperimentConfig(**{("master_seed" if k == "seed" else k): v for k, v in obj.items()})
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
 
@@ -252,6 +239,13 @@ def _cmd_critical(args) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """A --seed value: a nonnegative integer, as ``stream`` requires."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="equivar",
@@ -264,7 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--alpha", type=float, default=0.05, help="test level (default 0.05)")
     t.add_argument("--bootstrap-b", dest="bootstrap_b", type=int, default=500,
                    help="bootstrap replicates for the resampling tests (default 500)")
-    t.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    t.add_argument("--seed", type=_seed, default=0, help="master seed (default 0)")
     t.add_argument("--pivot-variant", action="store_true",
                    help="center box-test replicates at the observed statistics")
     t.add_argument("--format", choices=("table", "csv", "json"), default="table")
@@ -282,7 +276,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--sizes", required=True, help="comma-separated group sizes, e.g. 10,10")
     c.add_argument("--alpha", type=float, default=0.05)
     c.add_argument("--draws", type=int, default=200_000)
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--seed", type=_seed, default=0)
     c.set_defaults(func=_cmd_critical)
     return parser
 

@@ -1,9 +1,14 @@
-"""The grouped sample that every test takes, and the shared moment estimators.
+"""The one-dataset input type and the moment kernels over stacked datasets.
 
-The moment machinery here feeds both the kurtosis-adjusted log-variance
-test and the box-type bootstrap test: a pooled fourth central moment, a
-pooled variance, per-group estimates of var(ln s_i^2), and the
-standardized log-variance contrasts built from them.
+A dataset enters the library as a :class:`GroupedSample`.  The kernels
+take a stack of datasets with equal group sizes: a list whose entry i is
+the (R, n_i) array of group i over R datasets, one dataset per row
+(``GroupedSample.rows`` is the stack of one).  ``moment_rows`` gives the
+sample variances and the pooled fourth and second central moments of
+each row, and ``log_variance_rows`` the per-group var(ln s_i^2)
+estimates and the standardized log-variance contrasts built from them,
+which feed the kurtosis-adjusted log-variance test and the box-type
+bootstrap test.
 """
 
 from __future__ import annotations
@@ -16,25 +21,28 @@ from .errors import DegenerateDataError, NumericError
 
 __all__ = [
     "GroupedSample",
-    "MomentEstimates",
     "LogVarianceContrasts",
-    "estimate_moments",
     "log_variance_contrasts",
-    "stack",
     "moment_rows",
     "log_variance_rows",
 ]
 
+# Bounds on the largest |x - mean| of a group.  Fourth powers of the
+# deviations then stay within 1e-288..1e288, far inside the normal float
+# range, so pooled moments neither overflow nor lose digits to underflow.
+_MIN_SPREAD, _MAX_SPREAD = 1e-72, 1e72
+
 
 class GroupedSample:
-    """Two or more groups of real observations, the input to every test.
+    """Two or more groups of real observations: one dataset, as the one-dataset tests take it.
 
     Each group must hold at least two finite values so that its sample
-    variance exists.  ``k`` is one less than the number of groups, i.e. the
-    numerator degrees of freedom of the classical one-way comparisons.
+    variance exists, and its largest deviation from the group mean must be
+    zero or lie in [1e-72, 1e72], where the moment kernels are exact to
+    rounding.
     """
 
-    __slots__ = ("groups", "sizes", "n", "k")
+    __slots__ = ("groups", "sizes")
 
     def __init__(self, groups):
         gs = tuple(np.asarray(g, dtype=float).ravel() for g in groups)
@@ -45,10 +53,20 @@ class GroupedSample:
                 raise DegenerateDataError(f"group {i} has {g.size} observation(s); need at least two")
             if not np.all(np.isfinite(g)):
                 raise DegenerateDataError(f"group {i} contains non-finite values")
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflowed spread is out of range
+                spread = float(np.abs(g - g.mean()).max())
+            if spread != 0.0 and not _MIN_SPREAD <= spread <= _MAX_SPREAD:
+                raise DegenerateDataError(
+                    f"group {i} deviates from its mean by up to {spread:.3g}; "
+                    f"supported scales are {_MIN_SPREAD:g} to {_MAX_SPREAD:g}"
+                )
         self.groups = gs
         self.sizes = tuple(int(g.size) for g in gs)
-        self.n = int(sum(self.sizes))
-        self.k = len(gs) - 1
+
+    @property
+    def rows(self) -> list[np.ndarray]:
+        """Each group as a (1, n_i) array: this dataset as a batch of one for the row kernels."""
+        return [g[None, :] for g in self.groups]
 
     def __len__(self) -> int:
         return len(self.groups)
@@ -58,23 +76,10 @@ class GroupedSample:
 
 
 @dataclass
-class MomentEstimates:
-    mu4: float                # pooled fourth central moment about the group means
-    sigma2: float             # pooled variance, n divisor
-    var_log_s2: np.ndarray    # estimated var(ln s_i^2) per group
-    harmonic_n: float         # harmonic mean of the group sizes
-
-
-@dataclass
 class LogVarianceContrasts:
     contrast: np.ndarray   # ln s_i^2 centered at the mean log variance; sums to 0
     se: np.ndarray         # standard error of each contrast
     t: np.ndarray          # standardized contrasts, contrast / se
-
-
-def stack(datasets) -> list[np.ndarray]:
-    """Group i of every dataset as one (R, n_i) array; the datasets share their group sizes."""
-    return [np.stack(column) for column in zip(*(d.groups for d in datasets))]
 
 
 def moment_rows(groups) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -100,57 +105,26 @@ def moment_rows(groups) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return s2, ss4 / n, ss2 / n
 
 
-def _var_log_s2(kurt, m):
-    # var(ln s^2) estimated as [mu4/sigma2^2 - (m-3)/m] / (m-1) for group size m
-    return (kurt - (m - 3.0) / m) / (m - 1.0)
-
-
-def _moment_sizes(sizes, use_harmonic: bool) -> tuple[np.ndarray, float]:
-    """Group sizes m entering var(ln s_i^2), and the harmonic mean group size."""
-    sizes = np.asarray(sizes, dtype=float)
-    harmonic_n = len(sizes) / float((1.0 / sizes).sum())
-    return (np.full(len(sizes), harmonic_n) if use_harmonic else sizes), harmonic_n
-
-
-def _nonpositive_var(kurt: float, m: np.ndarray) -> NumericError:
-    # unreachable for kurt >= 1, which Cauchy-Schwarz guarantees; kept as a tripwire
-    return NumericError(f"nonpositive var(ln s^2) estimate: kurtosis ratio {kurt:.6g}, sizes {m.tolist()}")
-
-
-def estimate_moments(data: GroupedSample, use_harmonic: bool = False) -> MomentEstimates:
-    """Pooled moment estimates and the variance of each log sample variance.
-
-    var(ln s_i^2) is estimated as [mu4/sigma2^2 - (m-3)/m] / (m-1) where m
-    is the harmonic mean group size when ``use_harmonic`` is set (the
-    convention of the kurtosis-adjusted chi-square test, making the
-    estimate identical across groups) and the group's own size otherwise.
-    """
-    _, mu4, sigma2 = moment_rows(stack([data]))
-    mu4, sigma2 = float(mu4[0]), float(sigma2[0])
-    if sigma2 <= 0.0:
-        raise DegenerateDataError("every group is constant; pooled variance is zero")
-    kurt = mu4 / (sigma2 * sigma2)
-    m, harmonic_n = _moment_sizes(data.sizes, use_harmonic)
-    var_log_s2 = _var_log_s2(kurt, m)
-    if not np.all(var_log_s2 > 0.0):
-        raise _nonpositive_var(kurt, m)
-    return MomentEstimates(mu4, sigma2, var_log_s2, harmonic_n)
-
-
 def log_variance_rows(groups, use_harmonic: bool = False):
     """Log-variance contrasts of datasets stacked row-wise, as in ``moment_rows``.
 
-    Returns (contrasts, var_log_s2, errors): ``contrasts`` and the per-group
-    var(ln s_i^2) estimates ``var_log_s2`` hold (R, groups) arrays, with m
-    as in ``estimate_moments``; ``errors`` maps each row on which the
-    contrasts are undefined to the exception a one-dataset call raises.
+    var(ln s_i^2) is estimated as [mu4/sigma2^2 - (m-3)/m] / (m-1), where
+    m is the harmonic mean group size when ``use_harmonic`` is set (the
+    convention of the kurtosis-adjusted chi-square test, making the
+    estimate identical across groups) and the group's own size otherwise.
+    Returns (contrasts, var_log_s2, errors): ``contrasts`` and the
+    estimates ``var_log_s2`` hold (R, groups) arrays; ``errors`` maps each
+    row on which the contrasts are undefined to the exception a
+    one-dataset call raises.
     """
     s2, mu4, sigma2 = moment_rows(groups)
-    m, _ = _moment_sizes([g.shape[1] for g in groups], use_harmonic)
+    m = np.asarray([g.shape[1] for g in groups], dtype=float)
+    if use_harmonic:
+        m = np.full(len(m), len(m) / float((1.0 / m).sum()))
     count = len(groups)
     with np.errstate(divide="ignore", invalid="ignore"):  # rows listed in errors
         kurt = mu4 / (sigma2 * sigma2)
-        var_log_s2 = _var_log_s2(kurt[:, None], m)
+        var_log_s2 = (kurt[:, None] - (m - 3.0) / m) / (m - 1.0)
         log_s2 = np.log(s2)
         contrast = log_s2 - log_s2.mean(axis=1, keepdims=True)
         se = np.sqrt((1.0 - 2.0 / count) * var_log_s2 + var_log_s2.sum(axis=1, keepdims=True) / count**2)
@@ -160,7 +134,12 @@ def log_variance_rows(groups, use_harmonic: bool = False):
         bad = int(np.argmax(s2[r] <= 0.0))
         errors[int(r)] = DegenerateDataError(f"group {bad} has zero sample variance; log variance undefined")
     for r in np.flatnonzero(~(var_log_s2 > 0.0).all(axis=1)):
-        errors.setdefault(int(r), _nonpositive_var(float(kurt[r]), m))
+        # kurt >= 1 by Cauchy-Schwarz makes this unreachable while the fourth
+        # powers stay finite, which the GroupedSample and ExperimentConfig
+        # scale bounds ensure; kept as a tripwire
+        errors.setdefault(int(r), NumericError(
+            f"nonpositive var(ln s^2) estimate: kurtosis ratio {float(kurt[r]):.6g}, sizes {m.tolist()}"
+        ))
     return LogVarianceContrasts(contrast, se, t), var_log_s2, errors
 
 
@@ -172,7 +151,7 @@ def log_variance_contrasts(data: GroupedSample) -> LogVarianceContrasts:
     Standard errors combine the per-group var(ln s_i^2) estimates with the
     weights induced by the centering.
     """
-    rows, _, errors = log_variance_rows(stack([data]))
+    rows, _, errors = log_variance_rows(data.rows)
     if errors:
         raise errors[0]
     return LogVarianceContrasts(rows.contrast[0], rows.se[0], rows.t[0])

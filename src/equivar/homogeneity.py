@@ -10,18 +10,20 @@
   box-type acceptance region whose half-width is calibrated by a
   within-group bootstrap.
 
-Each test consumes a :class:`~equivar.descriptive.GroupedSample` and a
-level ``alpha`` and returns a :class:`TestResult`.  At the degenerate
+Each test takes one dataset, a :class:`~equivar.descriptive.GroupedSample`,
+and a level ``alpha`` and returns a :class:`TestResult`.  At the degenerate
 boundary ``alpha = 1`` every test rejects unconditionally (the level-1
 test has an empty acceptance region); the comparison rules below describe
 levels in (0, 1).
 
 Every test is written once, for a batch of datasets with equal group
-sizes (``batched``): the statistics come from row kernels over the
-datasets stacked group by group, and a bootstrap test draws each
-dataset's resamples from that dataset's own generator before one kernel
-evaluates all of them.  The functions above are the batch of one; the
-Monte Carlo harness runs chunks of replications.  Rows are evaluated
+sizes (``batched``): a batch is a list whose entry i is the (R, n_i)
+array of group i over the R datasets, the statistics come from row
+kernels over it, and a bootstrap test draws each dataset's resamples
+from that dataset's own generator before one kernel evaluates all of
+them.  The functions above pass their dataset as the batch of one
+(``GroupedSample.rows``); the Monte Carlo harness draws chunks of
+replications straight into batches.  Rows are evaluated
 independently, in the same arithmetic order whatever the batch, so
 results do not depend on how datasets are batched.
 """
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bootstrap import SMOOTH_FACTOR, search_critical
-from .descriptive import GroupedSample, log_variance_rows, moment_rows, stack
+from .descriptive import GroupedSample, log_variance_rows, moment_rows
 from .errors import DegenerateDataError, NumericError
 from .rng import stream
 from .special import chi2_quantile, f_quantile
@@ -199,11 +201,11 @@ def _observed_levene(groups) -> tuple[np.ndarray, dict[int, Exception]]:
     return stat, {int(r): DegenerateDataError(message) for r in np.flatnonzero(degenerate)}
 
 
-def _levene_outcomes(datasets, alpha: float, critical: float) -> Outcomes:
-    stat, errors = _observed_levene(stack(datasets))
+def _levene_outcomes(groups, alpha: float, critical: float) -> Outcomes:
+    stat, errors = _observed_levene(groups)
     return Outcomes(
         LEVENE, alpha, stat, _decide(alpha, stat > critical), errors,
-        critical_value=np.full(len(stat), critical), df=_levene_df(datasets[0].sizes),
+        critical_value=np.full(len(stat), critical), df=_levene_df([g.shape[1] for g in groups]),
     )
 
 
@@ -213,15 +215,15 @@ def levene(data: GroupedSample, alpha: float = 0.05) -> TestResult:
     Scale variables are |observation - group median|; their one-way ANOVA
     F ratio is compared with the F(k, n - k - 1) quantile at 1 - alpha.
     """
-    return batched(LEVENE, data.sizes, alpha)([data], None).result()
+    return batched(LEVENE, data.sizes, alpha)(data.rows, None).result()
 
 
-def _shoemaker_outcomes(datasets, alpha: float, critical: float) -> Outcomes:
-    contrasts, var_log_s2, errors = log_variance_rows(stack(datasets), use_harmonic=True)
+def _shoemaker_outcomes(groups, alpha: float, critical: float) -> Outcomes:
+    contrasts, var_log_s2, errors = log_variance_rows(groups, use_harmonic=True)
     stat = (contrasts.contrast**2 / var_log_s2).sum(axis=1)
     return Outcomes(
         SHOEMAKER, alpha, stat, _decide(alpha, stat > critical), errors,
-        critical_value=np.full(len(stat), critical), df=(len(datasets[0]) - 1,),
+        critical_value=np.full(len(stat), critical), df=(len(groups) - 1,),
     )
 
 
@@ -232,7 +234,7 @@ def shoemaker(data: GroupedSample, alpha: float = 0.05) -> TestResult:
     var(ln s_i^2) estimated from the pooled kurtosis ratio and the harmonic
     mean group size, and is compared with the chi-square(k) quantile.
     """
-    return batched(SHOEMAKER, data.sizes, alpha)([data], None).result()
+    return batched(SHOEMAKER, data.sizes, alpha)(data.rows, None).result()
 
 
 def _jitter_scale(groups) -> np.ndarray:
@@ -262,16 +264,15 @@ def _pooled_resamples(pool: np.ndarray, q: float, sizes, rng, out: np.ndarray) -
         start += ni
 
 
-def _bootstrap_levene_outcomes(datasets, alpha: float, rngs, b: int) -> Outcomes:
-    groups = stack(datasets)
+def _bootstrap_levene_outcomes(groups, alpha: float, rngs, b: int) -> Outcomes:
     stat, errors = _observed_levene(groups)
     pools = np.concatenate([g - _row_medians(g) for g in groups], axis=1)
     for r in np.flatnonzero(np.all(pools == 0.0, axis=1)):
         errors.setdefault(int(r), DegenerateDataError("residual pool is identically zero"))
     q = _jitter_scale(groups)
-    sizes = datasets[0].sizes
-    rows = [r for r in range(len(datasets)) if r not in errors]
-    p = np.full(len(datasets), np.nan)
+    sizes = tuple(g.shape[1] for g in groups)
+    rows = [r for r in range(len(stat)) if r not in errors]
+    p = np.full(len(stat), np.nan)
     if rows:
         draws = np.empty((len(rows) * b, pools.shape[1]))
         for j, r in enumerate(rows):
@@ -295,7 +296,7 @@ def bootstrap_levene(data: GroupedSample, alpha: float, cfg: BootstrapConfig) ->
     scale q, the pooled standard deviation about group means.  The p-value
     is the fraction of rounds whose statistic exceeds the observed one.
     """
-    return batched(BOOTSTRAP_LEVENE, data.sizes, alpha, cfg.b)([data], [cfg.rng]).result()
+    return batched(BOOTSTRAP_LEVENE, data.sizes, alpha, cfg.b)(data.rows, [cfg.rng]).result()
 
 
 def _resample_rows(groups, rng: np.random.Generator, outs) -> list[np.ndarray]:
@@ -330,21 +331,21 @@ def _redraw_degenerate(samples, bad: np.ndarray, groups, rng: np.random.Generato
         bad[bad_idx[_degenerate_rows(fresh)]] = True
 
 
-def _box_outcomes(datasets, alpha: float, rngs, b: int, pivot_variant: bool) -> Outcomes:
-    contrasts, _, errors = log_variance_rows(stack(datasets))
+def _box_outcomes(groups, alpha: float, rngs, b: int, pivot_variant: bool) -> Outcomes:
+    contrasts, _, errors = log_variance_rows(groups)
     observed = contrasts.t
-    rows = [r for r in range(len(datasets)) if r not in errors]
-    c_star = np.full(len(datasets), np.nan)
+    rows = [r for r in range(len(observed)) if r not in errors]
+    c_star = np.full(len(observed), np.nan)
     if rows:
-        samples = [np.empty((len(rows) * b, n_i)) for n_i in datasets[0].sizes]
+        samples = [np.empty((len(rows) * b, g.shape[1])) for g in groups]
         for j, r in enumerate(rows):
-            _resample_rows(datasets[r].groups, rngs[r], [s[j * b:(j + 1) * b] for s in samples])
+            _resample_rows([g[r] for g in groups], rngs[r], [s[j * b:(j + 1) * b] for s in samples])
         bad = _degenerate_rows(samples).reshape(len(rows), b)
         for j, r in enumerate(rows):
             if bad[j].any():
                 views = [s[j * b:(j + 1) * b] for s in samples]  # redraws write through into samples
                 try:
-                    _redraw_degenerate(views, bad[j], datasets[r].groups, rngs[r])
+                    _redraw_degenerate(views, bad[j], [g[r] for g in groups], rngs[r])
                 except NumericError as exc:
                     errors[r] = exc
         boot, _, _ = log_variance_rows(samples)
@@ -368,13 +369,14 @@ def box_test(data: GroupedSample, alpha: float, cfg: BootstrapConfig) -> TestRes
     smallest symmetric box covering 1 - alpha of the centered rows sets
     the critical half-width.  Reject when any |t_i| exceeds it.
     """
-    return batched(BOX, data.sizes, alpha, cfg.b, cfg.pivot_variant)([data], [cfg.rng]).result()
+    return batched(BOX, data.sizes, alpha, cfg.b, cfg.pivot_variant)(data.rows, [cfg.rng]).result()
 
 
 def batched(method: str, sizes, alpha: float, b: int = 500, pivot_variant: bool = False):
-    """Test ``method`` at level ``alpha`` as a function (datasets, rngs) -> Outcomes.
+    """Test ``method`` at level ``alpha`` as a function (groups, rngs) -> Outcomes.
 
-    The datasets must have these group sizes.  The F and chi-square
+    ``groups[i]`` is the (R, n_i) array of group i over R datasets, one
+    dataset per row, with n_i = ``sizes[i]``.  The F and chi-square
     critical values depend on nothing else, so they are computed here,
     once.  The bootstrap tests take ``b`` resamples per dataset, dataset r
     drawing from ``rngs[r]``; the other tests ignore ``rngs``.
@@ -384,16 +386,16 @@ def batched(method: str, sizes, alpha: float, b: int = 500, pivot_variant: bool 
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     if method == LEVENE:
         crit = 0.0 if alpha >= 1.0 else f_quantile(1.0 - alpha, *_levene_df(sizes))
-        return lambda datasets, rngs: _levene_outcomes(datasets, alpha, crit)
+        return lambda groups, rngs: _levene_outcomes(groups, alpha, crit)
     if method == SHOEMAKER:
         crit = 0.0 if alpha >= 1.0 else chi2_quantile(1.0 - alpha, len(sizes) - 1)
-        return lambda datasets, rngs: _shoemaker_outcomes(datasets, alpha, crit)
+        return lambda groups, rngs: _shoemaker_outcomes(groups, alpha, crit)
     if b < 1:
         raise ValueError(f"bootstrap replicate count must be >= 1, got {b}")
     if method == BOOTSTRAP_LEVENE:
-        return lambda datasets, rngs: _bootstrap_levene_outcomes(datasets, alpha, rngs, b)
+        return lambda groups, rngs: _bootstrap_levene_outcomes(groups, alpha, rngs, b)
     if method == BOX:
-        return lambda datasets, rngs: _box_outcomes(datasets, alpha, rngs, b, pivot_variant)
+        return lambda groups, rngs: _box_outcomes(groups, alpha, rngs, b, pivot_variant)
     raise ValueError(f"unknown test {method!r}; choose from {list(ALL_METHODS)}")
 
 
@@ -412,7 +414,7 @@ def run_all(
     for method in ALL_METHODS:
         try:
             test = batched(method, data.sizes, alpha, cfg.b, cfg.pivot_variant)
-            results.append(test([data], [rngs.get(method)]).result())
+            results.append(test(data.rows, [rngs.get(method)]).result())
         except (DegenerateDataError, NumericError) as exc:
             errors[method] = str(exc)
     return results, errors

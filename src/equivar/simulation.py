@@ -15,8 +15,10 @@ from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .descriptive import GroupedSample
+import numpy as np
+
 from .distributions import Distribution, sample_standardized
+from .errors import DegenerateDataError
 from .homogeneity import ALL_METHODS, BOOTSTRAP_LEVENE, BOX, batched
 from .rng import derive_seed, stream
 
@@ -75,7 +77,8 @@ class ExperimentConfig:
 
     Construction validates every field: sizes, replications, bootstrap_b
     and master_seed must be integers, alpha and the variances finite real
-    numbers (booleans are neither), and tests a sequence of test names.
+    numbers (booleans are neither), and tests a sequence of test names;
+    the variances lie in [1e-100, 1e100].
     """
 
     distribution: Distribution
@@ -88,7 +91,11 @@ class ExperimentConfig:
     tests: tuple[str, ...] = ALL_METHODS
 
     def __post_init__(self):
-        object.__setattr__(self, "distribution", Distribution(self.distribution))
+        try:
+            object.__setattr__(self, "distribution", Distribution(self.distribution))
+        except ValueError:
+            choices = [d.value for d in Distribution]
+            raise ValueError(f"unknown distribution {self.distribution!r}; choose from {choices}") from None
         sizes = _sequence("sizes", self.sizes, _is_int, "integers")
         object.__setattr__(self, "sizes", tuple(int(s) for s in sizes))
         variances = _sequence("variances", self.variances, _is_real, "finite real numbers")
@@ -111,8 +118,10 @@ class ExperimentConfig:
             raise ValueError("need at least two groups")
         if any(s < 2 for s in self.sizes):
             raise ValueError(f"every group size must be at least 2, got {self.sizes}")
-        if any(v <= 0.0 for v in self.variances):
-            raise ValueError(f"variances must be positive, got {self.variances}")
+        # drawn groups then deviate from their means by far less than 1e72 and
+        # far more than 1e-72, the bounds within which the moment kernels are exact
+        if any(not 1e-100 <= v <= 1e100 for v in self.variances):
+            raise ValueError(f"variances must be positive, from 1e-100 to 1e100, got {self.variances}")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
         if self.replications < 1:
@@ -148,14 +157,16 @@ def run_cell(cfg: ExperimentConfig) -> CellEstimate:
     bootstrap tests consume streams (master_seed, r, 1) and
     (master_seed, r, 2), each replication drawing from its own streams in
     the order a one-dataset test call would.  The statistics are evaluated
-    over chunks of consecutive replications, stacked so that one row kernel
-    call covers a chunk; the chunk width is chosen so that a stacked
-    resample array holds at most ``_CHUNK_ELEMENTS`` values.  Rows are
-    evaluated independently, so the estimates are byte-identical to
-    evaluating each replication on its own.  The F and chi-square critical
-    values are computed once per cell.  Replications where a test raises a
-    degeneracy or numeric error are counted separately and excluded from
-    that test's denominator.
+    over chunks of consecutive replications: replication j of a chunk
+    draws its groups into row j of one (width, n_i) array per group, so
+    that one row kernel call covers the chunk; the chunk width is chosen
+    so that a stacked resample array holds at most ``_CHUNK_ELEMENTS``
+    values.  Rows are evaluated independently, so the estimates are
+    byte-identical to evaluating each replication on its own.  The F and
+    chi-square critical values are computed once per cell.  Replications
+    where a test raises a degeneracy or numeric error are counted
+    separately and excluded from that test's denominator; a non-finite
+    draw raises ``DegenerateDataError`` naming the replication and group.
     """
     tests = {t: batched(t, cfg.sizes, cfg.alpha, cfg.bootstrap_b) for t in cfg.tests}
     rejects = dict.fromkeys(cfg.tests, 0)
@@ -164,16 +175,19 @@ def run_cell(cfg: ExperimentConfig) -> CellEstimate:
     width = max(1, _CHUNK_ELEMENTS // (cfg.bootstrap_b * sum(cfg.sizes)))
     for first in range(0, cfg.replications, width):
         reps = range(first, min(first + width, cfg.replications))
-        datasets = []
-        for r in reps:
+        groups = [np.empty((len(reps), n)) for n in cfg.sizes]
+        for j, r in enumerate(reps):
             data_rng = stream(cfg.master_seed, r, _DATA_SLOT)
-            datasets.append(GroupedSample(
-                [s * sample_standardized(cfg.distribution, n, data_rng) for s, n in zip(scales, cfg.sizes)]
-            ))
+            for g, s, n in zip(groups, scales, cfg.sizes):
+                g[j] = s * sample_standardized(cfg.distribution, n, data_rng)
+        finite = np.stack([np.isfinite(g).all(axis=1) for g in groups], axis=1)
+        if not finite.all():
+            j, i = np.argwhere(~finite)[0]
+            raise DegenerateDataError(f"replication {reps[j]}: group {i} contains non-finite values")
         for t, test in tests.items():
             slot = _BOOTSTRAP_SLOTS.get(t)
             rngs = None if slot is None else [stream(cfg.master_seed, r, slot) for r in reps]
-            outcomes = test(datasets, rngs)
+            outcomes = test(groups, rngs)
             rejects[t] += outcomes.rejections
             errors[t] += len(outcomes.errors)
     rates: dict[str, float] = {}
@@ -202,7 +216,7 @@ def run_grid(cells, threads: int = 1) -> list[CellEstimate]:
         raise ValueError("empty grid")
     if threads <= 1 or len(cells) == 1:
         return [run_cell(c) for c in cells]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=min(threads, len(cells))) as pool:
         return list(pool.map(run_cell, cells))
 
 

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from equivar import BootstrapConfig, GroupedSample, run_all
-from equivar.cli import main
+from equivar import BootstrapConfig, ExperimentConfig, GroupedSample, run_all
+from equivar.cli import _config_from_json, main
 
 GOOD_CSV = "group,value\n" + "".join(
     f"a,{v}\n" for v in [0.1, -0.3, 0.5, 1.2, -0.9, 0.7, -0.4, 0.2, 1.1, -0.6]
@@ -83,6 +83,18 @@ class TestTestCommand:
         assert main(["test", str(plain), "--seed", "3", "--bootstrap-b", "40", "--format", "json"]) == 0
         assert with_bom == capsys.readouterr().out
 
+    def test_data_outside_the_supported_scales_exits_2(self, tmp_path, capsys):
+        groups = {"a": [1, 2, 3, 4, 6], "b": [1, 5, 9, 2, 14], "c": [3, 3.5, 7, 1, 2]}
+        cases = [{g: [scale * v for v in values] for g, values in groups.items()} for scale in (1e80, 1e-80)]
+        cases.append({"a": [1e-200, 2e-200, 3e-200], "b": [1e-200, 5e-200, 9e-200]})
+        for case in cases:
+            path = tmp_path / "scaled.csv"
+            path.write_text("group,value\n" + "".join(f"{g},{v!r}\n" for g, vs in case.items() for v in vs))
+            assert main(["test", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "deviates from its mean" in captured.err and "Traceback" not in captured.err
+
     def test_partial_degeneracy_reports_notes(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
         path.write_text("group,value\n" + "".join("a,5.0\n" for _ in range(5))
@@ -158,6 +170,8 @@ class TestSimulateCommand:
             ({"variances": [1, float("nan")]}, "variances must hold finite real numbers"),
             ({"tests": "levene"}, "tests must be a sequence of test names"),
             ({"tests": None}, "tests must be a sequence of test names"),
+            ({"distribution": "cauchy"}, "unknown distribution 'cauchy'; choose from"),
+            ({"variances": [1, 1e101]}, "variances must be positive, from 1e-100 to 1e100"),
         ],
     )
     def test_malformed_config_exits_2_naming_the_experiment(self, tmp_path, capsys, overrides, message):
@@ -170,6 +184,10 @@ class TestSimulateCommand:
         assert captured.out == ""
         assert "Traceback" not in captured.err
         assert f"experiment 1: {message}" in captured.err
+
+    def test_required_keys_only_take_the_library_defaults(self):
+        obj = {"distribution": "normal", "sizes": [5, 5], "variances": [1, 1]}
+        assert _config_from_json(obj, 0) == ExperimentConfig("normal", (5, 5), (1.0, 1.0))
 
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -202,3 +220,19 @@ class TestCriticalCommand:
             halves.append(float(line.split(":")[1].split()[0]))
             ses.append(float(line.rsplit("(se", 1)[1].rstrip(")\n ")))
         assert abs(halves[0] - halves[1]) < 3.0 * float(np.hypot(*ses))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["test", "data.csv", "--seed", "-1"],
+        ["test", "data.csv", "--seed", "x"],
+        ["critical", "--sizes", "10,10", "--seed", "-1"],
+    ],
+)
+def test_bad_seed_exits_2_naming_the_option(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --seed: expected a nonnegative integer" in err and "Traceback" not in err

@@ -6,11 +6,10 @@ import pytest
 from equivar import (
     DegenerateDataError,
     GroupedSample,
-    estimate_moments,
     log_variance_contrasts,
     stream,
 )
-from equivar.descriptive import moment_rows, stack
+from equivar.descriptive import log_variance_rows, moment_rows
 from equivar.homogeneity import _row_medians
 
 # A fixed two-group dataset reused by the oracle comparisons here and in the
@@ -68,19 +67,38 @@ class TestGroupedSample:
     def test_counts(self):
         d = GroupedSample([[1, 2, 3], [4, 5], [6, 7, 8, 9]])
         assert d.sizes == (3, 2, 4)
-        assert d.n == 9
-        assert d.k == 2
+        assert len(d) == 3
+        assert [g.shape for g in d.rows] == [(1, 3), (1, 2), (1, 4)]
+
+    def test_rejects_spreads_outside_the_supported_scales(self):
+        base = np.array([[1, 2, 3, 4, 6], [1, 5, 9, 2, 14], [3, 3.5, 7, 1, 2]], dtype=float)
+        for scale in (1e70, 1e-70):
+            assert GroupedSample(scale * base).sizes == (5, 5, 5)
+        for scale in (1e80, 1e-80, 1e-200):
+            with pytest.raises(DegenerateDataError, match="group 0 deviates"):
+                GroupedSample(scale * base)
+        with pytest.raises(DegenerateDataError, match="group 1 deviates"):
+            GroupedSample([[1.0, 2.0], [1e308, -1e308]])  # the deviation overflows
+        assert GroupedSample([[1e200, 1e200], [1.0, 2.0]]).sizes == (2, 2)  # zero spread passes
 
 
 def _s2(data):
-    return moment_rows(stack([data]))[0][0]
+    return moment_rows(data.rows)[0][0]
+
+
+def _moments(groups, use_harmonic=False):
+    """mu4, sigma2, var(ln s_i^2) and the error rows of one dataset, from the row kernels."""
+    rows = GroupedSample(groups).rows
+    _, mu4, sigma2 = moment_rows(rows)
+    _, var_log, errors = log_variance_rows(rows, use_harmonic)
+    return mu4[0], sigma2[0], var_log[0], errors
 
 
 class TestSummarize:
     """Per-group summaries as the row kernels compute them."""
 
     def test_textbook_variances(self):
-        s2, _, sigma2 = moment_rows(stack([GroupedSample([[1, 2, 3], [2, 4, 6]])]))
+        s2, _, sigma2 = moment_rows(GroupedSample([[1, 2, 3], [2, 4, 6]]).rows)
         np.testing.assert_allclose(s2, [[1.0, 4.0]])
         assert sigma2[0] * 6 == pytest.approx(2 * 1.0 + 2 * 4.0)
 
@@ -92,49 +110,53 @@ class TestSummarize:
 
 
 class TestEstimateMoments:
+    """The pooled moments and var(ln s_i^2) estimates of one dataset."""
+
     def test_harmonic_mean(self):
-        m = estimate_moments(GroupedSample([list(range(5)), list(range(10))]), use_harmonic=True)
-        assert m.harmonic_n == pytest.approx(20.0 / 3.0, rel=1e-15)
+        # with use_harmonic, every group's estimate uses m = 2 / (1/5 + 1/10) = 20/3
+        mu4, sigma2, var_log, _ = _moments([list(range(5)), list(range(10))], use_harmonic=True)
+        m = 20.0 / 3.0
+        np.testing.assert_allclose(var_log, (mu4 / sigma2**2 - (m - 3.0) / m) / (m - 1.0), rtol=1e-14)
 
     def test_var_log_s2_at_kurtosis_three(self):
         # Symmetric 10-point set engineered so the pooled fourth-moment ratio
         # is 3; the per-group formula then gives (3 - 7/10) / 9 = 23/90.
         y = math.sqrt(6.0 + math.sqrt(50.0))
         g = [1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0, y, -y]
-        m = estimate_moments(GroupedSample([g, g]), use_harmonic=False)
-        assert m.mu4 / m.sigma2**2 == pytest.approx(3.0, abs=1e-12)
-        np.testing.assert_allclose(m.var_log_s2, 23.0 / 90.0, rtol=1e-12)
+        mu4, sigma2, var_log, _ = _moments([g, g])
+        assert mu4 / sigma2**2 == pytest.approx(3.0, abs=1e-12)
+        np.testing.assert_allclose(var_log, 23.0 / 90.0, rtol=1e-12)
 
     def test_oracle_agreement_fixed_dataset(self):
-        data = GroupedSample([FIXED_A, FIXED_B])
         for harmonic in (False, True):
-            m = estimate_moments(data, use_harmonic=harmonic)
-            mu4, sigma2, _, var_log, h = _oracle_moments([FIXED_A, FIXED_B], harmonic)
-            assert m.mu4 == pytest.approx(mu4, rel=1e-12)
-            assert m.sigma2 == pytest.approx(sigma2, rel=1e-12)
-            assert m.harmonic_n == pytest.approx(h, rel=1e-12)
-            np.testing.assert_allclose(m.var_log_s2, var_log, rtol=1e-12)
+            mu4, sigma2, var_log, _ = _moments([FIXED_A, FIXED_B], use_harmonic=harmonic)
+            mu4_o, sigma2_o, _, var_log_o, _ = _oracle_moments([FIXED_A, FIXED_B], harmonic)
+            assert mu4 == pytest.approx(mu4_o, rel=1e-12)
+            assert sigma2 == pytest.approx(sigma2_o, rel=1e-12)
+            np.testing.assert_allclose(var_log, var_log_o, rtol=1e-12)
 
     def test_oracle_agreement_random(self):
         rng = stream(100)
         for trial in range(20):
             groups = [list(rng.normal(size=rng.integers(2, 12))) for _ in range(rng.integers(2, 5))]
-            m = estimate_moments(GroupedSample(groups))
-            mu4, sigma2, _, var_log, _ = _oracle_moments(groups, use_harmonic=False)
-            assert m.mu4 == pytest.approx(mu4, rel=1e-12)
-            assert m.sigma2 == pytest.approx(sigma2, rel=1e-12)
-            np.testing.assert_allclose(m.var_log_s2, var_log, rtol=1e-12)
+            mu4, sigma2, var_log, _ = _moments(groups)
+            mu4_o, sigma2_o, _, var_log_o, _ = _oracle_moments(groups, use_harmonic=False)
+            assert mu4 == pytest.approx(mu4_o, rel=1e-12)
+            assert sigma2 == pytest.approx(sigma2_o, rel=1e-12)
+            np.testing.assert_allclose(var_log, var_log_o, rtol=1e-12)
 
     def test_kurtosis_ratio_at_least_one(self):
         rng = stream(101)
         for _ in range(50):
             groups = [rng.normal(size=5) for _ in range(3)]
-            m = estimate_moments(GroupedSample(groups))
-            assert m.mu4 / m.sigma2**2 >= 1.0
+            mu4, sigma2, _, _ = _moments(groups)
+            assert mu4 / sigma2**2 >= 1.0
 
     def test_all_constant_rejected(self):
-        with pytest.raises(DegenerateDataError, match="pooled variance"):
-            estimate_moments(GroupedSample([[2, 2, 2], [3, 3]]))
+        _, sigma2, _, errors = _moments([[2, 2, 2], [3, 3]])
+        assert sigma2 == 0.0
+        assert set(errors) == {0} and isinstance(errors[0], DegenerateDataError)
+        assert "zero sample variance" in str(errors[0])
 
 
 class TestLogVarianceContrasts:
@@ -184,10 +206,10 @@ class TestInvariances:
         data = GroupedSample(groups)
         shifted = GroupedSample([np.asarray(g) + off for g, off in zip(groups, (5.0, -2.0, 100.0))])
         np.testing.assert_allclose(_s2(shifted), _s2(data), rtol=1e-9)
-        m0 = estimate_moments(data)
-        m1 = estimate_moments(shifted)
-        assert m1.mu4 == pytest.approx(m0.mu4, rel=1e-9)
-        assert m1.sigma2 == pytest.approx(m0.sigma2, rel=1e-9)
+        _, mu4_0, sigma2_0 = moment_rows(data.rows)
+        _, mu4_1, sigma2_1 = moment_rows(shifted.rows)
+        assert mu4_1[0] == pytest.approx(mu4_0[0], rel=1e-9)
+        assert sigma2_1[0] == pytest.approx(sigma2_0[0], rel=1e-9)
         np.testing.assert_allclose(
             log_variance_contrasts(shifted).t, log_variance_contrasts(data).t, rtol=1e-9
         )

@@ -5,6 +5,7 @@ import pytest
 import scipy.stats
 
 from equivar import (
+    ALL_METHODS,
     BootstrapConfig,
     DegenerateDataError,
     GroupedSample,
@@ -17,8 +18,8 @@ from equivar import (
     shoemaker,
     stream,
 )
-from equivar.descriptive import log_variance_rows, stack
-from equivar.homogeneity import _jitter_scale, _row_medians
+from equivar.descriptive import log_variance_rows
+from equivar.homogeneity import _jitter_scale, _row_medians, batched
 
 FIXED_A = [0.1, -0.3, 0.5, 1.2, -0.9]
 FIXED_B = [0.4, 0.0, -0.2, 0.8, -1.1]
@@ -126,7 +127,7 @@ class TestShoemaker:
 
 class TestBootstrapLevene:
     def test_jitter_scale_worked_example(self):
-        assert _jitter_scale(stack([GroupedSample([[0.0, 2.0], [1.0, 3.0]])]))[0] == pytest.approx(1.0)
+        assert _jitter_scale(GroupedSample([[0.0, 2.0], [1.0, 3.0]]).rows)[0] == pytest.approx(1.0)
 
     def test_p_value_on_lattice(self):
         cfg = BootstrapConfig.from_seed(7, b=40)
@@ -182,7 +183,7 @@ class TestBoxTest:
         data = _random_data(330, sizes=(6, 9, 7))
         rngs = [stream(331, i) for i in range(5)]
         boots = [GroupedSample([rng.choice(g, g.size) for g in data.groups]) for rng in rngs]
-        rows, _, errors = log_variance_rows(stack(boots))
+        rows, _, errors = log_variance_rows([np.stack(column) for column in zip(*(b.groups for b in boots))])
         assert errors == {}
         for t, boot in zip(rows.t, boots):
             np.testing.assert_array_equal(t, log_variance_contrasts(boot).t)
@@ -276,21 +277,57 @@ class TestRunAll:
 class TestScaleAndLocationInvariance:
     def test_all_statistics_invariant_at_fixed_streams(self):
         data = _random_data(350, sizes=(7, 9, 12), spread=(1.0, 1.8, 1.0))
-        scale = 42.0
         shifts = (3.0, -8.0, 0.5)
-        scaled = GroupedSample([scale * g for g in data.groups])
+        # 1e70 and 1e-70 are near the ends of the supported scales
+        scaled = [GroupedSample([scale * g for g in data.groups]) for scale in (42.0, 1e70, 1e-70)]
         shifted = GroupedSample([g + off for g, off in zip(data.groups, shifts)])
-        for variant in (scaled, shifted):
+        for variant in (*scaled, shifted):
             lev0, lev1 = levene(data, 0.05), levene(variant, 0.05)
-            assert lev1.statistic == pytest.approx(lev0.statistic, rel=1e-10)
+            assert lev1.statistic == pytest.approx(lev0.statistic, rel=1e-12)
             sho0, sho1 = shoemaker(data, 0.05), shoemaker(variant, 0.05)
-            assert sho1.statistic == pytest.approx(sho0.statistic, rel=1e-10)
+            assert sho1.statistic == pytest.approx(sho0.statistic, rel=1e-12)
             bl0 = bootstrap_levene(data, 0.05, BootstrapConfig.from_seed(15, b=150))
             bl1 = bootstrap_levene(variant, 0.05, BootstrapConfig.from_seed(15, b=150))
             assert bl1.p_value == bl0.p_value
             bx0 = box_test(data, 0.05, BootstrapConfig.from_seed(16, b=150))
             bx1 = box_test(variant, 0.05, BootstrapConfig.from_seed(16, b=150))
-            np.testing.assert_allclose(bx1.statistic, bx0.statistic, rtol=1e-10)
-            assert bx1.critical_value == pytest.approx(bx0.critical_value, rel=1e-10)
+            np.testing.assert_allclose(bx1.statistic, bx0.statistic, rtol=1e-12)
+            assert bx1.critical_value == pytest.approx(bx0.critical_value, rel=1e-12)
             for r0, r1 in ((lev0, lev1), (sho0, sho1), (bl0, bl1), (bx0, bx1)):
                 assert r0.reject == r1.reject
+
+
+class TestBatched:
+    """A batch of datasets gives, row by row, what one-dataset calls give."""
+
+    SIZES = (4, 6)
+
+    def _datasets(self):
+        rng = stream(360)
+        groups = [[s * rng.normal(size=n) for n, s in zip(self.SIZES, (1.0, 2.0))] for _ in range(5)]
+        groups.insert(1, [[-1.0, 1.0, -1.0, 1.0], [-2.0, 2.0, -2.0, 2.0, -2.0, 2.0]])  # degenerate Levene
+        groups.insert(4, [[5.0, 5.0, 5.0, 5.0], [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]])      # zero variance
+        return [GroupedSample(g) for g in groups]
+
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    def test_rows_match_one_dataset_calls(self, method):
+        datasets = self._datasets()
+        test = batched(method, self.SIZES, 0.1, b=40)
+        stacked = [np.stack(column) for column in zip(*(d.groups for d in datasets))]
+        batch = test(stacked, [stream(361, r) for r in range(len(datasets))])
+        assert batch.errors  # the degenerate rows reach every method
+        for r, data in enumerate(datasets):
+            one = test(data.rows, [stream(361, r)])
+            if r in batch.errors:
+                assert list(one.errors) == [0]
+                assert type(one.errors[0]) is type(batch.errors[r])
+                assert str(one.errors[0]) == str(batch.errors[r])
+            else:
+                assert one.errors == {}
+                assert one.reject[0] == batch.reject[r]
+            np.testing.assert_array_equal(one.statistic[0], batch.statistic[r])
+            for field in ("critical_value", "p_value"):
+                ours, theirs = getattr(batch, field), getattr(one, field)
+                assert (ours is None) == (theirs is None)
+                if ours is not None:
+                    np.testing.assert_array_equal(theirs[0], ours[r])

@@ -57,7 +57,7 @@ class TestExperimentConfig:
             _cfg(tests=("levene", "bartlett"))
 
     def test_unknown_distribution(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown distribution 'cauchy'; choose from"):
             _cfg(distribution="cauchy")
 
     def test_alpha_range(self):
@@ -79,6 +79,8 @@ class TestExperimentConfig:
             ({"bootstrap_b": False}, "bootstrap_b must be an integer"),
             ({"master_seed": -2}, "master_seed must be nonnegative"),
             ({"tests": "levene"}, "tests must be a sequence of test names"),
+            ({"variances": (1.0, 1e101)}, "from 1e-100 to 1e100"),
+            ({"variances": (1e-101, 1.0)}, "from 1e-100 to 1e100"),
         ],
     )
     def test_field_types_are_exact(self, overrides, message):
@@ -205,12 +207,12 @@ class TestChunkedRunCell:
         def poisoned(kind, n, rng):
             calls.append(n)
             x = real(kind, n, rng)
-            if len(calls) == 7:  # replication 3, second group
+            if len(calls) == 7:  # replication 3, first group
                 x[0] = np.nan
             return x
 
         monkeypatch.setattr(equivar.simulation, "sample_standardized", poisoned)
-        with pytest.raises(DegenerateDataError, match="non-finite"):
+        with pytest.raises(DegenerateDataError, match="replication 3: group 0 contains non-finite"):
             run_cell(_cfg(replications=10))
 
 
@@ -230,6 +232,28 @@ class TestRunGrid:
         for a, b in zip(serial, parallel):
             assert a.rates == b.rates
             assert a.error_counts == b.error_counts
+
+    def test_pool_no_wider_than_the_grid(self, monkeypatch):
+        widths = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                widths.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(equivar.simulation, "ProcessPoolExecutor", RecordingPool)
+        cells = [_cfg(master_seed=s, tests=("levene",), replications=5) for s in (1, 2, 3)]
+        assert [e.rates for e in run_grid(cells[:2], threads=16)] == [run_cell(c).rates for c in cells[:2]]
+        run_grid(cells, threads=2)
+        assert widths == [2, 2]
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="empty"):
