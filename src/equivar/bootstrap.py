@@ -1,4 +1,7 @@
-"""The smoothing constant of the bootstrap Levene test and the box critical-value search."""
+"""The smoothing constant of the bootstrap Levene test and the box critical-value rule.
+
+``box_rank`` sizes both boxes: the bootstrap one here, the exact-normal one in ``dirichlet``.
+"""
 
 from __future__ import annotations
 
@@ -10,6 +13,7 @@ import numpy as np
 __all__ = [
     "SMOOTH_FACTOR",
     "CriticalSearch",
+    "box_rank",
     "search_critical",
 ]
 
@@ -24,6 +28,21 @@ class CriticalSearch:
     coverage: float | np.ndarray  # fraction of rows inside [-c_star, c_star] in every coordinate
 
 
+def box_rank(b: int, alpha: float) -> int:
+    """Index, from 0, of the box half-width among B ascending row maxima, for 0 < alpha < 1.
+
+    It is m - 1 for m the first count with m / B >= 1 - alpha, compared in
+    the float division that coverage is reported in, so the box is the
+    smallest whose coverage reaches 1 - alpha.
+    """
+    m = math.ceil(b * (1.0 - alpha))  # rounding of the product can put this one off
+    while m > 1 and (m - 1) / b >= 1.0 - alpha:
+        m -= 1
+    while m / b < 1.0 - alpha:
+        m += 1
+    return m - 1
+
+
 def search_critical(centered, alpha: float) -> CriticalSearch:
     """Find the half-width of the smallest symmetric box covering 1 - alpha of rows.
 
@@ -35,8 +54,8 @@ def search_critical(centered, alpha: float) -> CriticalSearch:
     non-decreasing in c; the search returns the smallest candidate whose
     coverage reaches 1 - alpha.  A row lies inside the box exactly when
     its largest |entry| does, so for alpha < 1 that candidate is the m-th
-    smallest row maximum, m the first count with m / B >= 1 - alpha; at
-    alpha = 1 it is the smallest entry.
+    smallest row maximum, m - 1 = ``box_rank(B, alpha)``; at alpha = 1 it is
+    the smallest entry.
     """
     rows = np.asarray(centered, dtype=float)
     if rows.ndim not in (2, 3) or rows.size == 0:
@@ -51,8 +70,7 @@ def search_critical(centered, alpha: float) -> CriticalSearch:
     if alpha >= 1.0:
         c_star = magnitude.min(axis=(-2, -1))
     else:
-        # m - 1, m the first count with m / B >= 1 - alpha, compared in the float division coverage uses
-        c_star = row_max[..., int(np.searchsorted(np.arange(1, b + 1) / b, 1.0 - alpha))]
+        c_star = row_max[..., box_rank(b, alpha)]
     coverage = (row_max <= c_star[..., None]).sum(axis=-1) / b
     if rows.ndim == 2:
         return CriticalSearch(float(c_star), float(coverage))

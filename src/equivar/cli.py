@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -14,25 +15,24 @@ from pathlib import Path
 
 from .descriptive import GroupedSample
 from .dirichlet import DirichletParams, calibrate_box
-from .errors import NumericError
+from .errors import DegenerateDataError, NumericError
 from .homogeneity import BootstrapConfig, TestResult, run_all
 from .rng import stream
 from .simulation import CellEstimate, ExperimentConfig, run_grid
 
 __all__ = ["main"]
 
-_CONFIG_KEYS = {"distribution", "sizes", "variances", "alpha", "replications", "bootstrap_b", "seed", "tests"}
-_CONFIG_REQUIRED = ("distribution", "sizes", "variances")
+# The JSON key of each ExperimentConfig field: its name, but for master_seed.
+_CONFIG_FIELDS = {("seed" if f.name == "master_seed" else f.name): f for f in dataclasses.fields(ExperimentConfig)}
 
 
-def _read_grouped_csv(path: str) -> tuple[list[str], GroupedSample]:
+def _read_grouped_csv(path: str) -> GroupedSample:
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["group", "value"]:
             raise ValueError(f"{path}: expected header 'group,value', got {header}")
         values: dict[str, list[float]] = {}
-        order: list[str] = []
         for lineno, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
@@ -45,16 +45,11 @@ def _read_grouped_csv(path: str) -> tuple[list[str], GroupedSample]:
                 raise ValueError(f"{path}:{lineno}: value {row[1]!r} is not a number") from None
             if not math.isfinite(value):
                 raise ValueError(f"{path}:{lineno}: value {row[1]!r} is not finite")
-            if label not in values:
-                values[label] = []
-                order.append(label)
-            values[label].append(value)
-    if len(order) < 2:
-        raise ValueError(f"{path}: need at least two distinct groups, found {len(order)}")
-    for label in order:
-        if len(values[label]) < 2:
-            raise ValueError(f"{path}: group {label!r} has fewer than two values")
-    return order, GroupedSample([values[label] for label in order])
+            values.setdefault(label, []).append(value)
+    try:
+        return GroupedSample(values)
+    except DegenerateDataError as exc:
+        raise DegenerateDataError(f"{path}: {exc}") from None
 
 
 def _fmt_stat(stat) -> str:
@@ -81,7 +76,7 @@ def _print_result_table(results: list[TestResult]) -> None:
 
 
 def _cmd_test(args) -> int:
-    _, data = _read_grouped_csv(args.data)
+    data = _read_grouped_csv(args.data)
     cfg = BootstrapConfig.from_seed(args.seed, b=args.bootstrap_b, pivot_variant=args.pivot_variant)
     results, errors = run_all(data, args.alpha, cfg)
     for name, msg in errors.items():
@@ -117,15 +112,15 @@ def _config_from_json(obj, index: int) -> ExperimentConfig:
     where = f"experiment {index}"
     if not isinstance(obj, dict):
         raise ValueError(f"{where}: expected a JSON object")
-    unknown = sorted(set(obj) - _CONFIG_KEYS)
+    unknown = sorted(set(obj) - set(_CONFIG_FIELDS))
     if unknown:
         raise ValueError(f"{where}: unknown key(s) {unknown}")
-    missing = [k for k in _CONFIG_REQUIRED if k not in obj]
+    missing = [k for k, f in _CONFIG_FIELDS.items() if f.default is dataclasses.MISSING and k not in obj]
     if missing:
         raise ValueError(f"{where}: missing required key(s) {missing}")
     try:
         # keys left out take the ExperimentConfig defaults
-        return ExperimentConfig(**{("master_seed" if k == "seed" else k): v for k, v in obj.items()})
+        return ExperimentConfig(**{_CONFIG_FIELDS[k].name: v for k, v in obj.items()})
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
 
@@ -155,37 +150,22 @@ def _grid_csv(estimates: list[CellEstimate]) -> str:
 
 def _pivot_markdown(estimates: list[CellEstimate]) -> str:
     blocks: dict[tuple, list[CellEstimate]] = {}
-    order: list[tuple] = []
     for est in estimates:
-        key = (est.config.sizes, est.config.variances)
-        if key not in blocks:
-            blocks[key] = []
-            order.append(key)
-        blocks[key].append(est)
+        blocks.setdefault((est.config.sizes, est.config.variances), []).append(est)
     out: list[str] = []
-    for sizes, variances in order:
-        ests = blocks[(sizes, variances)]
-        dists: list[str] = []
-        tests: list[str] = []
-        for e in ests:
-            name = e.config.distribution.value
-            if name not in dists:
-                dists.append(name)
-            for t in e.config.tests:
-                if t not in tests:
-                    tests.append(t)
+    for (sizes, variances), ests in blocks.items():
         by_dist = {e.config.distribution.value: e for e in ests}
+        tests = dict.fromkeys(t for e in ests for t in e.config.tests)
         out.append(
             f"**n = {', '.join(map(str, sizes))}; variances = {', '.join(f'{v:g}' for v in variances)}**"
         )
         out.append("")
-        out.append("| test | " + " | ".join(dists) + " |")
-        out.append("|" + "---|" * (len(dists) + 1))
+        out.append("| test | " + " | ".join(by_dist) + " |")
+        out.append("|" + "---|" * (len(by_dist) + 1))
         for t in tests:
             cells = []
-            for d in dists:
-                e = by_dist.get(d)
-                if e is not None and t in e.rates and not math.isnan(e.rates[t]):
+            for e in by_dist.values():
+                if t in e.rates and not math.isnan(e.rates[t]):
                     cells.append(f"{e.rates[t]:.2f}")
                 else:
                     cells.append("-")

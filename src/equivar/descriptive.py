@@ -13,6 +13,7 @@ bootstrap test.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,28 +37,31 @@ _MIN_SPREAD, _MAX_SPREAD = 1e-72, 1e72
 class GroupedSample:
     """Two or more groups of real observations: one dataset, as the one-dataset tests take it.
 
-    Each group must hold at least two finite values so that its sample
-    variance exists, and its largest deviation from the group mean must be
-    zero or lie in [1e-72, 1e72], where the moment kernels are exact to
-    rounding.
+    ``groups`` is a sequence of groups, or a mapping from group label to
+    group in the order the groups are to take; error messages name a group
+    by its label, or else by its position.  Each group must hold at least
+    two finite values so that its sample variance exists, and its largest
+    deviation from the group mean must be zero or lie in [1e-72, 1e72],
+    where the moment kernels are exact to rounding.
     """
 
     __slots__ = ("groups", "sizes")
 
     def __init__(self, groups):
-        gs = tuple(np.asarray(g, dtype=float).ravel() for g in groups)
+        named = list(groups.items() if isinstance(groups, Mapping) else enumerate(groups))
+        gs = tuple(np.asarray(g, dtype=float).ravel() for _, g in named)
         if len(gs) < 2:
             raise DegenerateDataError(f"need at least two groups, got {len(gs)}")
-        for i, g in enumerate(gs):
+        for (name, _), g in zip(named, gs):
             if g.size < 2:
-                raise DegenerateDataError(f"group {i} has {g.size} observation(s); need at least two")
+                raise DegenerateDataError(f"group {name!r} has {g.size} observation(s); need at least two")
             if not np.all(np.isfinite(g)):
-                raise DegenerateDataError(f"group {i} contains non-finite values")
+                raise DegenerateDataError(f"group {name!r} contains non-finite values")
             with np.errstate(over="ignore", invalid="ignore"):  # an overflowed spread is out of range
                 spread = float(np.abs(g - g.mean()).max())
             if spread != 0.0 and not _MIN_SPREAD <= spread <= _MAX_SPREAD:
                 raise DegenerateDataError(
-                    f"group {i} deviates from its mean by up to {spread:.3g}; "
+                    f"group {name!r} deviates from its mean by up to {spread:.3g}; "
                     f"supported scales are {_MIN_SPREAD:g} to {_MAX_SPREAD:g}"
                 )
         self.groups = gs

@@ -4,7 +4,8 @@ Under normality with equal variances, the vector of normalized weighted
 sample variances is Dirichlet with shapes (n_i - 1) / 2.  The zero-sum log
 contrasts of that vector drive an exact box-type acceptance region; the
 half-width that gives the region 1 - alpha coverage is calibrated here by
-Monte Carlo.
+Monte Carlo, as the order statistic of the row maxima that
+``bootstrap.box_rank`` picks for the bootstrap box too.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError
+from .bootstrap import box_rank
+from .errors import NumericError, is_int, is_real
 
 __all__ = [
     "DirichletParams",
@@ -27,39 +29,32 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DirichletParams:
-    """Shape parameters, one per group."""
+    """Shape parameters, one per group: finite positive real numbers (booleans are not)."""
 
     nu: tuple[float, ...]
 
     def __post_init__(self):
         if len(self.nu) < 2:
             raise ValueError("need at least two shape parameters")
+        if not all(is_real(v) for v in self.nu):
+            raise ValueError(f"shape parameters must be finite real numbers, got {self.nu}")
         if any(v <= 0.0 for v in self.nu):
             raise ValueError(f"shape parameters must be positive, got {self.nu}")
 
     @classmethod
     def from_group_sizes(cls, sizes) -> "DirichletParams":
-        """Shapes (n_i - 1) / 2 for normal groups of the given sizes."""
-        sizes = [int(s) for s in sizes]
+        """Shapes (n_i - 1) / 2 for normal groups of the given integer sizes."""
+        sizes = list(sizes)
+        if not all(is_int(s) for s in sizes):
+            raise ValueError(f"group sizes must be integers, got {sizes}")
         if any(s < 2 for s in sizes):
             raise ValueError(f"group sizes must be at least 2, got {sizes}")
         return cls(tuple((s - 1) / 2.0 for s in sizes))
 
-    @property
-    def total(self) -> float:
-        return float(sum(self.nu))
 
-
-def sample_dirichlet(params: DirichletParams, rng: np.random.Generator, size: int | None = None):
-    """Draw from the Dirichlet distribution by normalizing Gamma(nu_i, 1) variates.
-
-    Returns one simplex vector, or a (size, groups) matrix of them when
-    ``size`` is given.
-    """
+def sample_dirichlet(params: DirichletParams, rng: np.random.Generator, size: int):
+    """Draw a (size, groups) matrix of Dirichlet vectors by normalizing Gamma(nu_i, 1) variates."""
     shape = np.asarray(params.nu)
-    if size is None:
-        g = rng.standard_gamma(shape)
-        return g / g.sum()
     g = rng.standard_gamma(np.broadcast_to(shape, (size, shape.size)))
     return g / g.sum(axis=1, keepdims=True)
 
@@ -85,7 +80,6 @@ class NormalTheoryBox:
     shape_offset: np.ndarray  # ln(nu_i / geometric mean nu_j), the contrast offsets
     coverage: float           # achieved Monte Carlo coverage at half_width
     half_width_se: float      # spacing-based standard error of the quantile
-    draws: int
 
 
 def calibrate_box(
@@ -97,7 +91,7 @@ def calibrate_box(
     by its Monte Carlo mean and standard deviation, and returns the
     empirical 1 - alpha quantile of the max absolute standardized
     coordinate: the smallest half-width whose box reaches the target
-    coverage.
+    coverage, the row maximum of rank ``box_rank(draws, alpha)``.
     """
     if draws < 1000:
         raise ValueError(f"need at least 1000 draws for calibration, got {draws}")
@@ -110,16 +104,16 @@ def calibrate_box(
         raise NumericError(f"degenerate contrast spread in calibration: {sd}")
     row_max = np.abs((w - mean) / sd).max(axis=1)
     row_max.sort()
-    rank = math.ceil(draws * (1.0 - alpha))  # 1-based order statistic
-    c = float(row_max[rank - 1])
+    rank = box_rank(draws, alpha)
+    c = float(row_max[rank])
     coverage = float(np.searchsorted(row_max, c, side="right") / draws)
     # Quantile standard error from the spacing of nearby order statistics.
     k = max(1, round(math.sqrt(draws)))
-    lo_i = max(0, rank - 1 - k)
-    hi_i = min(draws - 1, rank - 1 + k)
+    lo_i = max(0, rank - k)
+    hi_i = min(draws - 1, rank + k)
     gap = float(row_max[hi_i] - row_max[lo_i])
     density = (hi_i - lo_i) / draws / gap if gap > 0.0 else math.inf
     se = math.sqrt(alpha * (1.0 - alpha) / draws) / density if math.isfinite(density) else 0.0
     nu = np.asarray(params.nu)
     shape_offset = np.log(nu) - np.log(nu).mean()
-    return NormalTheoryBox(mean, sd, c, shape_offset, coverage, se, draws)
+    return NormalTheoryBox(mean, sd, c, shape_offset, coverage, se)

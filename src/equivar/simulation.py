@@ -10,7 +10,6 @@ configuration, independent of execution order or parallelism.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -18,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import Distribution, sample_standardized
-from .errors import DegenerateDataError
+from .errors import DegenerateDataError, is_int, is_real
 from .homogeneity import ALL_METHODS, BOOTSTRAP_LEVENE, BOX, batched
 from .rng import derive_seed, stream
 
@@ -45,20 +44,6 @@ _BOOTSTRAP_SLOTS = {BOOTSTRAP_LEVENE: 1, BOX: 2}
 _CHUNK_ELEMENTS = 2**16
 
 TWO_GROUP_NULL_SIZES = ((5, 5), (10, 10), (15, 15), (5, 10), (7, 15), (10, 15))
-
-
-# numpy integers and floats pass these checks, bool and numpy.bool_ do not.
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int beyond the float range
-        return False
 
 
 def _sequence(name: str, values, check, what: str) -> tuple:
@@ -96,18 +81,18 @@ class ExperimentConfig:
         except ValueError:
             choices = [d.value for d in Distribution]
             raise ValueError(f"unknown distribution {self.distribution!r}; choose from {choices}") from None
-        sizes = _sequence("sizes", self.sizes, _is_int, "integers")
+        sizes = _sequence("sizes", self.sizes, is_int, "integers")
         object.__setattr__(self, "sizes", tuple(int(s) for s in sizes))
-        variances = _sequence("variances", self.variances, _is_real, "finite real numbers")
+        variances = _sequence("variances", self.variances, is_real, "finite real numbers")
         object.__setattr__(self, "variances", tuple(float(v) for v in variances))
         tests = _sequence("tests", self.tests, lambda t: isinstance(t, str), "test names")
         object.__setattr__(self, "tests", tests)
         for name in ("replications", "bootstrap_b", "master_seed"):
             value = getattr(self, name)
-            if not _is_int(value):
+            if not is_int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
-        if not _is_real(self.alpha):
+        if not is_real(self.alpha):
             raise ValueError(f"alpha must be a finite real number, got {self.alpha!r}")
         object.__setattr__(self, "alpha", float(self.alpha))
         if len(self.sizes) != len(self.variances):

@@ -10,6 +10,7 @@ from equivar import (
     search_critical,
     stream,
 )
+from equivar.bootstrap import box_rank
 from equivar.descriptive import log_variance_rows
 from equivar.homogeneity import _pooled_resamples, _resample_rows
 
@@ -214,3 +215,13 @@ class TestSearchCritical:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             search_critical(np.empty((0, 2)), 0.1)
+
+
+def test_box_rank_is_the_first_count_reaching_the_level():
+    # (19444, 0.27052...) is a case where ceil(B * (1 - alpha)) is one too high
+    rng = stream(0, 21)
+    cases = [(19444, 0.2705204690392923), (200_000, 0.05), (500, 0.05), (1, 0.5), (3, 1.0 / 3.0)]
+    cases += [(int(rng.integers(1, 50_000)), float(rng.uniform(0.001, 0.999))) for _ in range(300)]
+    for b, alpha in cases:
+        m = next(m for m in range(1, b + 1) if m / b >= 1.0 - alpha)
+        assert box_rank(b, alpha) == m - 1, (b, alpha)

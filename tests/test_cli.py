@@ -1,4 +1,7 @@
+import dataclasses
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,7 +57,13 @@ class TestTestCommand:
         path = tmp_path / "bad.csv"
         path.write_text("group,value\na,1.0\na,2.0\nb,3.0\n")
         assert main(["test", str(path)]) == 2
-        assert "'b'" in capsys.readouterr().err
+        assert f"{path}: group 'b' has 1 observation(s)" in capsys.readouterr().err
+
+    def test_single_group_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "one.csv"
+        path.write_text("group,value\na,1.0\na,2.0\n")
+        assert main(["test", str(path)]) == 2
+        assert f"{path}: need at least two groups, got 1" in capsys.readouterr().err
 
     def test_missing_file_exits_2(self, capsys):
         assert main(["test", "/nonexistent/nope.csv"]) == 2
@@ -93,7 +102,8 @@ class TestTestCommand:
             assert main(["test", str(path)]) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert "deviates from its mean" in captured.err and "Traceback" not in captured.err
+            assert f"error: {path}: group 'a' deviates from its mean" in captured.err
+            assert "Traceback" not in captured.err
 
     def test_partial_degeneracy_reports_notes(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
@@ -188,6 +198,35 @@ class TestSimulateCommand:
     def test_required_keys_only_take_the_library_defaults(self):
         obj = {"distribution": "normal", "sizes": [5, 5], "variances": [1, 1]}
         assert _config_from_json(obj, 0) == ExperimentConfig("normal", (5, 5), (1.0, 1.0))
+
+    def test_missing_required_keys_named(self):
+        with pytest.raises(ValueError, match=r"experiment 3: missing required key\(s\) \['sizes', 'variances'\]"):
+            _config_from_json({"distribution": "normal"}, 3)
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(ExperimentConfig)])
+    def test_each_config_field_is_a_json_key(self, field):
+        # a field added to ExperimentConfig needs a row here, and becomes a JSON key
+        value = {"distribution": "laplace", "sizes": [4, 6], "variances": [1.0, 2.0], "alpha": 0.1,
+                 "replications": 7, "bootstrap_b": 9, "master_seed": 3, "tests": ["box"]}[field]
+        base = {"distribution": "normal", "sizes": [5, 5], "variances": [1.0, 1.0]}
+        key = "seed" if field == "master_seed" else field
+        cfg = _config_from_json({**base, key: value}, 0)
+        assert cfg == ExperimentConfig(**{**base, field: value})
+        assert cfg != ExperimentConfig(**base)
+
+    def test_master_seed_is_not_a_json_key(self):
+        obj = {"distribution": "normal", "sizes": [5, 5], "variances": [1, 1], "master_seed": 3}
+        with pytest.raises(ValueError, match=r"unknown key\(s\) \['master_seed'\]"):
+            _config_from_json(obj, 0)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_demo_grid_output_is_pinned(self, tmp_path, threads):
+        # the reproducibility contract: the demo grid keeps this digest at every thread count
+        out = tmp_path / "grid.csv"
+        grid = Path(__file__).resolve().parent.parent / "demos" / "grid.json"
+        assert main(["simulate", str(grid), "--out", str(out), "--threads", threads]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "da951e9a8415b1a8144c85400d1179501233b04f98c1470c6628d3f5ddadb454"
 
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

@@ -59,10 +59,19 @@ class TestGroupedSample:
     def test_requires_two_observations_per_group(self):
         with pytest.raises(DegenerateDataError, match="group 1"):
             GroupedSample([[1.0, 2.0], [3.0]])
+        with pytest.raises(DegenerateDataError, match="group 'b' has 1 observation"):
+            GroupedSample({"a": [1.0, 2.0], "b": [3.0]})
+
+    def test_mapping_keeps_its_order(self):
+        d = GroupedSample({"z": [1.0, 2.0, 4.0], "a": [3.0, 5.0]})
+        assert d.sizes == (3, 2)
+        np.testing.assert_array_equal(d.groups[1], [3.0, 5.0])
 
     def test_rejects_non_finite(self):
         with pytest.raises(DegenerateDataError, match="non-finite"):
             GroupedSample([[1.0, float("nan")], [1.0, 2.0]])
+        with pytest.raises(DegenerateDataError, match="group 'c' contains non-finite"):
+            GroupedSample({"b": [1.0, 2.0], "c": [1.0, np.inf]})
 
     def test_counts(self):
         d = GroupedSample([[1, 2, 3], [4, 5], [6, 7, 8, 9]])

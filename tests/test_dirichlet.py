@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from equivar import DirichletParams, calibrate_box, log_contrast, sample_dirichlet, stream
+from equivar import DirichletParams, calibrate_box, log_contrast, sample_dirichlet, search_critical, stream
 
 
 def two_group_contrast_pdf(w, nu1, nu2):
@@ -22,7 +22,6 @@ class TestDirichletParams:
     def test_from_group_sizes(self):
         p = DirichletParams.from_group_sizes((10, 10))
         assert p.nu == (4.5, 4.5)
-        assert p.total == 9.0
 
     def test_minimum_group_size(self):
         with pytest.raises(ValueError, match="at least 2"):
@@ -32,17 +31,31 @@ class TestDirichletParams:
         with pytest.raises(ValueError, match="positive"):
             DirichletParams((1.0, 0.0))
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: DirichletParams.from_group_sizes([5.7, 5]), "group sizes must be integers"),
+            (lambda: DirichletParams.from_group_sizes([True, 5]), "group sizes must be integers"),
+            (lambda: DirichletParams.from_group_sizes(["5", 5]), "group sizes must be integers"),
+            (lambda: DirichletParams((1.0, math.nan)), "shape parameters must be finite real numbers"),
+            (lambda: DirichletParams((1.0, math.inf)), "shape parameters must be finite real numbers"),
+            (lambda: DirichletParams((True, 1.0)), "shape parameters must be finite real numbers"),
+        ],
+        ids=["size 5.7", "size True", "size '5'", "shape nan", "shape inf", "shape True"],
+    )
+    def test_malformed_input_rejected_at_construction(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+    def test_numpy_integer_sizes_accepted(self):
+        assert DirichletParams.from_group_sizes(np.array([10, 5])).nu == (4.5, 2.0)
+
 
 class TestSampleDirichlet:
     def test_simplex_constraint(self):
         x = sample_dirichlet(DirichletParams((2.0, 3.0, 0.5)), stream(50), size=1000)
         assert np.all(x >= 0.0)
         np.testing.assert_allclose(x.sum(axis=1), 1.0, atol=1e-12)
-
-    def test_single_draw_shape(self):
-        x = sample_dirichlet(DirichletParams((1.0, 1.0)), stream(51))
-        assert x.shape == (2,)
-        assert x.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_uniform_marginal(self):
         # With both shapes 1 the first coordinate is Beta(1, 1) = U(0, 1).
@@ -101,6 +114,16 @@ class TestCalibrateBox:
         a = calibrate_box(params, 0.05, 200_000, stream(59))
         b = calibrate_box(params, 0.05, 200_000, stream(60))
         assert abs(a.half_width - b.half_width) < 3.0 * math.hypot(a.half_width_se, b.half_width_se)
+
+    def test_half_width_is_the_bootstrap_box_rule(self):
+        # draws * (1 - alpha) rounds up past 14184 here, and 14184 / draws
+        # already reaches 1 - alpha: the box takes rank 14184, not 14185
+        params, alpha, draws = DirichletParams.from_group_sizes((10, 10, 10)), 0.2705204690392923, 19444
+        box = calibrate_box(params, alpha, draws, stream(1))
+        w = log_contrast(sample_dirichlet(params, stream(1), size=draws))
+        found = search_critical((w - box.mean) / box.sd, alpha)
+        assert (box.half_width, box.coverage) == (found.c_star, found.coverage)
+        assert (box.half_width, box.coverage) == (1.5200671280604978, 14184 / draws)
 
     def test_two_group_reduction_is_symmetric(self):
         # With two groups the contrast coordinates are mirror images, so the
