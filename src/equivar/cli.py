@@ -1,6 +1,6 @@
 """Command line interface: run tests on CSV data, simulate grids, calibrate boxes.
 
-Exit codes: 0 success, 2 input/data error, 3 numeric failure.
+Exit codes: 0 success, 2 input/data error, 3 numeric failure or out of memory.
 """
 
 from __future__ import annotations
@@ -270,6 +270,10 @@ def main(argv=None) -> int:
         return 2
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 3
 
 

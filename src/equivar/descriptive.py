@@ -133,17 +133,21 @@ def log_variance_rows(groups, use_harmonic: bool = False):
         contrast = log_s2 - log_s2.mean(axis=1, keepdims=True)
         se = np.sqrt((1.0 - 2.0 / count) * var_log_s2 + var_log_s2.sum(axis=1, keepdims=True) / count**2)
         t = contrast / se
-    errors: dict[int, Exception] = {}
-    for r in np.flatnonzero((s2 <= 0.0).any(axis=1)):
-        bad = int(np.argmax(s2[r] <= 0.0))
-        errors[int(r)] = DegenerateDataError(f"group {bad} has zero sample variance; log variance undefined")
-    for r in np.flatnonzero(~(var_log_s2 > 0.0).all(axis=1)):
-        # kurt >= 1 by Cauchy-Schwarz makes this unreachable while the fourth
-        # powers stay finite, which the GroupedSample and ExperimentConfig
-        # scale bounds ensure; kept as a tripwire
-        errors.setdefault(int(r), NumericError(
+    # one dict entry per undefined row: most box resamples of two-point groups are undefined
+    zero = s2 <= 0.0
+    undefined = zero.any(axis=1)
+    rows = np.flatnonzero(undefined)
+    errors: dict[int, Exception] = {
+        r: DegenerateDataError(f"group {i} has zero sample variance; log variance undefined")
+        for r, i in zip(rows.tolist(), zero[rows].argmax(axis=1).tolist())
+    }
+    for r in np.flatnonzero(~undefined & ~(var_log_s2 > 0.0).all(axis=1)):
+        # kurt >= 1 by Cauchy-Schwarz while the pooled moments are exact, as
+        # the scale bounds ensure for observed data; a resample of such data
+        # can still lose its fourth powers to underflow (mu4 = 0)
+        errors[int(r)] = NumericError(
             f"nonpositive var(ln s^2) estimate: kurtosis ratio {float(kurt[r]):.6g}, sizes {m.tolist()}"
-        ))
+        )
     return LogVarianceContrasts(contrast, se, t), var_log_s2, errors
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bootstrap import box_rank
-from .errors import NumericError, is_int, is_real
+from .errors import NumericError, checked_tuple, is_int, is_real
 
 __all__ = [
     "DirichletParams",
@@ -29,15 +29,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DirichletParams:
-    """Shape parameters, one per group: finite positive real numbers (booleans are not)."""
+    """Shape parameters, one per group: a sequence of finite positive real numbers (booleans are not)."""
 
     nu: tuple[float, ...]
 
     def __post_init__(self):
+        nu = checked_tuple("shape parameters", self.nu, is_real, "finite real numbers")
+        object.__setattr__(self, "nu", tuple(float(v) for v in nu))
         if len(self.nu) < 2:
             raise ValueError("need at least two shape parameters")
-        if not all(is_real(v) for v in self.nu):
-            raise ValueError(f"shape parameters must be finite real numbers, got {self.nu}")
         if any(v <= 0.0 for v in self.nu):
             raise ValueError(f"shape parameters must be positive, got {self.nu}")
 
@@ -93,6 +93,8 @@ def calibrate_box(
     coordinate: the smallest half-width whose box reaches the target
     coverage, the row maximum of rank ``box_rank(draws, alpha)``.
     """
+    if not is_int(draws):
+        raise ValueError(f"draws must be an integer, got {draws!r}")
     if draws < 1000:
         raise ValueError(f"need at least 1000 draws for calibration, got {draws}")
     if not 0.0 < alpha < 1.0:

@@ -1,7 +1,8 @@
-"""Exception types, and the exact-type checks of numbers, shared across the package."""
+"""Exception types, and the exact-type checks of numbers and sequences, shared across the package."""
 
 import math
 import numbers
+from collections.abc import Iterable
 
 
 class DegenerateDataError(ValueError):
@@ -30,3 +31,14 @@ def is_real(value) -> bool:
         return math.isfinite(value)
     except OverflowError:  # an int beyond the float range
         return False
+
+
+def checked_tuple(name: str, values, check, what: str) -> tuple:
+    """``values`` as a tuple, each passing ``check``; a scalar or a string raises a ValueError naming ``name``."""
+    if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
+        raise ValueError(f"{name} must be a sequence of {what}, got {values!r}")
+    values = tuple(values)
+    bad = [v for v in values if not check(v)]
+    if bad:
+        raise ValueError(f"{name} must hold {what} only, got {bad[0]!r}")
+    return values

@@ -304,31 +304,17 @@ def _resample_rows(groups, rng: np.random.Generator, outs) -> list[np.ndarray]:
     return [_take(g, rng.integers(0, g.size, size=out.shape), out) for g, out in zip(groups, outs)]
 
 
-def _degenerate_rows(samples) -> np.ndarray:
-    """Rows where some group's resample has zero variance (log undefined)."""
-    bad = np.zeros(samples[0].shape[0], dtype=bool)
-    for s in samples:
-        dev = s - s.mean(axis=1, keepdims=True)
-        bad |= (dev * dev).sum(axis=1) == 0.0
-    return bad
-
-
-def _redraw_degenerate(samples, bad: np.ndarray, groups, rng: np.random.Generator) -> None:
-    """Redraw the rows of one dataset's resamples flagged in ``bad``, in place, until none is degenerate."""
+def _redraw_degenerate(t: np.ndarray, groups, rng: np.random.Generator) -> None:
+    """Replace the non-finite rows of one dataset's bootstrap t rows, in place, by t rows of fresh resamples."""
+    bad = np.flatnonzero(~np.isfinite(t).all(axis=1))
     attempts = 0
-    while bad.any():
+    while bad.size:
         attempts += 1
         if attempts > _MAX_REDRAWS:
-            raise NumericError(
-                f"a bootstrap replicate stayed degenerate after {_MAX_REDRAWS} redraws"
-            )
-        count = int(bad.sum())
-        fresh = _resample_rows(groups, rng, [np.empty((count, g.size)) for g in groups])
-        for s, f in zip(samples, fresh):
-            s[bad] = f
-        bad_idx = np.flatnonzero(bad)
-        bad = np.zeros(len(bad), dtype=bool)
-        bad[bad_idx[_degenerate_rows(fresh)]] = True
+            raise NumericError(f"a bootstrap replicate stayed degenerate after {_MAX_REDRAWS} redraws")
+        fresh = _resample_rows(groups, rng, [np.empty((bad.size, g.size)) for g in groups])
+        t[bad] = log_variance_rows(fresh)[0].t
+        bad = bad[~np.isfinite(t[bad]).all(axis=1)]
 
 
 def _box_outcomes(groups, alpha: float, rngs, b: int, pivot_variant: bool) -> Outcomes:
@@ -340,18 +326,15 @@ def _box_outcomes(groups, alpha: float, rngs, b: int, pivot_variant: bool) -> Ou
         samples = [np.empty((len(rows) * b, g.shape[1])) for g in groups]
         for j, r in enumerate(rows):
             _resample_rows([g[r] for g in groups], rngs[r], [s[j * b:(j + 1) * b] for s in samples])
-        bad = _degenerate_rows(samples).reshape(len(rows), b)
+        t = log_variance_rows(samples)[0].t.reshape(len(rows), b, -1)
         for j, r in enumerate(rows):
-            if bad[j].any():
-                views = [s[j * b:(j + 1) * b] for s in samples]  # redraws write through into samples
-                try:
-                    _redraw_degenerate(views, bad[j], [g[r] for g in groups], rngs[r])
-                except NumericError as exc:
-                    errors[r] = exc
-        boot, _, _ = log_variance_rows(samples)
-        keep = [j for j, r in enumerate(rows) if r not in errors]  # a failed redraw leaves degenerate t rows
+            try:
+                _redraw_degenerate(t[j], [g[r] for g in groups], rngs[r])  # writes through into t
+            except NumericError as exc:
+                errors[r] = exc
+        keep = [j for j, r in enumerate(rows) if r not in errors]  # a failed redraw leaves non-finite t rows
         if keep:
-            t = boot.t.reshape(len(rows), b, -1)[keep]
+            t = t[keep]
             kept = [rows[j] for j in keep]
             centre = observed[kept, None, :] if pivot_variant else t.mean(axis=1, keepdims=True)
             c_star[kept] = search_critical(t - centre, alpha).c_star
@@ -367,7 +350,10 @@ def box_test(data: GroupedSample, alpha: float, cfg: BootstrapConfig) -> TestRes
     vector is recomputed on each resample, replicates are centered (column
     means by default, the observed t under ``cfg.pivot_variant``), and the
     smallest symmetric box covering 1 - alpha of the centered rows sets
-    the critical half-width.  Reject when any |t_i| exceeds it.
+    the critical half-width.  Reject when any |t_i| exceeds it.  A
+    resample whose t vector is not finite (a group with s^2 = 0 after
+    rounding, or a pooled fourth moment lost to underflow) is redrawn until
+    it is; after 100 redraws the test raises NumericError.
     """
     return batched(BOX, data.sizes, alpha, cfg.b, cfg.pivot_variant)(data.rows, [cfg.rng]).result()
 

@@ -10,14 +10,13 @@ configuration, independent of execution order or parallelism.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .distributions import Distribution, sample_standardized
-from .errors import DegenerateDataError, is_int, is_real
+from .errors import DegenerateDataError, checked_tuple, is_int, is_real
 from .homogeneity import ALL_METHODS, BOOTSTRAP_LEVENE, BOX, batched
 from .rng import derive_seed, stream
 
@@ -46,16 +45,6 @@ _CHUNK_ELEMENTS = 2**16
 TWO_GROUP_NULL_SIZES = ((5, 5), (10, 10), (15, 15), (5, 10), (7, 15), (10, 15))
 
 
-def _sequence(name: str, values, check, what: str) -> tuple:
-    if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
-        raise ValueError(f"{name} must be a sequence of {what}, got {values!r}")
-    values = tuple(values)
-    bad = [v for v in values if not check(v)]
-    if bad:
-        raise ValueError(f"{name} must hold {what} only, got {bad[0]!r}")
-    return values
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One simulation cell: a distribution / sizes / variances combination.
@@ -81,11 +70,11 @@ class ExperimentConfig:
         except ValueError:
             choices = [d.value for d in Distribution]
             raise ValueError(f"unknown distribution {self.distribution!r}; choose from {choices}") from None
-        sizes = _sequence("sizes", self.sizes, is_int, "integers")
+        sizes = checked_tuple("sizes", self.sizes, is_int, "integers")
         object.__setattr__(self, "sizes", tuple(int(s) for s in sizes))
-        variances = _sequence("variances", self.variances, is_real, "finite real numbers")
+        variances = checked_tuple("variances", self.variances, is_real, "finite real numbers")
         object.__setattr__(self, "variances", tuple(float(v) for v in variances))
-        tests = _sequence("tests", self.tests, lambda t: isinstance(t, str), "test names")
+        tests = checked_tuple("tests", self.tests, lambda t: isinstance(t, str), "test names")
         object.__setattr__(self, "tests", tests)
         for name in ("replications", "bootstrap_b", "master_seed"):
             value = getattr(self, name)

@@ -105,6 +105,15 @@ class TestTestCommand:
             assert f"error: {path}: group 'a' deviates from its mean" in captured.err
             assert "Traceback" not in captured.err
 
+    def test_resamples_with_undefined_t_are_redrawn(self, tmp_path, capsys):
+        # some box resamples of group a have s^2 = 0 after rounding (see test_homogeneity)
+        path = tmp_path / "tiny.csv"
+        path.write_text("group,value\na,0.0\na,2.7e-162\na,1e-71\nb,1.0\nb,2.0\nb,3.5\n")
+        assert main(["test", str(path), "--format", "json"]) == 0
+        captured = capsys.readouterr()
+        assert [r["method"] for r in json.loads(captured.out)] == ["levene", "shoemaker", "bootstrap_levene", "box"]
+        assert captured.err == ""
+
     def test_partial_degeneracy_reports_notes(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
         path.write_text("group,value\n" + "".join("a,5.0\n" for _ in range(5))
@@ -259,6 +268,25 @@ class TestCriticalCommand:
             halves.append(float(line.split(":")[1].split()[0]))
             ses.append(float(line.rsplit("(se", 1)[1].rstrip(")\n ")))
         assert abs(halves[0] - halves[1]) < 3.0 * float(np.hypot(*ses))
+
+
+@pytest.mark.parametrize(
+    "target, argv",
+    [
+        ("run_all", lambda csv: ["test", csv]),
+        ("calibrate_box", lambda csv: ["critical", "--sizes", "10,10", "--draws", "2000"]),
+    ],
+    ids=["test", "critical"],
+)
+def test_out_of_memory_exits_3(target, argv, data_csv, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.45 GiB")
+
+    monkeypatch.setattr(f"equivar.cli.{target}", exhausted)
+    assert main(argv(data_csv)) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory: Unable to allocate 7.45 GiB\n"
 
 
 @pytest.mark.parametrize(

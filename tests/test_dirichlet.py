@@ -37,15 +37,22 @@ class TestDirichletParams:
             (lambda: DirichletParams.from_group_sizes([5.7, 5]), "group sizes must be integers"),
             (lambda: DirichletParams.from_group_sizes([True, 5]), "group sizes must be integers"),
             (lambda: DirichletParams.from_group_sizes(["5", 5]), "group sizes must be integers"),
-            (lambda: DirichletParams((1.0, math.nan)), "shape parameters must be finite real numbers"),
-            (lambda: DirichletParams((1.0, math.inf)), "shape parameters must be finite real numbers"),
-            (lambda: DirichletParams((True, 1.0)), "shape parameters must be finite real numbers"),
+            (lambda: DirichletParams((1.0, math.nan)), "shape parameters must hold finite real numbers"),
+            (lambda: DirichletParams((1.0, math.inf)), "shape parameters must hold finite real numbers"),
+            (lambda: DirichletParams((True, 1.0)), "shape parameters must hold finite real numbers"),
+            (lambda: DirichletParams(3.0), "shape parameters must be a sequence of finite real numbers"),
+            (lambda: DirichletParams("12"), "shape parameters must be a sequence of finite real numbers"),
         ],
-        ids=["size 5.7", "size True", "size '5'", "shape nan", "shape inf", "shape True"],
+        ids=["size 5.7", "size True", "size '5'", "shape nan", "shape inf", "shape True", "scalar", "string"],
     )
     def test_malformed_input_rejected_at_construction(self, make, message):
         with pytest.raises(ValueError, match=message):
             make()
+
+    def test_shapes_stored_as_a_hashable_tuple(self):
+        from_list = DirichletParams([1.0, 2.0])
+        assert from_list.nu == (1.0, 2.0)
+        assert hash(from_list) == hash(DirichletParams((1.0, 2.0)))
 
     def test_numpy_integer_sizes_accepted(self):
         assert DirichletParams.from_group_sizes(np.array([10, 5])).nu == (4.5, 2.0)
@@ -90,6 +97,11 @@ class TestCalibrateBox:
     def test_minimum_draws(self):
         with pytest.raises(ValueError, match="1000"):
             calibrate_box(DirichletParams((1.0, 1.0)), 0.05, 999, stream(55))
+
+    @pytest.mark.parametrize("draws", [1500.5, 2000.0, True, "2000"])
+    def test_draws_must_be_an_integer(self, draws):
+        with pytest.raises(ValueError, match="draws must be an integer"):
+            calibrate_box(DirichletParams((1.0, 2.0)), 0.05, draws, stream(0))
 
     def test_symmetric_shapes_center_at_zero(self):
         box = calibrate_box(DirichletParams.from_group_sizes((10, 10)), 0.05, 100_000, stream(56))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -224,6 +225,21 @@ class TestBoxTest:
         again = box_test(data, 0.05, BootstrapConfig.from_seed(10, b=64))
         assert again.critical_value == res.critical_value
 
+    @pytest.mark.parametrize(
+        "groups, seed, pivot, expected",
+        [
+            ([[0.0, 1.0], [2.0, 5.0]], 10, False, 1.3322676295501878e-15),
+            ([[0.0, 1.0], [2.0, 5.0, 3.0], [1.0, 4.0]], 12, False, 0.8647160428791741),
+            ([[0.0, 1.0], [2.0, 5.0, 3.0], [1.0, 4.0]], 12, True, 1.2713665822609443),
+        ],
+        ids=["2,2", "2,3,2", "2,3,2 pivot"],
+    )
+    def test_redrawn_critical_values_are_pinned(self, groups, seed, pivot, expected):
+        # Most resamples of these groups have a zero-variance group, so these
+        # values depend on which fresh draws replace them.
+        cfg = BootstrapConfig.from_seed(seed, b=64, pivot_variant=pivot)
+        assert box_test(GroupedSample(groups), 0.05, cfg).critical_value == expected
+
     def test_redraw_cap_raises(self):
         data = GroupedSample([[0.0, 1.0], [2.0, 5.0]])
         cfg = BootstrapConfig(rng=_ConstantIndexRng(), b=8)
@@ -265,6 +281,26 @@ class TestRunAll:
         ]
         assert errors == {}
         assert [r.as_dict() for r in results] == [e.as_dict() for e in expected]
+
+    @pytest.mark.parametrize(
+        "groups",
+        [
+            # the resample [0, 0, 2.7e-162] has a sum of squares of one
+            # subnormal unit, and s^2 = ss / 2 rounds to 0
+            [[0.0, 2.7e-162, 1e-71], [1.0, 2.0, 3.5]],
+            # in a resample without 1e-71 the pooled fourth moment underflows
+            # to 0 and var(ln s^2) turns negative
+            [[0.0, 1e-100, 3e-100, 1e-71], [0.0, 2e-100, 5e-100, 1e-71]],
+        ],
+        ids=["s2 underflow", "mu4 underflow"],
+    )
+    def test_resamples_with_undefined_t_are_redrawn(self, groups):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            results, errors = run_all(GroupedSample(groups), 0.05, BootstrapConfig.from_seed(0, b=200))
+        assert errors == {}
+        assert [r.method for r in results] == list(ALL_METHODS)
+        assert np.isfinite(results[-1].critical_value)
 
     def test_deterministic_across_runs(self):
         data = _random_data(341)
