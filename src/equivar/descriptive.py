@@ -8,7 +8,8 @@ sample variances and the pooled fourth and second central moments of
 each row, and ``log_variance_rows`` the per-group var(ln s_i^2)
 estimates and the standardized log-variance contrasts built from them,
 which feed the kurtosis-adjusted log-variance test and the box-type
-bootstrap test.
+bootstrap test (``log_variance_t`` gives the contrasts' t ratios alone,
+for bootstrap resamples).
 """
 
 from __future__ import annotations
@@ -109,6 +110,28 @@ def moment_rows(groups) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return s2, ss4 / n, ss2 / n
 
 
+def _contrast_rows(groups, use_harmonic: bool):
+    """Moments, kurtosis ratios, sizes m, var(ln s_i^2) and contrasts of each row; see ``log_variance_rows``."""
+    s2, mu4, sigma2 = moment_rows(groups)
+    m = np.asarray([g.shape[1] for g in groups], dtype=float)
+    if use_harmonic:
+        m = np.full(len(m), len(m) / float((1.0 / m).sum()))
+    count = len(groups)
+    with np.errstate(divide="ignore", invalid="ignore"):  # undefined rows
+        kurt = mu4 / (sigma2 * sigma2)
+        var_log_s2 = (kurt[:, None] - (m - 3.0) / m) / (m - 1.0)
+        log_s2 = np.log(s2)
+        contrast = log_s2 - log_s2.mean(axis=1, keepdims=True)
+        se = np.sqrt((1.0 - 2.0 / count) * var_log_s2 + var_log_s2.sum(axis=1, keepdims=True) / count**2)
+        t = contrast / se
+    return s2, kurt, m, var_log_s2, LogVarianceContrasts(contrast, se, t)
+
+
+def log_variance_t(groups) -> np.ndarray:
+    """``log_variance_rows(groups)[0].t`` without the error mapping: an undefined row has a non-finite entry."""
+    return _contrast_rows(groups, False)[-1].t
+
+
 def log_variance_rows(groups, use_harmonic: bool = False):
     """Log-variance contrasts of datasets stacked row-wise, as in ``moment_rows``.
 
@@ -121,19 +144,8 @@ def log_variance_rows(groups, use_harmonic: bool = False):
     row on which the contrasts are undefined to the exception a
     one-dataset call raises.
     """
-    s2, mu4, sigma2 = moment_rows(groups)
-    m = np.asarray([g.shape[1] for g in groups], dtype=float)
-    if use_harmonic:
-        m = np.full(len(m), len(m) / float((1.0 / m).sum()))
-    count = len(groups)
-    with np.errstate(divide="ignore", invalid="ignore"):  # rows listed in errors
-        kurt = mu4 / (sigma2 * sigma2)
-        var_log_s2 = (kurt[:, None] - (m - 3.0) / m) / (m - 1.0)
-        log_s2 = np.log(s2)
-        contrast = log_s2 - log_s2.mean(axis=1, keepdims=True)
-        se = np.sqrt((1.0 - 2.0 / count) * var_log_s2 + var_log_s2.sum(axis=1, keepdims=True) / count**2)
-        t = contrast / se
-    # one dict entry per undefined row: most box resamples of two-point groups are undefined
+    s2, kurt, m, var_log_s2, contrasts = _contrast_rows(groups, use_harmonic)
+    # the first zero-variance group of each undefined row, without a per-row loop
     zero = s2 <= 0.0
     undefined = zero.any(axis=1)
     rows = np.flatnonzero(undefined)
@@ -148,7 +160,7 @@ def log_variance_rows(groups, use_harmonic: bool = False):
         errors[int(r)] = NumericError(
             f"nonpositive var(ln s^2) estimate: kurtosis ratio {float(kurt[r]):.6g}, sizes {m.tolist()}"
         )
-    return LogVarianceContrasts(contrast, se, t), var_log_s2, errors
+    return contrasts, var_log_s2, errors
 
 
 def log_variance_contrasts(data: GroupedSample) -> LogVarianceContrasts:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bootstrap import SMOOTH_FACTOR, search_critical
-from .descriptive import GroupedSample, log_variance_rows, moment_rows
+from .descriptive import GroupedSample, log_variance_rows, log_variance_t, moment_rows
 from .errors import DegenerateDataError, NumericError
 from .rng import stream
 from .special import chi2_quantile, f_quantile
@@ -313,7 +313,7 @@ def _redraw_degenerate(t: np.ndarray, groups, rng: np.random.Generator) -> None:
         if attempts > _MAX_REDRAWS:
             raise NumericError(f"a bootstrap replicate stayed degenerate after {_MAX_REDRAWS} redraws")
         fresh = _resample_rows(groups, rng, [np.empty((bad.size, g.size)) for g in groups])
-        t[bad] = log_variance_rows(fresh)[0].t
+        t[bad] = log_variance_t(fresh)
         bad = bad[~np.isfinite(t[bad]).all(axis=1)]
 
 
@@ -326,7 +326,7 @@ def _box_outcomes(groups, alpha: float, rngs, b: int, pivot_variant: bool) -> Ou
         samples = [np.empty((len(rows) * b, g.shape[1])) for g in groups]
         for j, r in enumerate(rows):
             _resample_rows([g[r] for g in groups], rngs[r], [s[j * b:(j + 1) * b] for s in samples])
-        t = log_variance_rows(samples)[0].t.reshape(len(rows), b, -1)
+        t = log_variance_t(samples).reshape(len(rows), b, -1)
         for j, r in enumerate(rows):
             try:
                 _redraw_degenerate(t[j], [g[r] for g in groups], rngs[r])  # writes through into t

@@ -18,7 +18,7 @@ import numpy as np
 from .distributions import Distribution, sample_standardized
 from .errors import DegenerateDataError, checked_tuple, is_int, is_real
 from .homogeneity import ALL_METHODS, BOOTSTRAP_LEVENE, BOX, batched
-from .rng import derive_seed, stream
+from .rng import derive_seed, mt19937_keys, rekey
 
 __all__ = [
     "ExperimentConfig",
@@ -39,8 +39,10 @@ _BOOTSTRAP_SLOTS = {BOOTSTRAP_LEVENE: 1, BOX: 2}
 # Cap on the values in one stacked resample array of a chunk of
 # replications, chunk width x B x n: 2**16 float64 values, 512 KiB.  Wider
 # chunks ran faster but raised peak memory; a chunk is at least one
-# replication.
+# replication.  Each replication's 624-word stream keys count against the
+# same cap, so a chunk is at most 2**16 // 624 = 105 replications wide.
 _CHUNK_ELEMENTS = 2**16
+_KEY_WORDS = 624
 
 TWO_GROUP_NULL_SIZES = ((5, 5), (10, 10), (15, 15), (5, 10), (7, 15), (10, 15))
 
@@ -100,6 +102,8 @@ class ExperimentConfig:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
         if self.replications < 1:
             raise ValueError("need at least one replication")
+        if self.replications > 2**32:  # a stream path word is 32 bits: r < 2**32
+            raise ValueError(f"replications must be at most 2**32, got {self.replications}")
         if self.bootstrap_b < 1:
             raise ValueError("need at least one bootstrap replicate")
         if self.master_seed < 0:
@@ -133,9 +137,15 @@ def run_cell(cfg: ExperimentConfig) -> CellEstimate:
     the order a one-dataset test call would.  The statistics are evaluated
     over chunks of consecutive replications: replication j of a chunk
     draws its groups into row j of one (width, n_i) array per group, so
-    that one row kernel call covers the chunk; the chunk width is chosen
-    so that a stacked resample array holds at most ``_CHUNK_ELEMENTS``
-    values.  Rows are evaluated independently, so the estimates are
+    that one row kernel call covers the chunk; the chunk width,
+    ``_CHUNK_ELEMENTS // max(B * sum(n), 624)`` and at least 1, bounds both
+    a stacked resample array and the chunk's 624-word stream keys per slot
+    by ``_CHUNK_ELEMENTS`` values.  Each chunk computes the keys of all its
+    (r, slot) paths in one ``mt19937_keys`` call and re-keys generators
+    built once per cell, one for the data and one per chunk row for each
+    bootstrap slot (a box resample is redrawn from its row's stream after
+    the whole chunk has been resampled), so the draws are those of
+    ``stream``.  Rows are evaluated independently, so the estimates are
     byte-identical to evaluating each replication on its own.  The F and
     chi-square critical values are computed once per cell.  Replications
     where a test raises a degeneracy or numeric error are counted
@@ -146,12 +156,17 @@ def run_cell(cfg: ExperimentConfig) -> CellEstimate:
     rejects = dict.fromkeys(cfg.tests, 0)
     errors = dict.fromkeys(cfg.tests, 0)
     scales = [math.sqrt(v) for v in cfg.variances]
-    width = max(1, _CHUNK_ELEMENTS // (cfg.bootstrap_b * sum(cfg.sizes)))
+    width = max(1, _CHUNK_ELEMENTS // max(cfg.bootstrap_b * sum(cfg.sizes), _KEY_WORDS))
+    slots = [_DATA_SLOT] + sorted({_BOOTSTRAP_SLOTS[t] for t in cfg.tests if t in _BOOTSTRAP_SLOTS})
+    data_rng = _generator()
+    row_rngs = {slot: [_generator() for _ in range(min(width, cfg.replications))] for slot in slots[1:]}
     for first in range(0, cfg.replications, width):
         reps = range(first, min(first + width, cfg.replications))
+        keys = mt19937_keys(cfg.master_seed, [(r, slot) for slot in slots for r in reps])
+        keys = dict(zip(slots, keys.reshape(len(slots), len(reps), _KEY_WORDS)))
         groups = [np.empty((len(reps), n)) for n in cfg.sizes]
-        for j, r in enumerate(reps):
-            data_rng = stream(cfg.master_seed, r, _DATA_SLOT)
+        for j, key in enumerate(keys[_DATA_SLOT]):
+            rekey(data_rng, key)
             for g, s, n in zip(groups, scales, cfg.sizes):
                 g[j] = s * sample_standardized(cfg.distribution, n, data_rng)
         finite = np.stack([np.isfinite(g).all(axis=1) for g in groups], axis=1)
@@ -160,7 +175,11 @@ def run_cell(cfg: ExperimentConfig) -> CellEstimate:
             raise DegenerateDataError(f"replication {reps[j]}: group {i} contains non-finite values")
         for t, test in tests.items():
             slot = _BOOTSTRAP_SLOTS.get(t)
-            rngs = None if slot is None else [stream(cfg.master_seed, r, slot) for r in reps]
+            rngs = None
+            if slot is not None:
+                rngs = row_rngs[slot][:len(reps)]
+                for rng, key in zip(rngs, keys[slot]):
+                    rekey(rng, key)
             outcomes = test(groups, rngs)
             rejects[t] += outcomes.rejections
             errors[t] += len(outcomes.errors)
@@ -176,6 +195,11 @@ def run_cell(cfg: ExperimentConfig) -> CellEstimate:
             rates[t] = p
             ses[t] = math.sqrt(p * (1.0 - p) / valid)
     return CellEstimate(cfg, rates, ses, errors)
+
+
+def _generator() -> np.random.Generator:
+    # an MT19937 generator to be re-keyed before each use
+    return np.random.Generator(np.random.MT19937(0))
 
 
 def run_grid(cells, threads: int = 1) -> list[CellEstimate]:

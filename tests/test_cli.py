@@ -191,6 +191,7 @@ class TestSimulateCommand:
             ({"tests": None}, "tests must be a sequence of test names"),
             ({"distribution": "cauchy"}, "unknown distribution 'cauchy'; choose from"),
             ({"variances": [1, 1e101]}, "variances must be positive, from 1e-100 to 1e100"),
+            ({"replications": 2**32 + 1}, "replications must be at most 2**32"),
         ],
     )
     def test_malformed_config_exits_2_naming_the_experiment(self, tmp_path, capsys, overrides, message):

@@ -5,6 +5,7 @@ import pytest
 
 import equivar.simulation
 from equivar import (
+    ALL_METHODS,
     BootstrapConfig,
     CellEstimate,
     DegenerateDataError,
@@ -81,6 +82,7 @@ class TestExperimentConfig:
             ({"tests": "levene"}, "tests must be a sequence of test names"),
             ({"variances": (1.0, 1e101)}, "from 1e-100 to 1e100"),
             ({"variances": (1e-101, 1.0)}, "from 1e-100 to 1e100"),
+            ({"replications": 2**32 + 1}, "replications must be at most"),
         ],
     )
     def test_field_types_are_exact(self, overrides, message):
@@ -166,12 +168,21 @@ def _reference_cell(cfg: ExperimentConfig) -> CellEstimate:
     return CellEstimate(cfg, rates, ses, errors)
 
 
+def _assert_matches_reference(cfg: ExperimentConfig) -> None:
+    est, ref = run_cell(cfg), _reference_cell(cfg)
+    np.testing.assert_equal(est.rates, ref.rates)
+    np.testing.assert_equal(est.standard_errors, ref.standard_errors)
+    assert est.error_counts == ref.error_counts
+
+
 class TestChunkedRunCell:
     """run_cell evaluates chunks of replications at once; the results must match one at a time.
 
-    Chunk widths follow from B and n (2**16 // (B * n)); the cells cover
-    replication counts that are not a multiple of the width, counts
-    below one chunk, and a width of 1.
+    Chunk widths follow from B and n (2**16 // max(B * n, 624)); the cells
+    cover replication counts that are not a multiple of the width, counts
+    below one chunk, a width of 1, the width set by the 624-word stream
+    keys, master seeds of several words, and subsets of the tests, which
+    key a subset of the bootstrap slots.
     """
 
     @pytest.mark.parametrize(
@@ -187,12 +198,21 @@ class TestChunkedRunCell:
         ],
     )
     def test_matches_replication_by_replication_reference(self, dist, sizes, variances, alpha, reps, b):
-        cfg = ExperimentConfig(dist, sizes, variances, alpha=alpha, replications=reps,
-                               bootstrap_b=b, master_seed=sum(sizes) * reps)
-        est, ref = run_cell(cfg), _reference_cell(cfg)
-        np.testing.assert_equal(est.rates, ref.rates)
-        np.testing.assert_equal(est.standard_errors, ref.standard_errors)
-        assert est.error_counts == ref.error_counts
+        _assert_matches_reference(ExperimentConfig(dist, sizes, variances, alpha=alpha, replications=reps,
+                                                   bootstrap_b=b, master_seed=sum(sizes) * reps))
+
+    @pytest.mark.parametrize(
+        "dist, sizes, reps, b, seed, tests",
+        [
+            ("normal", (3, 3), 230, 20, 230, ALL_METHODS),          # width 105, set by the key words; 3 chunks
+            ("laplace", (4, 6), 40, 30, 2**64 + 5, ALL_METHODS),    # a three-word master seed
+            ("exponential", (2, 3), 60, 40, 2**130, ("box",)),       # box only, with redraws
+            ("uniform", (5, 8), 50, 30, 18, ("bootstrap_levene", "levene")),
+        ],
+    )
+    def test_keyed_streams_match_reference(self, dist, sizes, reps, b, seed, tests):
+        _assert_matches_reference(ExperimentConfig(dist, sizes, (1.0, 2.0), replications=reps, bootstrap_b=b,
+                                                   master_seed=seed, tests=tests))
 
     def test_two_point_groups_reach_the_degenerate_levene_path(self):
         # |x - median| is the same for both points of a two-point group, up to rounding
