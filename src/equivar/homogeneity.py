@@ -304,17 +304,28 @@ def _resample_rows(groups, rng: np.random.Generator, outs) -> list[np.ndarray]:
     return [_take(g, rng.integers(0, g.size, size=out.shape), out) for g, out in zip(groups, outs)]
 
 
-def _redraw_degenerate(t: np.ndarray, groups, rng: np.random.Generator) -> None:
-    """Replace the non-finite rows of one dataset's bootstrap t rows, in place, by t rows of fresh resamples."""
-    bad = np.flatnonzero(~np.isfinite(t).all(axis=1))
-    attempts = 0
-    while bad.size:
-        attempts += 1
-        if attempts > _MAX_REDRAWS:
-            raise NumericError(f"a bootstrap replicate stayed degenerate after {_MAX_REDRAWS} redraws")
-        fresh = _resample_rows(groups, rng, [np.empty((bad.size, g.size)) for g in groups])
-        t[bad] = log_variance_t(fresh)
-        bad = bad[~np.isfinite(t[bad]).all(axis=1)]
+def _redraw_degenerate(t: np.ndarray, groups, rngs) -> np.ndarray:
+    """Replace the non-finite rows of bootstrap t rows, in place, by t rows of fresh resamples.
+
+    ``t`` is (R, b, k), dataset j's resamples of ``[g[j] for g in groups]``
+    drawn from ``rngs[j]``.  Each round draws fresh resamples for every
+    row still non-finite, each dataset from its own generator in row
+    order, and evaluates them in one ``log_variance_t`` call.  Returns the
+    datasets that still have such a row after ``_MAX_REDRAWS`` rounds.
+    """
+    b = t.shape[1]
+    flat = t.reshape(-1, t.shape[2])  # a view: writes go through into t
+    bad = np.flatnonzero(~np.isfinite(flat).all(axis=1))
+    for _ in range(_MAX_REDRAWS):
+        if not bad.size:
+            break
+        fresh = [np.empty((bad.size, g.shape[1])) for g in groups]
+        owners, starts, counts = np.unique(bad // b, return_index=True, return_counts=True)
+        for j, lo, count in zip(owners, starts, counts):
+            _resample_rows([g[j] for g in groups], rngs[j], [f[lo:lo + count] for f in fresh])
+        flat[bad] = t_fresh = log_variance_t(fresh)
+        bad = bad[~np.isfinite(t_fresh).all(axis=1)]
+    return np.unique(bad // b)
 
 
 def _box_outcomes(groups, alpha: float, rngs, b: int, pivot_variant: bool) -> Outcomes:
@@ -323,15 +334,13 @@ def _box_outcomes(groups, alpha: float, rngs, b: int, pivot_variant: bool) -> Ou
     rows = [r for r in range(len(observed)) if r not in errors]
     c_star = np.full(len(observed), np.nan)
     if rows:
+        groups, rngs = [g[rows] for g in groups], [rngs[r] for r in rows]
         samples = [np.empty((len(rows) * b, g.shape[1])) for g in groups]
-        for j, r in enumerate(rows):
-            _resample_rows([g[r] for g in groups], rngs[r], [s[j * b:(j + 1) * b] for s in samples])
+        for j, rng in enumerate(rngs):
+            _resample_rows([g[j] for g in groups], rng, [s[j * b:(j + 1) * b] for s in samples])
         t = log_variance_t(samples).reshape(len(rows), b, -1)
-        for j, r in enumerate(rows):
-            try:
-                _redraw_degenerate(t[j], [g[r] for g in groups], rngs[r])  # writes through into t
-            except NumericError as exc:
-                errors[r] = exc
+        for j in _redraw_degenerate(t, groups, rngs):
+            errors[rows[j]] = NumericError(f"a bootstrap replicate stayed degenerate after {_MAX_REDRAWS} redraws")
         keep = [j for j, r in enumerate(rows) if r not in errors]  # a failed redraw leaves non-finite t rows
         if keep:
             t = t[keep]

@@ -10,7 +10,7 @@ configuration, independent of execution order or parallelism.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -142,29 +142,51 @@ def run_cell(cfg: ExperimentConfig) -> CellEstimate:
     a stacked resample array and the chunk's 624-word stream keys per slot
     by ``_CHUNK_ELEMENTS`` values.  Each chunk computes the keys of all its
     (r, slot) paths in one ``mt19937_keys`` call and re-keys generators
-    built once per cell, one for the data and one per chunk row for each
-    bootstrap slot (a box resample is redrawn from its row's stream after
-    the whole chunk has been resampled), so the draws are those of
-    ``stream``.  Rows are evaluated independently, so the estimates are
-    byte-identical to evaluating each replication on its own.  The F and
-    chi-square critical values are computed once per cell.  Replications
-    where a test raises a degeneracy or numeric error are counted
-    separately and excluded from that test's denominator; a non-finite
-    draw raises ``DegenerateDataError`` naming the replication and group.
+    built once per range of chunks, one for the data and one per chunk row
+    for each bootstrap slot (a box resample is redrawn from its row's
+    stream after the whole chunk has been resampled), so the draws are
+    those of ``stream``.  Rows are evaluated independently, so the
+    estimates are byte-identical to evaluating each replication on its
+    own.  The estimate is computed from integer rejection and error counts
+    summed over ranges of whole chunks, here the one range of all the
+    replications; ``run_grid`` sums several ranges run on threads, with
+    the same result.  The F and chi-square critical values are computed
+    once per cell.  Replications where a test raises a degeneracy or
+    numeric error are counted separately and excluded from that test's
+    denominator; a non-finite draw raises ``DegenerateDataError`` naming
+    the replication and group.
     """
-    tests = {t: batched(t, cfg.sizes, cfg.alpha, cfg.bootstrap_b) for t in cfg.tests}
+    return _estimate(cfg, [_tally(cfg, _tests(cfg), range(cfg.replications))])
+
+
+def _tests(cfg: ExperimentConfig) -> dict:
+    # stateless, so one set serves every range of the cell
+    return {t: batched(t, cfg.sizes, cfg.alpha, cfg.bootstrap_b) for t in cfg.tests}
+
+
+def _chunk_width(cfg: ExperimentConfig) -> int:
+    return max(1, _CHUNK_ELEMENTS // max(cfg.bootstrap_b * sum(cfg.sizes), _KEY_WORDS))
+
+
+def _tally(cfg: ExperimentConfig, tests: dict, reps: range) -> tuple[dict[str, int], dict[str, int]]:
+    """Rejections and errors per test over replications ``reps``, chunk by chunk.
+
+    ``reps`` starts at a chunk boundary, so each chunk is the one the
+    whole cell would evaluate.  The generators are built here, so
+    concurrent calls share none.
+    """
     rejects = dict.fromkeys(cfg.tests, 0)
     errors = dict.fromkeys(cfg.tests, 0)
     scales = [math.sqrt(v) for v in cfg.variances]
-    width = max(1, _CHUNK_ELEMENTS // max(cfg.bootstrap_b * sum(cfg.sizes), _KEY_WORDS))
+    width = _chunk_width(cfg)
     slots = [_DATA_SLOT] + sorted({_BOOTSTRAP_SLOTS[t] for t in cfg.tests if t in _BOOTSTRAP_SLOTS})
     data_rng = _generator()
-    row_rngs = {slot: [_generator() for _ in range(min(width, cfg.replications))] for slot in slots[1:]}
-    for first in range(0, cfg.replications, width):
-        reps = range(first, min(first + width, cfg.replications))
-        keys = mt19937_keys(cfg.master_seed, [(r, slot) for slot in slots for r in reps])
-        keys = dict(zip(slots, keys.reshape(len(slots), len(reps), _KEY_WORDS)))
-        groups = [np.empty((len(reps), n)) for n in cfg.sizes]
+    row_rngs = {slot: [_generator() for _ in range(min(width, len(reps)))] for slot in slots[1:]}
+    for first in range(reps.start, reps.stop, width):
+        chunk = range(first, min(first + width, reps.stop))
+        keys = mt19937_keys(cfg.master_seed, [(r, slot) for slot in slots for r in chunk])
+        keys = dict(zip(slots, keys.reshape(len(slots), len(chunk), _KEY_WORDS)))
+        groups = [np.empty((len(chunk), n)) for n in cfg.sizes]
         for j, key in enumerate(keys[_DATA_SLOT]):
             rekey(data_rng, key)
             for g, s, n in zip(groups, scales, cfg.sizes):
@@ -172,26 +194,32 @@ def run_cell(cfg: ExperimentConfig) -> CellEstimate:
         finite = np.stack([np.isfinite(g).all(axis=1) for g in groups], axis=1)
         if not finite.all():
             j, i = np.argwhere(~finite)[0]
-            raise DegenerateDataError(f"replication {reps[j]}: group {i} contains non-finite values")
+            raise DegenerateDataError(f"replication {chunk[j]}: group {i} contains non-finite values")
         for t, test in tests.items():
             slot = _BOOTSTRAP_SLOTS.get(t)
             rngs = None
             if slot is not None:
-                rngs = row_rngs[slot][:len(reps)]
+                rngs = row_rngs[slot][:len(chunk)]
                 for rng, key in zip(rngs, keys[slot]):
                     rekey(rng, key)
             outcomes = test(groups, rngs)
             rejects[t] += outcomes.rejections
             errors[t] += len(outcomes.errors)
+    return rejects, errors
+
+
+def _estimate(cfg: ExperimentConfig, tallies) -> CellEstimate:
+    """The cell's rates and standard errors from the (rejects, errors) tallies of ranges covering it."""
     rates: dict[str, float] = {}
     ses: dict[str, float] = {}
+    errors = {t: sum(e[t] for _, e in tallies) for t in cfg.tests}
     for t in cfg.tests:
         valid = cfg.replications - errors[t]
         if valid == 0:
             rates[t] = math.nan
             ses[t] = math.nan
         else:
-            p = rejects[t] / valid
+            p = sum(r[t] for r, _ in tallies) / valid
             rates[t] = p
             ses[t] = math.sqrt(p * (1.0 - p) / valid)
     return CellEstimate(cfg, rates, ses, errors)
@@ -202,18 +230,39 @@ def _generator() -> np.random.Generator:
     return np.random.Generator(np.random.MT19937(0))
 
 
+def _threaded_cell(cfg: ExperimentConfig, threads: int) -> CellEstimate:
+    """``run_cell(cfg)`` with contiguous ranges of whole chunks tallied on up to ``threads`` threads."""
+    width = _chunk_width(cfg)
+    chunks = -(-cfg.replications // width)
+    parts = min(threads, chunks)
+    if parts == 1:
+        return run_cell(cfg)
+    bounds = [min(width * (chunks * i // parts), cfg.replications) for i in range(parts + 1)]
+    tests = _tests(cfg)
+    with ThreadPoolExecutor(max_workers=parts) as pool:
+        # consumed in range order, so a failing draw raises for its lowest replication, as serially
+        tallies = list(pool.map(lambda reps: _tally(cfg, tests, reps), map(range, bounds, bounds[1:])))
+    return _estimate(cfg, tallies)
+
+
 def run_grid(cells, threads: int = 1) -> list[CellEstimate]:
     """Run independent cells, preserving input order.
 
-    With ``threads`` > 1 the cells are distributed over worker processes;
-    because every cell is a pure function of its configuration, results
-    are identical for any thread count.
+    With ``threads`` > 1, a grid of several cells is distributed over up
+    to ``threads`` worker processes, one cell at a time per process; a
+    grid of one cell is split into at most ``threads`` contiguous ranges
+    of whole chunks, whose rejection and error counts are tallied on
+    threads and summed.  Every cell is a pure function of its
+    configuration and the counts are integers, so results are identical
+    for any thread count.
     """
     cells = list(cells)
     if not cells:
         raise ValueError("empty grid")
-    if threads <= 1 or len(cells) == 1:
+    if threads <= 1:
         return [run_cell(c) for c in cells]
+    if len(cells) == 1:
+        return [_threaded_cell(cells[0], threads)]
     with ProcessPoolExecutor(max_workers=min(threads, len(cells))) as pool:
         return list(pool.map(run_cell, cells))
 

@@ -147,18 +147,25 @@ class TestSimulateCommand:
         assert lines[1].startswith("normal,5;5,1.0;1.0,levene,")
 
     def test_deterministic_across_threads(self, tmp_path):
-        cfgs = [
-            {"distribution": "normal", "sizes": [5, 5], "variances": [1.0, 1.0],
-             "replications": 25, "bootstrap_b": 15, "seed": 4},
-            {"distribution": "uniform", "sizes": [5, 10], "variances": [1.0, 4.0],
-             "replications": 25, "bootstrap_b": 15, "seed": 5},
+        grids = [
+            [  # two cells: one per worker process
+                {"distribution": "normal", "sizes": [5, 5], "variances": [1.0, 1.0],
+                 "replications": 25, "bootstrap_b": 15, "seed": 4},
+                {"distribution": "uniform", "sizes": [5, 10], "variances": [1.0, 4.0],
+                 "replications": 25, "bootstrap_b": 15, "seed": 5},
+            ],
+            [  # one cell of five chunks of width 6: chunk ranges on threads
+                {"distribution": "laplace", "sizes": [10, 10], "variances": [1.0, 3.0],
+                 "replications": 25, "bootstrap_b": 500, "seed": 6},
+            ],
         ]
-        path = tmp_path / "grid.json"
-        path.write_text(json.dumps(cfgs))
-        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main(["simulate", str(path), "--out", str(out1), "--threads", "1"]) == 0
-        assert main(["simulate", str(path), "--out", str(out2), "--threads", "2"]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
+        for i, cfgs in enumerate(grids):
+            path = tmp_path / f"grid{i}.json"
+            path.write_text(json.dumps(cfgs))
+            out1, out2 = tmp_path / f"{i}a.csv", tmp_path / f"{i}b.csv"
+            assert main(["simulate", str(path), "--out", str(out1), "--threads", "1"]) == 0
+            assert main(["simulate", str(path), "--out", str(out2), "--threads", "2"]) == 0
+            assert out1.read_bytes() == out2.read_bytes()
 
     def test_unknown_distribution_exits_2(self, tmp_path, capsys):
         assert main(["simulate", self._config(tmp_path, distribution="cauchy")]) == 2

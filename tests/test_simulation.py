@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -221,19 +222,45 @@ class TestChunkedRunCell:
         assert math.isnan(est.rates["levene"]) and math.isnan(est.rates["bootstrap_levene"])
 
     def test_non_finite_draw_escapes(self, monkeypatch):
+        # five chunks of two replications; at threads=2 the ranges are replications 0-3 and 4-9
+        cfg = _cfg(replications=10, bootstrap_b=2000)
         real = equivar.simulation.sample_standardized
-        calls = []
+        # the first group of replications 3 and 7, keyed by value: the threads interleave the calls
+        poison = [real(cfg.distribution, 8, stream(cfg.master_seed, r, 0)) for r in (3, 7)]
 
         def poisoned(kind, n, rng):
-            calls.append(n)
             x = real(kind, n, rng)
-            if len(calls) == 7:  # replication 3, first group
+            if any(np.array_equal(x, p) for p in poison):
                 x[0] = np.nan
             return x
 
         monkeypatch.setattr(equivar.simulation, "sample_standardized", poisoned)
         with pytest.raises(DegenerateDataError, match="replication 3: group 0 contains non-finite"):
-            run_cell(_cfg(replications=10))
+            run_cell(cfg)
+        with pytest.raises(DegenerateDataError, match="replication 3: group 0 contains non-finite"):
+            run_grid([cfg], threads=2)
+        poison.pop(0)
+        with pytest.raises(DegenerateDataError, match="replication 7: group 0 contains non-finite"):
+            run_grid([cfg], threads=2)
+
+
+def _recording_pool(widths: list):
+    """An executor class that records each pool's max_workers in ``widths`` and maps in the caller."""
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            widths.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    return RecordingPool
 
 
 class TestRunGrid:
@@ -255,25 +282,37 @@ class TestRunGrid:
 
     def test_pool_no_wider_than_the_grid(self, monkeypatch):
         widths = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                widths.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(equivar.simulation, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(equivar.simulation, "ProcessPoolExecutor", _recording_pool(widths))
         cells = [_cfg(master_seed=s, tests=("levene",), replications=5) for s in (1, 2, 3)]
         assert [e.rates for e in run_grid(cells[:2], threads=16)] == [run_cell(c).rates for c in cells[:2]]
         run_grid(cells, threads=2)
         assert widths == [2, 2]
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            _cfg(sizes=(3, 3), variances=(1.0, 2.0), replications=230, bootstrap_b=20, master_seed=230),
+            _cfg(sizes=(2, 2), replications=70, bootstrap_b=500, master_seed=3, tests=("box",)),
+            _cfg(sizes=(2, 2), replications=250, bootstrap_b=50, master_seed=4),
+            _cfg(distribution="laplace", sizes=(40,) * 4, variances=(1.0, 2.0, 3.0, 4.0), replications=5,
+                 bootstrap_b=500, master_seed=5),
+        ],
+        ids=["three_chunks_uneven", "box_redraws", "degenerate_levene", "laplace_4x40"],
+    )
+    def test_single_cell_on_threads_matches_run_cell(self, cfg, threads):
+        # widths 105, 32, 105 and 1: three chunks in the first three cells, five in the last
+        assert pickle.dumps(run_grid([cfg], threads=threads)) == pickle.dumps([run_cell(cfg)])
+
+    def test_threads_no_more_than_the_chunks(self, monkeypatch):
+        widths = []
+        monkeypatch.setattr(equivar.simulation, "ThreadPoolExecutor", _recording_pool(widths))
+        one_chunk = _cfg(replications=105, bootstrap_b=30)
+        three_chunks = _cfg(replications=211, bootstrap_b=30, tests=("levene",))
+        assert pickle.dumps(run_grid([one_chunk], threads=16)) == pickle.dumps([run_cell(one_chunk)])
+        assert widths == []
+        assert pickle.dumps(run_grid([three_chunks], threads=16)) == pickle.dumps([run_cell(three_chunks)])
+        assert widths == [3]
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="empty"):
