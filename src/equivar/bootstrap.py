@@ -10,6 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .descriptive import column_reduce
+from .errors import is_real
+
 __all__ = [
     "SMOOTH_FACTOR",
     "CriticalSearch",
@@ -60,13 +63,15 @@ def search_critical(centered, alpha: float) -> CriticalSearch:
     rows = np.asarray(centered, dtype=float)
     if rows.ndim not in (2, 3) or rows.size == 0:
         raise ValueError("need a nonempty B x groups matrix, or a stack of them, of centered statistics")
+    if not is_real(alpha):
+        raise ValueError(f"alpha must be a finite real number, got {alpha!r}")
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     if not np.all(np.isfinite(rows)):
         raise ValueError("centered statistics contain non-finite values")
     b = rows.shape[-2]
     magnitude = np.abs(rows)
-    row_max = np.sort(magnitude.max(axis=-1), axis=-1)
+    row_max = np.sort(column_reduce(np.maximum, magnitude), axis=-1)
     if alpha >= 1.0:
         c_star = magnitude.min(axis=(-2, -1))
     else:

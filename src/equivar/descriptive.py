@@ -29,6 +29,10 @@ __all__ = [
     "log_variance_rows",
 ]
 
+# numpy sums a row of fewer than this many values left to right from 0.0,
+# and longer rows pairwise (numpy/_core/src/umath/loops_utils.h.src)
+_PAIRWISE_FROM = 8
+
 # Bounds on the largest |x - mean| of a group.  Fourth powers of the
 # deviations then stay within 1e-288..1e288, far inside the normal float
 # range, so pooled moments neither overflow nor lose digits to underflow.
@@ -87,6 +91,32 @@ class LogVarianceContrasts:
     t: np.ndarray          # standardized contrasts, contrast / se
 
 
+def row_sum(x: np.ndarray) -> np.ndarray:
+    """``x.sum(axis=1)`` of an (R, n) array, bit for bit, in whole-column adds when rows are short.
+
+    numpy reduces a short row on its own, one call per row, which dominates
+    the cost on rows of a few values.  Below 8 values its order is a left
+    to right sum from 0.0 (not from the first value: an all -0.0 row sums
+    to +0.0), which adding the columns in turn into a zero vector repeats;
+    longer rows are summed pairwise, and left to numpy.
+    """
+    if x.shape[1] >= _PAIRWISE_FROM:
+        return x.sum(axis=1)
+    total = np.zeros(x.shape[0])
+    for j in range(x.shape[1]):
+        total += x[:, j]
+    return total
+
+
+def column_reduce(ufunc: np.ufunc, x: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(x, axis=-1)`` for ``np.maximum`` or ``np.logical_and``, by whole columns of the last axis.
+
+    Both are exact in any order, and one reduction over the columns spares
+    numpy's row-by-row reduction of short rows.
+    """
+    return ufunc.reduce([x[..., j] for j in range(x.shape[-1])])
+
+
 def moment_rows(groups) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sample variances and pooled central moments of datasets stacked row-wise.
 
@@ -95,18 +125,19 @@ def moment_rows(groups) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     (R, groups), with divisor n_i - 1, and the fourth and second central
     moments about the group means, mu4 and sigma2, shape (R,), pooled over
     groups with divisor n.  Every sum runs along a row in the same order
-    whatever R is, so a row's values do not depend on the other rows.
+    whatever R is (``row_sum``), so a row's values do not depend on the
+    other rows.
     """
     n = sum(g.shape[1] for g in groups)
     s2 = np.empty((groups[0].shape[0], len(groups)))
     ss2 = ss4 = 0.0
     for i, g in enumerate(groups):
-        dev = g - g.mean(axis=1, keepdims=True)
+        dev = g - (row_sum(g) / g.shape[1])[:, None]
         d2 = dev * dev
-        within = d2.sum(axis=1)
+        within = row_sum(d2)
         s2[:, i] = within / (g.shape[1] - 1)
         ss2 = ss2 + within
-        ss4 = ss4 + (d2 * d2).sum(axis=1)
+        ss4 = ss4 + row_sum(d2 * d2)
     return s2, ss4 / n, ss2 / n
 
 
@@ -121,8 +152,8 @@ def _contrast_rows(groups, use_harmonic: bool):
         kurt = mu4 / (sigma2 * sigma2)
         var_log_s2 = (kurt[:, None] - (m - 3.0) / m) / (m - 1.0)
         log_s2 = np.log(s2)
-        contrast = log_s2 - log_s2.mean(axis=1, keepdims=True)
-        se = np.sqrt((1.0 - 2.0 / count) * var_log_s2 + var_log_s2.sum(axis=1, keepdims=True) / count**2)
+        contrast = log_s2 - (row_sum(log_s2) / count)[:, None]
+        se = np.sqrt((1.0 - 2.0 / count) * var_log_s2 + row_sum(var_log_s2)[:, None] / count**2)
         t = contrast / se
     return s2, kurt, m, var_log_s2, LogVarianceContrasts(contrast, se, t)
 

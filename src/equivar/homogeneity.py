@@ -35,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bootstrap import SMOOTH_FACTOR, search_critical
-from .descriptive import GroupedSample, log_variance_rows, log_variance_t, moment_rows
-from .errors import DegenerateDataError, NumericError
+from .descriptive import GroupedSample, column_reduce, log_variance_rows, log_variance_t, moment_rows, row_sum
+from .errors import DegenerateDataError, NumericError, is_int, is_real
 from .rng import stream
 from .special import chi2_quantile, f_quantile
 
@@ -181,12 +181,12 @@ def _levene_stat_rows(blocks) -> tuple[np.ndarray, np.ndarray]:
     k, df2 = _levene_df([bl.shape[1] for bl in blocks])
     n = df2 + k + 1
     e = [np.abs(bl - _row_medians(bl)) for bl in blocks]
-    sums = [x.sum(axis=1) for x in e]
+    sums = [row_sum(x) for x in e]
     means = np.stack([total / x.shape[1] for total, x in zip(sums, e)], axis=1)
     grand = sum(sums) / n
     sizes = np.array([x.shape[1] for x in e], dtype=float)
-    ssb = (sizes * (means - grand[:, None]) ** 2).sum(axis=1)
-    ssw = sum(((x - m[:, None]) ** 2).sum(axis=1) for x, m in zip(e, means.T))
+    ssb = row_sum(sizes * (means - grand[:, None]) ** 2)
+    ssw = sum(row_sum((x - m[:, None]) ** 2) for x, m in zip(e, means.T))
     out = np.zeros_like(ssb)
     ok = ssw > _EPS * n * grand * grand
     out[ok] = (ssb[ok] / k) / (ssw[ok] / df2)
@@ -220,7 +220,7 @@ def levene(data: GroupedSample, alpha: float = 0.05) -> TestResult:
 
 def _shoemaker_outcomes(groups, alpha: float, critical: float) -> Outcomes:
     contrasts, var_log_s2, errors = log_variance_rows(groups, use_harmonic=True)
-    stat = (contrasts.contrast**2 / var_log_s2).sum(axis=1)
+    stat = row_sum(contrasts.contrast**2 / var_log_s2)
     return Outcomes(
         SHOEMAKER, alpha, stat, _decide(alpha, stat > critical), errors,
         critical_value=np.full(len(stat), critical), df=(len(groups) - 1,),
@@ -315,7 +315,7 @@ def _redraw_degenerate(t: np.ndarray, groups, rngs) -> np.ndarray:
     """
     b = t.shape[1]
     flat = t.reshape(-1, t.shape[2])  # a view: writes go through into t
-    bad = np.flatnonzero(~np.isfinite(flat).all(axis=1))
+    bad = np.flatnonzero(~column_reduce(np.logical_and, np.isfinite(flat)))
     for _ in range(_MAX_REDRAWS):
         if not bad.size:
             break
@@ -324,7 +324,7 @@ def _redraw_degenerate(t: np.ndarray, groups, rngs) -> np.ndarray:
         for j, lo, count in zip(owners, starts, counts):
             _resample_rows([g[j] for g in groups], rngs[j], [f[lo:lo + count] for f in fresh])
         flat[bad] = t_fresh = log_variance_t(fresh)
-        bad = bad[~np.isfinite(t_fresh).all(axis=1)]
+        bad = bad[~column_reduce(np.logical_and, np.isfinite(t_fresh))]
     return np.unique(bad // b)
 
 
@@ -377,6 +377,8 @@ def batched(method: str, sizes, alpha: float, b: int = 500, pivot_variant: bool 
     drawing from ``rngs[r]``; the other tests ignore ``rngs``.
     ``pivot_variant`` is the box-test option of ``BootstrapConfig``.
     """
+    if not is_real(alpha):
+        raise ValueError(f"alpha must be a finite real number, got {alpha!r}")
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     if method == LEVENE:
@@ -385,8 +387,10 @@ def batched(method: str, sizes, alpha: float, b: int = 500, pivot_variant: bool 
     if method == SHOEMAKER:
         crit = 0.0 if alpha >= 1.0 else chi2_quantile(1.0 - alpha, len(sizes) - 1)
         return lambda groups, rngs: _shoemaker_outcomes(groups, alpha, crit)
+    if not is_int(b):
+        raise ValueError(f"bootstrap replicate count b must be an integer, got {b!r}")
     if b < 1:
-        raise ValueError(f"bootstrap replicate count must be >= 1, got {b}")
+        raise ValueError(f"bootstrap replicate count b must be >= 1, got {b}")
     if method == BOOTSTRAP_LEVENE:
         return lambda groups, rngs: _bootstrap_levene_outcomes(groups, alpha, rngs, b)
     if method == BOX:

@@ -248,18 +248,20 @@ def _threaded_cell(cfg: ExperimentConfig, threads: int) -> CellEstimate:
 def run_grid(cells, threads: int = 1) -> list[CellEstimate]:
     """Run independent cells, preserving input order.
 
-    With ``threads`` > 1, a grid of several cells is distributed over up
-    to ``threads`` worker processes, one cell at a time per process; a
-    grid of one cell is split into at most ``threads`` contiguous ranges
-    of whole chunks, whose rejection and error counts are tallied on
-    threads and summed.  Every cell is a pure function of its
-    configuration and the counts are integers, so results are identical
-    for any thread count.
+    ``threads`` is an integer >= 1.  With ``threads`` > 1, a grid of
+    several cells is distributed over up to ``threads`` worker processes,
+    one cell at a time per process; a grid of one cell is split into at
+    most ``threads`` contiguous ranges of whole chunks, whose rejection
+    and error counts are tallied on threads and summed.  Every cell is a
+    pure function of its configuration and the counts are integers, so
+    results are identical for any thread count.
     """
+    if not is_int(threads) or threads < 1:
+        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
     cells = list(cells)
     if not cells:
         raise ValueError("empty grid")
-    if threads <= 1:
+    if threads == 1:
         return [run_cell(c) for c in cells]
     if len(cells) == 1:
         return [_threaded_cell(cells[0], threads)]

@@ -216,6 +216,21 @@ class TestSearchCritical:
         with pytest.raises(ValueError):
             search_critical(np.empty((0, 2)), 0.1)
 
+    @pytest.mark.parametrize(
+        "alpha, message",
+        [
+            (True, "alpha must be a finite real number, got True"),
+            ("0.1", "alpha must be a finite real number"),
+            (np.nan, "alpha must be a finite real number"),
+            (np.inf, "alpha must be a finite real number"),
+            (0.0, r"alpha must lie in \(0, 1\]"),
+            (1.01, r"alpha must lie in \(0, 1\]"),
+        ],
+    )
+    def test_bad_alpha_rejected(self, alpha, message):
+        with pytest.raises(ValueError, match=message):
+            search_critical(np.ones((5, 2)), alpha)
+
 
 def test_box_rank_is_the_first_count_reaching_the_level():
     # (19444, 0.27052...) is a case where ceil(B * (1 - alpha)) is one too high

@@ -9,7 +9,7 @@ from equivar import (
     log_variance_contrasts,
     stream,
 )
-from equivar.descriptive import log_variance_rows, moment_rows
+from equivar.descriptive import column_reduce, log_variance_rows, moment_rows, row_sum
 from equivar.homogeneity import _row_medians
 
 # A fixed two-group dataset reused by the oracle comparisons here and in the
@@ -222,3 +222,53 @@ class TestInvariances:
         np.testing.assert_allclose(
             log_variance_contrasts(shifted).t, log_variance_contrasts(data).t, rtol=1e-9
         )
+
+
+def _awkward_rows(n, r):
+    """r rows of n values: first rows that test the order's edge cases, then values spread over many scales."""
+    alternating = np.where(np.arange(n) % 2, 0.0, -0.0)
+    special = [
+        np.full(n, -0.0),                       # +0.0 from a zero start, -0.0 from the first value
+        alternating,                            # +-0.0
+        np.full(n, 5e-324) * (-1.0) ** np.arange(n),  # subnormals
+        np.full(n, 1.5e308),                    # overflows past the first pair
+        np.where(np.arange(n) == n // 2, np.nan, 1.0),
+        alternating - 5e-324,
+    ]
+    rng = stream(n, r)
+    x = rng.standard_normal((r, n)) * 10.0 ** rng.integers(-20, 21, (r, n))
+    for i, row in enumerate(special[:r]):
+        x[i] = row
+    return x
+
+
+def _layouts(x):
+    """x as a contiguous array and as a strided column block of a wider array."""
+    draws = np.full((x.shape[0], x.shape[1] + 7), np.nan)
+    draws[:, 3:3 + x.shape[1]] = x
+    return [x, draws[:, 3:3 + x.shape[1]]]
+
+
+def _same_bits(ours, theirs):
+    return np.array_equal(ours, theirs, equal_nan=True) and np.array_equal(np.signbit(ours), np.signbit(theirs))
+
+
+class TestRowReductions:
+    """The short-row helpers give numpy's row reductions bit for bit, signs of zeros included."""
+
+    @pytest.mark.parametrize("r", [1, 2, 13, 6500])
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_row_sum_is_numpys_row_sum(self, n, r):
+        for x in _layouts(_awkward_rows(n, r)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert _same_bits(row_sum(x), x.sum(axis=1))
+                assert _same_bits(row_sum(x) / n, x.mean(axis=1))
+
+    @pytest.mark.parametrize("r", [1, 2, 13, 6500])
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_column_reductions_are_numpys(self, n, r):
+        for x in _layouts(_awkward_rows(n, r)):
+            assert _same_bits(column_reduce(np.maximum, x), x.max(axis=-1))
+            assert _same_bits(column_reduce(np.maximum, x[None]), x[None].max(axis=-1))  # an (R, B, k) stack
+            finite = np.isfinite(x)
+            assert np.array_equal(column_reduce(np.logical_and, finite), finite.all(axis=1))

@@ -367,3 +367,31 @@ class TestBatched:
                 assert (ours is None) == (theirs is None)
                 if ours is not None:
                     np.testing.assert_array_equal(theirs[0], ours[r])
+
+    @pytest.mark.parametrize(
+        "methods, alpha, b, message",
+        [
+            (ALL_METHODS, True, 40, "alpha must be a finite real number, got True"),
+            (ALL_METHODS, "0.05", 40, "alpha must be a finite real number"),
+            (ALL_METHODS, math.nan, 40, "alpha must be a finite real number"),
+            (ALL_METHODS, 0.0, 40, r"alpha must lie in \(0, 1\]"),
+            (ALL_METHODS, 1.5, 40, r"alpha must lie in \(0, 1\]"),
+            (("bootstrap_levene", "box"), 0.1, 2.5, "b must be an integer, got 2.5"),
+            (("bootstrap_levene", "box"), 0.1, True, "b must be an integer, got True"),
+            (("bootstrap_levene", "box"), 0.1, "5", "b must be an integer, got '5'"),
+            (("bootstrap_levene", "box"), 0.1, 0, "b must be >= 1"),
+        ],
+        ids=["alpha_true", "alpha_str", "alpha_nan", "alpha_zero", "alpha_above_1", "b_float", "b_true", "b_str", "b_zero"],
+    )
+    def test_bad_arguments_rejected(self, methods, alpha, b, message):
+        for method in methods:
+            with pytest.raises(ValueError, match=message):
+                batched(method, self.SIZES, alpha, b)
+
+    def test_one_dataset_calls_reject_a_boolean_alpha(self):
+        data = self._datasets()[0]
+        cfg = BootstrapConfig.from_seed(3, b=20)
+        for call in (lambda: levene(data, True), lambda: run_all(data, True, cfg), lambda: box_test(data, True, cfg)):
+            with pytest.raises(ValueError, match="alpha must be a finite real number"):
+                call()
+

@@ -1,6 +1,9 @@
+import ctypes
+
 import numpy as np
 import pytest
 
+import equivar.rng
 from equivar import derive_seed, stream
 from equivar.rng import mt19937_keys, rekey
 
@@ -85,3 +88,55 @@ class TestMT19937Keys:
         rng.standard_normal(1001)
         rekey(rng, key)
         np.testing.assert_array_equal(rng.random(10), GOLDEN_7_3)
+
+
+class TestRekey:
+    """``rekey`` writes the key into the bit generator's memory; the result is the state numpy's seeding leaves."""
+
+    def test_state_reads_back_as_the_key_at_pos_623(self):
+        key = mt19937_keys(11, [(4, 2)])[0]
+        rng = _rekeyed(key)
+        rng.random(3)
+        rekey(rng, key)
+        state = rng.bit_generator.state
+        assert state["bit_generator"] == "MT19937"
+        assert list(state["state"]) == ["key", "pos"]
+        np.testing.assert_array_equal(state["state"]["key"], key)
+        assert state["state"]["pos"] == 623
+
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda g: g.integers(0, 13, size=(20, 5)),
+            lambda g: g.uniform(-0.5, 0.5, 30),
+            lambda g: g.standard_normal(40),
+            lambda g: g.laplace(0.0, 2.0, 25),
+            lambda g: g.standard_gamma(np.array([0.5, 2.0, 7.5]), size=(9, 3)),
+        ],
+        ids=["integers", "uniform", "standard_normal", "laplace", "standard_gamma"],
+    )
+    def test_draws_equal_stream_after_earlier_draws(self, draw):
+        keys = mt19937_keys(13, [(r, 1) for r in range(3)])
+        rng = np.random.Generator(np.random.MT19937(0))
+        for r, key in enumerate(keys):
+            draw(rng)  # a used generator, left mid-key
+            rekey(rng, key)
+            ref = stream(13, r, 1)
+            for _ in range(2):
+                np.testing.assert_array_equal(draw(rng), draw(ref))
+
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.Philox])
+    def test_other_bit_generators_refused_untouched(self, bit_generator):
+        rng = np.random.Generator(bit_generator(5))
+        with pytest.raises(TypeError, match="MT19937"):
+            rekey(rng, mt19937_keys(1, [(0,)])[0])
+        np.testing.assert_array_equal(rng.random(10), np.random.Generator(bit_generator(5)).random(10))
+
+    def test_a_layout_that_does_not_read_back_raises(self, monkeypatch):
+        class PosFirst(ctypes.Structure):  # the same size, the fields swapped
+            _fields_ = [("pos", ctypes.c_int), ("key", ctypes.c_uint32 * 624)]
+
+        monkeypatch.setattr(equivar.rng, "_MT19937State", PosFirst)
+        monkeypatch.setattr(equivar.rng, "_layout_checked", False)
+        with pytest.raises(RuntimeError, match="layout"):
+            rekey(np.random.Generator(np.random.MT19937(0)), mt19937_keys(1, [(0,)])[0])

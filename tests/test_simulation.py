@@ -318,6 +318,17 @@ class TestRunGrid:
         with pytest.raises(ValueError, match="empty"):
             run_grid([])
 
+    @pytest.mark.parametrize("threads", [0, -1, True, 2.5, "2", None])
+    def test_bad_threads_rejected_before_any_pool(self, monkeypatch, threads):
+        widths = []
+        monkeypatch.setattr(equivar.simulation, "ProcessPoolExecutor", _recording_pool(widths))
+        monkeypatch.setattr(equivar.simulation, "ThreadPoolExecutor", _recording_pool(widths))
+        cells = [_cfg(master_seed=s, tests=("levene",), replications=5) for s in (1, 2)]
+        for grid in (cells, cells[:1]):
+            with pytest.raises(ValueError, match="threads must be an integer >= 1"):
+                run_grid(grid, threads=threads)
+        assert widths == []
+
 
 class TestAveragedPower:
     def test_average_is_exact_mean_of_cells(self):
