@@ -174,10 +174,23 @@ def _pivot_markdown(estimates: list[CellEstimate]) -> str:
     return "\n".join(out) + "\n"
 
 
+def _check_pivot(configs: list[ExperimentConfig]) -> None:
+    """Refuse a grid whose pivot would put two experiments in one table cell."""
+    first: dict[tuple, int] = {}
+    for j, c in enumerate(configs):
+        i = first.setdefault((c.distribution, c.sizes, c.variances), j)
+        if i != j:
+            raise ValueError(
+                f"experiments {i} and {j} share distribution, sizes and variances; --pivot would show one of them"
+            )
+
+
 def _cmd_simulate(args) -> int:
     configs = _load_configs(args.config)
     if args.threads < 1:
         raise ValueError(f"--threads must be >= 1, got {args.threads}")
+    if args.pivot:
+        _check_pivot(configs)
     estimates = run_grid(configs, threads=args.threads)
     text = _grid_csv(estimates)
     if args.out:

@@ -19,9 +19,10 @@ levels in (0, 1).
 Every test is written once, for a batch of datasets with equal group
 sizes (``batched``): a batch is a list whose entry i is the (R, n_i)
 array of group i over the R datasets, the statistics come from row
-kernels over it, and a bootstrap test draws each dataset's resamples
-from that dataset's own generator before one kernel evaluates all of
-them.  The functions above pass their dataset as the batch of one
+kernels over it, and a bootstrap test resamples it in windows of
+``resample_width`` datasets, drawing each dataset's resamples from that
+dataset's own generator before one kernel evaluates the window.  The
+functions above pass their dataset as the batch of one
 (``GroupedSample.rows``); the Monte Carlo harness draws chunks of
 replications straight into batches.  Rows are evaluated
 independently, in the same arithmetic order whatever the batch, so
@@ -31,6 +32,7 @@ results do not depend on how datasets are batched.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -65,6 +67,11 @@ ALL_METHODS = (LEVENE, SHOEMAKER, BOOTSTRAP_LEVENE, BOX)
 
 _MAX_REDRAWS = 100
 _EPS = np.finfo(float).eps
+
+# Cap on the values in one stacked resample array, datasets x b x n: 2**16
+# float64 values, 512 KiB.  Wider batches ran faster but raised peak
+# memory; a batch is at least one dataset.
+_RESAMPLE_ELEMENTS = 2**16
 
 
 @dataclass
@@ -264,6 +271,18 @@ def _pooled_resamples(pool: np.ndarray, q: float, sizes, rng, out: np.ndarray) -
         start += ni
 
 
+def resample_width(sizes, b: int) -> int:
+    """Datasets per resample batch: as many as keep b resamples of each within ``_RESAMPLE_ELEMENTS`` values."""
+    return max(1, _RESAMPLE_ELEMENTS // (b * sum(sizes)))
+
+
+def _resample_batches(count: int, errors, sizes, b: int) -> list[list[int]]:
+    """The rows of ``range(count)`` not in ``errors``, split at multiples of ``resample_width(sizes, b)``."""
+    width = resample_width(sizes, b)
+    rows = (r for r in range(count) if r not in errors)
+    return [list(batch) for _, batch in groupby(rows, key=lambda r: r // width)]
+
+
 def _bootstrap_levene_outcomes(groups, alpha: float, rngs, b: int) -> Outcomes:
     stat, errors = _observed_levene(groups)
     pools = np.concatenate([g - _row_medians(g) for g in groups], axis=1)
@@ -271,13 +290,12 @@ def _bootstrap_levene_outcomes(groups, alpha: float, rngs, b: int) -> Outcomes:
         errors.setdefault(int(r), DegenerateDataError("residual pool is identically zero"))
     q = _jitter_scale(groups)
     sizes = tuple(g.shape[1] for g in groups)
-    rows = [r for r in range(len(stat)) if r not in errors]
+    bounds = np.cumsum((0,) + sizes)
     p = np.full(len(stat), np.nan)
-    if rows:
+    for rows in _resample_batches(len(stat), errors, sizes, b):
         draws = np.empty((len(rows) * b, pools.shape[1]))
         for j, r in enumerate(rows):
             _pooled_resamples(pools[r], q[r], sizes, rngs[r], draws[j * b:(j + 1) * b])
-        bounds = np.cumsum((0,) + sizes)
         boot, _ = _levene_stat_rows([draws[:, lo:hi] for lo, hi in zip(bounds, bounds[1:])])
         p[rows] = (boot.reshape(len(rows), b) > stat[rows, None]).sum(axis=1) / b
     return Outcomes(
@@ -331,15 +349,14 @@ def _redraw_degenerate(t: np.ndarray, groups, rngs) -> np.ndarray:
 def _box_outcomes(groups, alpha: float, rngs, b: int, pivot_variant: bool) -> Outcomes:
     contrasts, _, errors = log_variance_rows(groups)
     observed = contrasts.t
-    rows = [r for r in range(len(observed)) if r not in errors]
     c_star = np.full(len(observed), np.nan)
-    if rows:
-        groups, rngs = [g[rows] for g in groups], [rngs[r] for r in rows]
-        samples = [np.empty((len(rows) * b, g.shape[1])) for g in groups]
-        for j, rng in enumerate(rngs):
-            _resample_rows([g[j] for g in groups], rng, [s[j * b:(j + 1) * b] for s in samples])
+    for rows in _resample_batches(len(observed), errors, [g.shape[1] for g in groups], b):
+        batch, streams = [g[rows] for g in groups], [rngs[r] for r in rows]
+        samples = [np.empty((len(rows) * b, g.shape[1])) for g in batch]
+        for j, rng in enumerate(streams):
+            _resample_rows([g[j] for g in batch], rng, [s[j * b:(j + 1) * b] for s in samples])
         t = log_variance_t(samples).reshape(len(rows), b, -1)
-        for j in _redraw_degenerate(t, groups, rngs):
+        for j in _redraw_degenerate(t, batch, streams):
             errors[rows[j]] = NumericError(f"a bootstrap replicate stayed degenerate after {_MAX_REDRAWS} redraws")
         keep = [j for j, r in enumerate(rows) if r not in errors]  # a failed redraw leaves non-finite t rows
         if keep:
@@ -376,6 +393,14 @@ def batched(method: str, sizes, alpha: float, b: int = 500, pivot_variant: bool 
     once.  The bootstrap tests take ``b`` resamples per dataset, dataset r
     drawing from ``rngs[r]``; the other tests ignore ``rngs``.
     ``pivot_variant`` is the box-test option of ``BootstrapConfig``.
+
+    A bootstrap test computes its observed statistics over all R rows,
+    then resamples the rows that have one in batches: the rows r with
+    equal ``r // resample_width(sizes, b)``.  It fetches ``rngs[r]`` once,
+    just before that batch's draws, and in increasing r, so ``rngs`` may
+    be any sequence whose item r is row r's generator when fetched; the
+    rows of one batch may not share a generator object, as the box
+    redraws from all of them after the batch's first draws.
     """
     if not is_real(alpha):
         raise ValueError(f"alpha must be a finite real number, got {alpha!r}")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .distributions import Distribution, sample_standardized
 from .errors import DegenerateDataError, checked_tuple, is_int, is_real
-from .homogeneity import ALL_METHODS, BOOTSTRAP_LEVENE, BOX, batched
+from .homogeneity import ALL_METHODS, BOOTSTRAP_LEVENE, BOX, batched, resample_width
 from .rng import derive_seed, mt19937_keys, rekey
 
 __all__ = [
@@ -36,13 +36,12 @@ __all__ = [
 _DATA_SLOT = 0
 _BOOTSTRAP_SLOTS = {BOOTSTRAP_LEVENE: 1, BOX: 2}
 
-# Cap on the values in one stacked resample array of a chunk of
-# replications, chunk width x B x n: 2**16 float64 values, 512 KiB.  Wider
-# chunks ran faster but raised peak memory; a chunk is at least one
-# replication.  Each replication's 624-word stream keys count against the
-# same cap, so a chunk is at most 2**16 // 624 = 105 replications wide.
-_CHUNK_ELEMENTS = 2**16
+# A chunk of replications is drawn and keyed at once: its 624-word
+# stream keys, per slot, stay within 2**16 values, so a chunk is at most
+# 2**16 // 624 = 105 replications wide.  The bootstrap tests resample it
+# in batches of ``resample_width`` datasets.
 _KEY_WORDS = 624
+_CHUNK_ROWS = 2**16 // _KEY_WORDS
 
 TWO_GROUP_NULL_SIZES = ((5, 5), (10, 10), (15, 15), (5, 10), (7, 15), (10, 15))
 
@@ -53,8 +52,8 @@ class ExperimentConfig:
 
     Construction validates every field: sizes, replications, bootstrap_b
     and master_seed must be integers, alpha and the variances finite real
-    numbers (booleans are neither), and tests a sequence of test names;
-    the variances lie in [1e-100, 1e100].
+    numbers (booleans are neither), and tests a sequence of distinct test
+    names; the variances lie in [1e-100, 1e100].
     """
 
     distribution: Distribution
@@ -111,6 +110,9 @@ class ExperimentConfig:
         unknown = [t for t in self.tests if t not in ALL_METHODS]
         if unknown:
             raise ValueError(f"unknown tests: {unknown}; choose from {list(ALL_METHODS)}")
+        repeated = list(dict.fromkeys(t for t in self.tests if self.tests.count(t) > 1))
+        if repeated:
+            raise ValueError(f"duplicate tests: {', '.join(repeated)}")
         if not self.tests:
             raise ValueError("select at least one test")
 
@@ -137,24 +139,28 @@ def run_cell(cfg: ExperimentConfig) -> CellEstimate:
     the order a one-dataset test call would.  The statistics are evaluated
     over chunks of consecutive replications: replication j of a chunk
     draws its groups into row j of one (width, n_i) array per group, so
-    that one row kernel call covers the chunk; the chunk width,
-    ``_CHUNK_ELEMENTS // max(B * sum(n), 624)`` and at least 1, bounds both
-    a stacked resample array and the chunk's 624-word stream keys per slot
-    by ``_CHUNK_ELEMENTS`` values.  Each chunk computes the keys of all its
-    (r, slot) paths in one ``mt19937_keys`` call and re-keys generators
-    built once per range of chunks, one for the data and one per chunk row
-    for each bootstrap slot (a box resample is redrawn from its row's
-    stream after the whole chunk has been resampled), so the draws are
-    those of ``stream``.  Rows are evaluated independently, so the
-    estimates are byte-identical to evaluating each replication on its
-    own.  The estimate is computed from integer rejection and error counts
-    summed over ranges of whole chunks, here the one range of all the
-    replications; ``run_grid`` sums several ranges run on threads, with
-    the same result.  The F and chi-square critical values are computed
-    once per cell.  Replications where a test raises a degeneracy or
-    numeric error are counted separately and excluded from that test's
-    denominator; a non-finite draw raises ``DegenerateDataError`` naming
-    the replication and group.
+    that one call of each test covers the chunk.  A chunk holds at most
+    105 replications, so that its 624-word stream keys per slot stay
+    within 2**16 values, and a whole number of resample batches; each
+    bootstrap test resamples the chunk in batches of
+    ``resample_width(sizes, B)`` replications, which bounds a stacked
+    resample array by 2**16 values.  Each chunk computes the keys of all
+    its (r, slot) paths in one ``mt19937_keys`` call and re-keys
+    generators built once per range of replications: one for the data and
+    one resample batch of them per bootstrap slot, each re-keyed to a
+    row's key as the test fetches that row's stream (a box resample is
+    redrawn from its row's stream after its whole batch has been
+    resampled), so the draws are those of ``stream``.  Rows are evaluated
+    independently, so the estimates are byte-identical to evaluating each
+    replication on its own.  The estimate is computed from integer
+    rejection and error counts summed over ranges of replications, here
+    the one range of all of them; ``run_grid`` sums several ranges of
+    whole resample batches run on threads, with the same result.  The F
+    and chi-square critical values are computed once per cell.
+    Replications where a test raises a degeneracy or numeric error are
+    counted separately and excluded from that test's denominator; a
+    non-finite draw raises ``DegenerateDataError`` naming the replication
+    and group.
     """
     return _estimate(cfg, [_tally(cfg, _tests(cfg), range(cfg.replications))])
 
@@ -165,15 +171,35 @@ def _tests(cfg: ExperimentConfig) -> dict:
 
 
 def _chunk_width(cfg: ExperimentConfig) -> int:
-    return max(1, _CHUNK_ELEMENTS // max(cfg.bootstrap_b * sum(cfg.sizes), _KEY_WORDS))
+    # a whole number of resample batches, so that no chunk ends in a short one
+    batch = min(resample_width(cfg.sizes, cfg.bootstrap_b), _CHUNK_ROWS)
+    return _CHUNK_ROWS // batch * batch
+
+
+class _Rekeyed:
+    """Row r's stream, on fetching item r: generator ``r % len(pool)`` of ``pool``, re-keyed to ``keys[r]``."""
+
+    __slots__ = ("pool", "keys")
+
+    def __init__(self, pool: list, keys: np.ndarray):
+        self.pool, self.keys = pool, keys
+
+    def __getitem__(self, r: int) -> np.random.Generator:
+        rng = self.pool[r % len(self.pool)]
+        rekey(rng, self.keys[r])
+        return rng
 
 
 def _tally(cfg: ExperimentConfig, tests: dict, reps: range) -> tuple[dict[str, int], dict[str, int]]:
     """Rejections and errors per test over replications ``reps``, chunk by chunk.
 
-    ``reps`` starts at a chunk boundary, so each chunk is the one the
-    whole cell would evaluate.  The generators are built here, so
-    concurrent calls share none.
+    Each chunk is drawn, keyed and checked at once, and each test is
+    called once on it.  A bootstrap test is handed a ``_Rekeyed`` view of
+    one resample batch of pooled generators per slot: it fetches a row's
+    stream once, just before that row's batch draws, and the rows of one
+    batch, a window of ``resample_width`` rows, map to distinct
+    generators.  The generators are built here, so concurrent calls share
+    none.
     """
     rejects = dict.fromkeys(cfg.tests, 0)
     errors = dict.fromkeys(cfg.tests, 0)
@@ -181,7 +207,8 @@ def _tally(cfg: ExperimentConfig, tests: dict, reps: range) -> tuple[dict[str, i
     width = _chunk_width(cfg)
     slots = [_DATA_SLOT] + sorted({_BOOTSTRAP_SLOTS[t] for t in cfg.tests if t in _BOOTSTRAP_SLOTS})
     data_rng = _generator()
-    row_rngs = {slot: [_generator() for _ in range(min(width, len(reps)))] for slot in slots[1:]}
+    pooled = min(resample_width(cfg.sizes, cfg.bootstrap_b), width, len(reps))
+    pools = {slot: [_generator() for _ in range(pooled)] for slot in slots[1:]}
     for first in range(reps.start, reps.stop, width):
         chunk = range(first, min(first + width, reps.stop))
         keys = mt19937_keys(cfg.master_seed, [(r, slot) for slot in slots for r in chunk])
@@ -197,12 +224,7 @@ def _tally(cfg: ExperimentConfig, tests: dict, reps: range) -> tuple[dict[str, i
             raise DegenerateDataError(f"replication {chunk[j]}: group {i} contains non-finite values")
         for t, test in tests.items():
             slot = _BOOTSTRAP_SLOTS.get(t)
-            rngs = None
-            if slot is not None:
-                rngs = row_rngs[slot][:len(chunk)]
-                for rng, key in zip(rngs, keys[slot]):
-                    rekey(rng, key)
-            outcomes = test(groups, rngs)
+            outcomes = test(groups, None if slot is None else _Rekeyed(pools[slot], keys[slot]))
             rejects[t] += outcomes.rejections
             errors[t] += len(outcomes.errors)
     return rejects, errors
@@ -231,13 +253,13 @@ def _generator() -> np.random.Generator:
 
 
 def _threaded_cell(cfg: ExperimentConfig, threads: int) -> CellEstimate:
-    """``run_cell(cfg)`` with contiguous ranges of whole chunks tallied on up to ``threads`` threads."""
-    width = _chunk_width(cfg)
-    chunks = -(-cfg.replications // width)
-    parts = min(threads, chunks)
+    """``run_cell(cfg)`` with contiguous ranges of whole resample batches tallied on up to ``threads`` threads."""
+    width = resample_width(cfg.sizes, cfg.bootstrap_b)
+    batches = -(-cfg.replications // width)
+    parts = min(threads, batches)
     if parts == 1:
         return run_cell(cfg)
-    bounds = [min(width * (chunks * i // parts), cfg.replications) for i in range(parts + 1)]
+    bounds = [min(width * (batches * i // parts), cfg.replications) for i in range(parts + 1)]
     tests = _tests(cfg)
     with ThreadPoolExecutor(max_workers=parts) as pool:
         # consumed in range order, so a failing draw raises for its lowest replication, as serially
@@ -251,10 +273,11 @@ def run_grid(cells, threads: int = 1) -> list[CellEstimate]:
     ``threads`` is an integer >= 1.  With ``threads`` > 1, a grid of
     several cells is distributed over up to ``threads`` worker processes,
     one cell at a time per process; a grid of one cell is split into at
-    most ``threads`` contiguous ranges of whole chunks, whose rejection
-    and error counts are tallied on threads and summed.  Every cell is a
-    pure function of its configuration and the counts are integers, so
-    results are identical for any thread count.
+    most ``threads`` contiguous ranges of whole resample batches (one
+    thread per batch at most), whose rejection and error counts are
+    tallied on threads and summed.  Every cell is a pure function of its
+    configuration and the counts are integers, so results are identical
+    for any thread count.
     """
     if not is_int(threads) or threads < 1:
         raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
@@ -312,8 +335,9 @@ def robustness(cells, alpha: float = 0.05) -> RobustnessReport:
     """Summarize null cells by the per-test maximum estimated size.
 
     A test is flagged robust when its maximum size over all cells stays
-    below 2 * alpha.  Raises if any cell has unequal variances or if some
-    test has no usable estimates.
+    below 2 * alpha.  Raises if any cell has unequal variances or was run
+    at a level other than ``alpha``, or if some test has no usable
+    estimates.
     """
     cells = list(cells)
     if not cells:
@@ -321,6 +345,8 @@ def robustness(cells, alpha: float = 0.05) -> RobustnessReport:
     for c in cells:
         if not c.config.is_null:
             raise ValueError(f"cell with variances {c.config.variances} is not a null configuration")
+        if c.config.alpha != alpha:
+            raise ValueError(f"cell run at alpha={c.config.alpha} cannot be judged at alpha={alpha}")
     tests: list[str] = []
     for c in cells:
         for t in c.config.tests:

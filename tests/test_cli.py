@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import equivar.cli
 from equivar import BootstrapConfig, ExperimentConfig, GroupedSample, run_all
 from equivar.cli import _config_from_json, main
 
@@ -181,6 +182,19 @@ class TestSimulateCommand:
         assert "| test | normal |" in out
         assert "| levene |" in out
 
+    def test_pivot_refuses_cells_it_would_merge(self, tmp_path, capsys, monkeypatch):
+        # the pivot keys a table cell by distribution, sizes and variances; alpha is not shown
+        cell = {"distribution": "normal", "sizes": [5, 5], "variances": [1.0, 1.0],
+                "replications": 3, "bootstrap_b": 10, "seed": 1}
+        other = {**cell, "distribution": "uniform"}
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps([cell, other, {**cell, "alpha": 0.5}]))
+        monkeypatch.setattr(equivar.cli, "run_grid", lambda *a, **k: pytest.fail("the grid ran"))
+        assert main(["simulate", str(path), "--pivot"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "experiments 0 and 2 share distribution, sizes and variances; --pivot would show one of them" in captured.err
+
     @pytest.mark.parametrize(
         "overrides, message",
         [
@@ -199,6 +213,7 @@ class TestSimulateCommand:
             ({"distribution": "cauchy"}, "unknown distribution 'cauchy'; choose from"),
             ({"variances": [1, 1e101]}, "variances must be positive, from 1e-100 to 1e100"),
             ({"replications": 2**32 + 1}, "replications must be at most 2**32"),
+            ({"tests": ["box", "box"]}, "duplicate tests: box"),
         ],
     )
     def test_malformed_config_exits_2_naming_the_experiment(self, tmp_path, capsys, overrides, message):

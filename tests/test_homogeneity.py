@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import equivar.homogeneity
 from equivar import (
     ALL_METHODS,
     BootstrapConfig,
@@ -20,7 +21,7 @@ from equivar import (
     stream,
 )
 from equivar.descriptive import log_variance_rows
-from equivar.homogeneity import _jitter_scale, _row_medians, batched
+from equivar.homogeneity import BOOTSTRAP_LEVENE, BOX, _jitter_scale, _row_medians, batched
 
 FIXED_A = [0.1, -0.3, 0.5, 1.2, -0.9]
 FIXED_B = [0.4, 0.0, -0.2, 0.8, -1.1]
@@ -352,8 +353,36 @@ class TestBatched:
         stacked = [np.stack(column) for column in zip(*(d.groups for d in datasets))]
         batch = test(stacked, [stream(361, r) for r in range(len(datasets))])
         assert batch.errors  # the degenerate rows reach every method
+        self._assert_rows_match(test, datasets, batch)
+
+    @pytest.mark.parametrize("method", [BOOTSTRAP_LEVENE, BOX])
+    def test_resample_batches_with_gaps(self, method, monkeypatch):
+        # resample batches of 3 datasets, b * n = 400 values each; the box skips rows 1 and 4
+        monkeypatch.setattr(equivar.homogeneity, "_RESAMPLE_ELEMENTS", 3 * 400 + 399)
+        rng = stream(362)
+        datasets = [[rng.normal(size=n) for n in self.SIZES] for _ in range(12)]
+        for r in (1, 4):
+            datasets[r][0] = np.full(self.SIZES[0], 2.5)
+        datasets = [GroupedSample(g) for g in datasets]
+        test = batched(method, self.SIZES, 0.1, b=40)
+        stacked = [np.stack(column) for column in zip(*(d.groups for d in datasets))]
+        fetched = []
+
+        class Streams:
+            def __getitem__(self, r):
+                fetched.append(r)
+                return stream(363, r)
+
+        batch = test(stacked, Streams())
+        skipped = [1, 4] if method == BOX else []
+        assert list(batch.errors) == skipped
+        assert fetched == [r for r in range(12) if r not in skipped]  # each row once, in order
+        self._assert_rows_match(test, datasets, batch, seed=363)
+
+    @staticmethod
+    def _assert_rows_match(test, datasets, batch, seed=361):
         for r, data in enumerate(datasets):
-            one = test(data.rows, [stream(361, r)])
+            one = test(data.rows, [stream(seed, r)])
             if r in batch.errors:
                 assert list(one.errors) == [0]
                 assert type(one.errors[0]) is type(batch.errors[r])

@@ -4,6 +4,7 @@ import pickle
 import numpy as np
 import pytest
 
+import equivar.homogeneity
 import equivar.simulation
 from equivar import (
     ALL_METHODS,
@@ -84,6 +85,7 @@ class TestExperimentConfig:
             ({"variances": (1.0, 1e101)}, "from 1e-100 to 1e100"),
             ({"variances": (1e-101, 1.0)}, "from 1e-100 to 1e100"),
             ({"replications": 2**32 + 1}, "replications must be at most"),
+            ({"tests": ("box", "levene", "box")}, "duplicate tests: box"),
         ],
     )
     def test_field_types_are_exact(self, overrides, message):
@@ -244,6 +246,52 @@ class TestChunkedRunCell:
             run_grid([cfg], threads=2)
 
 
+class TestResampleBatches:
+    """A chunk is tested at once and resampled in batches; neither width may change a result."""
+
+    CELLS = [
+        _cfg(sizes=(2, 2), replications=70, bootstrap_b=500, master_seed=3, tests=("box",)),
+        _cfg(distribution="laplace", sizes=(40,) * 4, variances=(1.0, 2.0, 3.0, 4.0), replications=5,
+             bootstrap_b=500, master_seed=5),
+        _cfg(sizes=(3, 3), variances=(1.0, 2.0), replications=230, bootstrap_b=20, master_seed=230),
+    ]
+    IDS = ["box_redraws", "laplace_4x40", "three_chunks"]
+
+    @pytest.mark.parametrize("cfg", CELLS, ids=IDS)
+    def test_results_do_not_depend_on_the_resample_cap(self, cfg, monkeypatch):
+        expected = pickle.dumps(run_cell(cfg))
+        for cap in (1, 2**10):
+            monkeypatch.setattr(equivar.homogeneity, "_RESAMPLE_ELEMENTS", cap)
+            assert pickle.dumps(run_cell(cfg)) == expected
+
+    @pytest.mark.parametrize("cfg", CELLS, ids=IDS)
+    def test_one_resample_batch_of_generators_per_slot(self, cfg, monkeypatch):
+        sim = equivar.simulation
+        built = []
+        real = sim._generator
+        monkeypatch.setattr(sim, "_generator", lambda: built.append(1) or real())
+        sim._tally(cfg, sim._tests(cfg), range(cfg.replications))
+        slots = len({sim._BOOTSTRAP_SLOTS[t] for t in cfg.tests if t in sim._BOOTSTRAP_SLOTS})
+        assert len(built) <= 1 + slots * equivar.homogeneity.resample_width(cfg.sizes, cfg.bootstrap_b)
+        if cfg.sizes == (40,) * 4:
+            assert len(built) == 3
+
+    def test_fetched_streams_are_the_keyed_streams(self):
+        seed, slot, pool = 12, 2, 2
+        keys = equivar.simulation.mt19937_keys(seed, [(r, slot) for r in range(6)])
+        rekeyed = equivar.simulation._Rekeyed([equivar.simulation._generator() for _ in range(pool)], keys)
+
+        def draws(rng):
+            return rng.integers(0, 1000, 7), rng.uniform(-0.5, 0.5, 5), rng.standard_normal(3)
+
+        # a batch of rows 0-1, then rows 2-3 on the same generators, then row 0 again
+        for batch in ([0, 1], [2, 3], [0]):
+            fetched = [rekeyed[r] for r in batch]
+            for r, rng in zip(batch, fetched):
+                for ours, theirs in zip(draws(rng), draws(stream(seed, r, slot))):
+                    np.testing.assert_array_equal(ours, theirs)
+
+
 def _recording_pool(widths: list):
     """An executor class that records each pool's max_workers in ``widths`` and maps in the caller."""
 
@@ -305,14 +353,15 @@ class TestRunGrid:
         assert pickle.dumps(run_grid([cfg], threads=threads)) == pickle.dumps([run_cell(cfg)])
 
     def test_threads_no_more_than_the_chunks(self, monkeypatch):
+        # a thread takes whole resample batches, here of 2**16 // (30 * 16) = 136 replications
         widths = []
         monkeypatch.setattr(equivar.simulation, "ThreadPoolExecutor", _recording_pool(widths))
-        one_chunk = _cfg(replications=105, bootstrap_b=30)
-        three_chunks = _cfg(replications=211, bootstrap_b=30, tests=("levene",))
-        assert pickle.dumps(run_grid([one_chunk], threads=16)) == pickle.dumps([run_cell(one_chunk)])
+        one_batch = _cfg(replications=105, bootstrap_b=30)
+        two_batches = _cfg(replications=211, bootstrap_b=30, tests=("levene",))
+        assert pickle.dumps(run_grid([one_batch], threads=16)) == pickle.dumps([run_cell(one_batch)])
         assert widths == []
-        assert pickle.dumps(run_grid([three_chunks], threads=16)) == pickle.dumps([run_cell(three_chunks)])
-        assert widths == [3]
+        assert pickle.dumps(run_grid([two_batches], threads=16)) == pickle.dumps([run_cell(two_batches)])
+        assert widths == [2]
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -378,6 +427,11 @@ class TestRobustness:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             robustness([])
+
+    def test_rejects_cells_run_at_another_level(self):
+        cell = CellEstimate(_cfg(alpha=0.10), {"levene": 0.0}, {"levene": 0.0}, {"levene": 0})
+        with pytest.raises(ValueError, match=r"alpha=0.1 cannot be judged at alpha=0.05"):
+            robustness([self._estimate(0.04), cell], alpha=0.05)
 
     def test_rejects_missing_estimates(self):
         cfg = _cfg(tests=("levene",))
