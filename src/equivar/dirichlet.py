@@ -97,6 +97,8 @@ def calibrate_box(
         raise ValueError(f"draws must be an integer, got {draws!r}")
     if draws < 1000:
         raise ValueError(f"need at least 1000 draws for calibration, got {draws}")
+    if not is_real(alpha):
+        raise ValueError(f"alpha must be a finite real number, got {alpha!r}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     w = log_contrast(sample_dirichlet(params, rng, size=draws))

@@ -249,12 +249,6 @@ def _jitter_scale(groups) -> np.ndarray:
     return np.sqrt(moment_rows(groups)[2])
 
 
-def _take(values: np.ndarray, indices: np.ndarray, out: np.ndarray) -> np.ndarray:
-    # values[indices] written straight into out; the indices are in range,
-    # and mode="clip" spares take the copy it makes under mode="raise"
-    return np.take(values, indices, out=out, mode="clip")
-
-
 def _pooled_resamples(pool: np.ndarray, q: float, sizes, rng, out: np.ndarray) -> None:
     """Fill ``out``, shape (b, n), with one dataset's bootstrap-Levene resamples.
 
@@ -262,7 +256,7 @@ def _pooled_resamples(pool: np.ndarray, q: float, sizes, rng, out: np.ndarray) -
     take contiguous blocks of the row, and blocks for groups smaller than
     10 are smoothed with variance-preserving uniform jitter of scale q.
     """
-    _take(pool, rng.integers(0, pool.size, size=out.shape), out)
+    _resample_rows([pool], rng, [out])
     start = 0
     for ni in sizes:
         if ni < 10:
@@ -319,7 +313,9 @@ def bootstrap_levene(data: GroupedSample, alpha: float, cfg: BootstrapConfig) ->
 
 def _resample_rows(groups, rng: np.random.Generator, outs) -> list[np.ndarray]:
     """Fill outs[i], shape (count, n_i), with resamples of group i drawn with replacement."""
-    return [_take(g, rng.integers(0, g.size, size=out.shape), out) for g, out in zip(groups, outs)]
+    # g[indices] written straight into out; the indices are in range,
+    # and mode="clip" spares take the copy it makes under mode="raise"
+    return [np.take(g, rng.integers(0, g.size, size=out.shape), out=out, mode="clip") for g, out in zip(groups, outs)]
 
 
 def _redraw_degenerate(t: np.ndarray, groups, rngs) -> np.ndarray:
@@ -380,6 +376,11 @@ def box_test(data: GroupedSample, alpha: float, cfg: BootstrapConfig) -> TestRes
     resample whose t vector is not finite (a group with s^2 = 0 after
     rounding, or a pooled fourth moment lost to underflow) is redrawn until
     it is; after 100 redraws the test raises NumericError.
+
+    Groups of two observations are outside the method's range: a usable
+    resample of one holds both points, so it repeats the observed s^2.
+    When every group has two, each replicate equals the observed t up to
+    rounding, the half-width is rounding noise and the test rejects.
     """
     return batched(BOX, data.sizes, alpha, cfg.b, cfg.pivot_variant)(data.rows, [cfg.rng]).result()
 

@@ -10,8 +10,9 @@ configuration, independent of execution order or parallelism.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -40,8 +41,7 @@ _BOOTSTRAP_SLOTS = {BOOTSTRAP_LEVENE: 1, BOX: 2}
 # stream keys, per slot, stay within 2**16 values, so a chunk is at most
 # 2**16 // 624 = 105 replications wide.  The bootstrap tests resample it
 # in batches of ``resample_width`` datasets.
-_KEY_WORDS = 624
-_CHUNK_ROWS = 2**16 // _KEY_WORDS
+_CHUNK_ROWS = 2**16 // 624
 
 TWO_GROUP_NULL_SIZES = ((5, 5), (10, 10), (15, 15), (5, 10), (7, 15), (10, 15))
 
@@ -145,18 +145,19 @@ def run_cell(cfg: ExperimentConfig) -> CellEstimate:
     bootstrap test resamples the chunk in batches of
     ``resample_width(sizes, B)`` replications, which bounds a stacked
     resample array by 2**16 values.  Each chunk computes the keys of all
-    its (r, slot) paths in one ``mt19937_keys`` call and re-keys
-    generators built once per range of replications: one for the data and
-    one resample batch of them per bootstrap slot, each re-keyed to a
-    row's key as the test fetches that row's stream (a box resample is
-    redrawn from its row's stream after its whole batch has been
-    resampled), so the draws are those of ``stream``.  Rows are evaluated
-    independently, so the estimates are byte-identical to evaluating each
-    replication on its own.  The estimate is computed from integer
-    rejection and error counts summed over ranges of replications, here
-    the one range of all of them; ``run_grid`` sums several ranges of
-    whole resample batches run on threads, with the same result.  The F
-    and chi-square critical values are computed once per cell.
+    its (r, slot) paths in one ``mt19937_keys`` call.  One pool of
+    generators, built once per range of replications and at most one
+    resample batch wide, serves the data and both bootstrap slots: a
+    generator is re-keyed to a row's key as that row's data are drawn or
+    a test fetches that row's stream (a box resample is redrawn from its
+    row's stream after its whole batch has been resampled), so the draws
+    are those of ``stream``.  Rows are evaluated independently, so the
+    estimates are byte-identical to evaluating each replication on its
+    own.  The estimate is computed from integer rejection and error
+    counts summed over ranges of replications, here the one range of all
+    of them; ``run_grid`` sums several ranges of whole resample batches
+    run on threads, with the same result.  The F and chi-square critical
+    values are computed once per cell.
     Replications where a test raises a degeneracy or numeric error are
     counted separately and excluded from that test's denominator; a
     non-finite draw raises ``DegenerateDataError`` naming the replication
@@ -194,11 +195,13 @@ def _tally(cfg: ExperimentConfig, tests: dict, reps: range) -> tuple[dict[str, i
     """Rejections and errors per test over replications ``reps``, chunk by chunk.
 
     Each chunk is drawn, keyed and checked at once, and each test is
-    called once on it.  A bootstrap test is handed a ``_Rekeyed`` view of
-    one resample batch of pooled generators per slot: it fetches a row's
-    stream once, just before that row's batch draws, and the rows of one
-    batch, a window of ``resample_width`` rows, map to distinct
-    generators.  The generators are built here, so concurrent calls share
+    called once on it.  One pool of generators serves every slot: a
+    chunk's data draws end before any test is called, and the tests run
+    one after another.  Each slot sees the pool as a ``_Rekeyed`` view of
+    its keys.  A bootstrap test fetches a row's stream once, just before
+    that row's batch draws, and the rows of one batch, a window of
+    ``resample_width`` rows, map to distinct generators, as the pool is
+    that wide at most.  The pool is built here, so concurrent calls share
     none.
     """
     rejects = dict.fromkeys(cfg.tests, 0)
@@ -206,25 +209,22 @@ def _tally(cfg: ExperimentConfig, tests: dict, reps: range) -> tuple[dict[str, i
     scales = [math.sqrt(v) for v in cfg.variances]
     width = _chunk_width(cfg)
     slots = [_DATA_SLOT] + sorted({_BOOTSTRAP_SLOTS[t] for t in cfg.tests if t in _BOOTSTRAP_SLOTS})
-    data_rng = _generator()
-    pooled = min(resample_width(cfg.sizes, cfg.bootstrap_b), width, len(reps))
-    pools = {slot: [_generator() for _ in range(pooled)] for slot in slots[1:]}
+    pool = [_generator() for _ in range(min(resample_width(cfg.sizes, cfg.bootstrap_b), width, len(reps)))]
     for first in range(reps.start, reps.stop, width):
         chunk = range(first, min(first + width, reps.stop))
         keys = mt19937_keys(cfg.master_seed, [(r, slot) for slot in slots for r in chunk])
-        keys = dict(zip(slots, keys.reshape(len(slots), len(chunk), _KEY_WORDS)))
+        streams = {slot: _Rekeyed(pool, k) for slot, k in zip(slots, keys.reshape(len(slots), len(chunk), -1))}
         groups = [np.empty((len(chunk), n)) for n in cfg.sizes]
-        for j, key in enumerate(keys[_DATA_SLOT]):
-            rekey(data_rng, key)
+        for j in range(len(chunk)):
+            rng = streams[_DATA_SLOT][j]
             for g, s, n in zip(groups, scales, cfg.sizes):
-                g[j] = s * sample_standardized(cfg.distribution, n, data_rng)
+                g[j] = s * sample_standardized(cfg.distribution, n, rng)
         finite = np.stack([np.isfinite(g).all(axis=1) for g in groups], axis=1)
         if not finite.all():
             j, i = np.argwhere(~finite)[0]
             raise DegenerateDataError(f"replication {chunk[j]}: group {i} contains non-finite values")
         for t, test in tests.items():
-            slot = _BOOTSTRAP_SLOTS.get(t)
-            outcomes = test(groups, None if slot is None else _Rekeyed(pools[slot], keys[slot]))
+            outcomes = test(groups, streams.get(_BOOTSTRAP_SLOTS.get(t)))
             rejects[t] += outcomes.rejections
             errors[t] += len(outcomes.errors)
     return rejects, errors
@@ -270,12 +270,13 @@ def _threaded_cell(cfg: ExperimentConfig, threads: int) -> CellEstimate:
 def run_grid(cells, threads: int = 1) -> list[CellEstimate]:
     """Run independent cells, preserving input order.
 
-    ``threads`` is an integer >= 1.  With ``threads`` > 1, a grid of
-    several cells is distributed over up to ``threads`` worker processes,
-    one cell at a time per process; a grid of one cell is split into at
-    most ``threads`` contiguous ranges of whole resample batches (one
-    thread per batch at most), whose rejection and error counts are
-    tallied on threads and summed.  Every cell is a pure function of its
+    ``threads`` is an integer >= 1; more than ``os.cpu_count()`` counts
+    as that many.  With ``threads`` > 1, a grid of several cells is
+    distributed over up to ``threads`` worker processes, one cell at a
+    time per process; a grid of one cell is split into at most
+    ``threads`` contiguous ranges of whole resample batches (one thread
+    per batch at most), whose rejection and error counts are tallied on
+    threads and summed.  Every cell is a pure function of its
     configuration and the counts are integers, so results are identical
     for any thread count.
     """
@@ -284,6 +285,7 @@ def run_grid(cells, threads: int = 1) -> list[CellEstimate]:
     cells = list(cells)
     if not cells:
         raise ValueError("empty grid")
+    threads = min(threads, os.cpu_count() or 1)
     if threads == 1:
         return [run_cell(c) for c in cells]
     if len(cells) == 1:
@@ -300,16 +302,7 @@ def averaged_power(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig) -> CellEsti
     configurations must agree in everything except the variance order
     (seeds may differ).
     """
-    same = (
-        cfg_a.distribution == cfg_b.distribution
-        and cfg_a.sizes == cfg_b.sizes
-        and cfg_a.alpha == cfg_b.alpha
-        and cfg_a.replications == cfg_b.replications
-        and cfg_a.bootstrap_b == cfg_b.bootstrap_b
-        and cfg_a.tests == cfg_b.tests
-        and cfg_a.variances == tuple(reversed(cfg_b.variances))
-    )
-    if not same:
+    if replace(cfg_b, variances=cfg_b.variances[::-1], master_seed=cfg_a.master_seed) != cfg_a:
         raise ValueError("configs must differ only by reversing the variance vector")
     est_a = run_cell(cfg_a)
     est_b = run_cell(cfg_b)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import equivar.cli
-from equivar import BootstrapConfig, ExperimentConfig, GroupedSample, run_all
+from equivar import BootstrapConfig, ExperimentConfig, GroupedSample, NumericError, run_all
 from equivar.cli import _config_from_json, main
 
 GOOD_CSV = "group,value\n" + "".join(
@@ -83,6 +83,41 @@ class TestTestCommand:
         err = capsys.readouterr().err
         assert "'x'" in err and ":3" in err
 
+    def test_row_with_wrong_field_count_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "wide.csv"
+        path.write_text("group,value\na,1.0\na,2.0,3.0\nb,1.0\nb,2.0\n")
+        assert main(["test", str(path)]) == 2
+        assert f"error: {path}:3: expected 2 fields, got 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_value_exits_2(self, tmp_path, capsys, value):
+        path = tmp_path / "inf.csv"
+        path.write_text(f"group,value\na,1.0\na,2.0\nb,1.0\nb,{value}\n")
+        assert main(["test", str(path)]) == 2
+        assert f"error: {path}:5: value '{value}' is not finite" in capsys.readouterr().err
+
+    def test_blank_lines_skipped(self, tmp_path, capsys):
+        lines = GOOD_CSV.splitlines(keepends=True)
+        path = tmp_path / "blank.csv"
+        path.write_text("".join(lines[:3]) + "\n   \n" + "".join(lines[3:]) + "\n")
+        plain = tmp_path / "plain.csv"
+        plain.write_text(GOOD_CSV)
+        assert main(["test", str(path), "--seed", "3", "--bootstrap-b", "40", "--format", "json"]) == 0
+        with_blanks = capsys.readouterr().out
+        assert main(["test", str(plain), "--seed", "3", "--bootstrap-b", "40", "--format", "json"]) == 0
+        assert with_blanks == capsys.readouterr().out
+
+    def test_no_test_could_run_exits_2(self, tmp_path, capsys):
+        # a constant group, and a group whose absolute deviations from its median are all equal
+        path = tmp_path / "none.csv"
+        path.write_text("group,value\n" + "a,5\n" * 4 + "b,-2\nb,2\n" * 2)
+        assert main(["test", str(path), "--bootstrap-b", "30"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        for name in ("levene", "shoemaker", "bootstrap_levene", "box"):
+            assert f"note: {name} not computed: " in captured.err
+        assert captured.err.endswith("error: no test could run on this data\n")
+
     def test_utf8_bom_before_header_accepted(self, tmp_path, capsys):
         path = tmp_path / "bom.csv"
         path.write_bytes(b"\xef\xbb\xbf" + GOOD_CSV.encode("utf-8"))
@@ -155,7 +190,7 @@ class TestSimulateCommand:
                 {"distribution": "uniform", "sizes": [5, 10], "variances": [1.0, 4.0],
                  "replications": 25, "bootstrap_b": 15, "seed": 5},
             ],
-            [  # one cell of five chunks of width 6: chunk ranges on threads
+            [  # one cell of one chunk, five resample batches of width 6: batch ranges on threads
                 {"distribution": "laplace", "sizes": [10, 10], "variances": [1.0, 3.0],
                  "replications": 25, "bootstrap_b": 500, "seed": 6},
             ],
@@ -260,6 +295,29 @@ class TestSimulateCommand:
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == "da951e9a8415b1a8144c85400d1179501233b04f98c1470c6628d3f5ddadb454"
 
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ([], "config file contains no experiments"),
+            ([1], "experiment 0: expected a JSON object"),
+            (["normal"], "experiment 0: expected a JSON object"),
+        ],
+        ids=["empty", "number", "string"],
+    )
+    def test_grid_without_experiment_objects_exits_2(self, tmp_path, capsys, grid, message):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(grid))
+        assert main(["simulate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    def test_threads_below_one_exits_2(self, tmp_path, capsys):
+        assert main(["simulate", self._config(tmp_path), "--threads", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: threads must be an integer >= 1, got 0\n"
+
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -280,6 +338,20 @@ class TestCriticalCommand:
     def test_invalid_sizes_exit_2(self, capsys):
         assert main(["critical", "--sizes", "10,1"]) == 2
         assert main(["critical", "--sizes", "10,x"]) == 2
+
+    @pytest.mark.parametrize(
+        "alpha, message",
+        [
+            ("1.5", "alpha must lie in (0, 1), got 1.5"),
+            ("0", "alpha must lie in (0, 1), got 0.0"),
+            ("nan", "alpha must be a finite real number, got nan"),
+        ],
+    )
+    def test_alpha_out_of_range_exits_2(self, capsys, alpha, message):
+        assert main(["critical", "--sizes", "10,10", "--alpha", alpha, "--draws", "2000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_two_seeds_agree_within_three_se(self, capsys):
         halves = []
@@ -310,6 +382,17 @@ def test_out_of_memory_exits_3(target, argv, data_csv, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: out of memory: Unable to allocate 7.45 GiB\n"
+
+
+def test_numeric_failure_exits_3(data_csv, monkeypatch, capsys):
+    def failing(*args, **kwargs):
+        raise NumericError("a bootstrap replicate stayed degenerate after 100 redraws")
+
+    monkeypatch.setattr(equivar.cli, "run_all", failing)
+    assert main(["test", data_csv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numeric failure: a bootstrap replicate stayed degenerate after 100 redraws\n"
 
 
 @pytest.mark.parametrize(

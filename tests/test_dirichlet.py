@@ -42,8 +42,10 @@ class TestDirichletParams:
             (lambda: DirichletParams((True, 1.0)), "shape parameters must hold finite real numbers"),
             (lambda: DirichletParams(3.0), "shape parameters must be a sequence of finite real numbers"),
             (lambda: DirichletParams("12"), "shape parameters must be a sequence of finite real numbers"),
+            (lambda: DirichletParams((1.0,)), "need at least two shape parameters"),
         ],
-        ids=["size 5.7", "size True", "size '5'", "shape nan", "shape inf", "shape True", "scalar", "string"],
+        ids=["size 5.7", "size True", "size '5'", "shape nan", "shape inf", "shape True", "scalar", "string",
+             "one shape"],
     )
     def test_malformed_input_rejected_at_construction(self, make, message):
         with pytest.raises(ValueError, match=message):
@@ -102,6 +104,11 @@ class TestCalibrateBox:
     def test_draws_must_be_an_integer(self, draws):
         with pytest.raises(ValueError, match="draws must be an integer"):
             calibrate_box(DirichletParams((1.0, 2.0)), 0.05, draws, stream(0))
+
+    @pytest.mark.parametrize("alpha", ["0.05", None, True, math.nan])
+    def test_alpha_must_be_a_real_number(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be a finite real number"):
+            calibrate_box(DirichletParams((1.0, 2.0)), alpha, 2000, stream(0))
 
     def test_symmetric_shapes_center_at_zero(self):
         box = calibrate_box(DirichletParams.from_group_sizes((10, 10)), 0.05, 100_000, stream(56))

@@ -417,6 +417,10 @@ class TestBatched:
             with pytest.raises(ValueError, match=message):
                 batched(method, self.SIZES, alpha, b)
 
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError, match=r"unknown test 'nope'; choose from \['levene'"):
+            batched("nope", self.SIZES, 0.05)
+
     def test_one_dataset_calls_reject_a_boolean_alpha(self):
         data = self._datasets()[0]
         cfg = BootstrapConfig.from_seed(3, b=20)

@@ -92,6 +92,20 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=message):
             _cfg(**overrides)
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"sizes": (8,), "variances": (1.0,)}, "need at least two groups"),
+            ({"replications": 0}, "need at least one replication"),
+            ({"bootstrap_b": 0}, "need at least one bootstrap replicate"),
+            ({"tests": ()}, "select at least one test"),
+        ],
+        ids=["one_group", "no_replications", "no_bootstrap", "no_tests"],
+    )
+    def test_empty_fields_rejected(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            _cfg(**overrides)
+
     def test_numpy_scalars_accepted(self):
         cfg = _cfg(sizes=np.array([6, 7]), variances=np.array([1.0, 2.0]), replications=np.int64(4))
         assert cfg.sizes == (6, 7) and type(cfg.sizes[0]) is int
@@ -181,11 +195,13 @@ def _assert_matches_reference(cfg: ExperimentConfig) -> None:
 class TestChunkedRunCell:
     """run_cell evaluates chunks of replications at once; the results must match one at a time.
 
-    Chunk widths follow from B and n (2**16 // max(B * n, 624)); the cells
-    cover replication counts that are not a multiple of the width, counts
-    below one chunk, a width of 1, the width set by the 624-word stream
-    keys, master seeds of several words, and subsets of the tests, which
-    key a subset of the bootstrap slots.
+    Resample batch widths follow from B and n (max(1, 2**16 // (B * n))),
+    and a chunk is 105 replications, set by the 624-word stream keys,
+    rounded down to whole batches; the widths noted below are the batch
+    widths.  The cells cover replication counts that are not a multiple of
+    the width, counts below one chunk, a width of 1, several chunks,
+    master seeds of several words, and subsets of the tests, which key a
+    subset of the bootstrap slots.
     """
 
     @pytest.mark.parametrize(
@@ -224,7 +240,7 @@ class TestChunkedRunCell:
         assert math.isnan(est.rates["levene"]) and math.isnan(est.rates["bootstrap_levene"])
 
     def test_non_finite_draw_escapes(self, monkeypatch):
-        # five chunks of two replications; at threads=2 the ranges are replications 0-3 and 4-9
+        # one chunk of five resample batches of two; at threads=2 the ranges are replications 0-3 and 4-9
         cfg = _cfg(replications=10, bootstrap_b=2000)
         real = equivar.simulation.sample_standardized
         # the first group of replications 3 and 7, keyed by value: the threads interleave the calls
@@ -264,17 +280,29 @@ class TestResampleBatches:
             monkeypatch.setattr(equivar.homogeneity, "_RESAMPLE_ELEMENTS", cap)
             assert pickle.dumps(run_cell(cfg)) == expected
 
-    @pytest.mark.parametrize("cfg", CELLS, ids=IDS)
-    def test_one_resample_batch_of_generators_per_slot(self, cfg, monkeypatch):
+    @staticmethod
+    def _generators_built(cfg, monkeypatch) -> int:
         sim = equivar.simulation
         built = []
         real = sim._generator
         monkeypatch.setattr(sim, "_generator", lambda: built.append(1) or real())
         sim._tally(cfg, sim._tests(cfg), range(cfg.replications))
-        slots = len({sim._BOOTSTRAP_SLOTS[t] for t in cfg.tests if t in sim._BOOTSTRAP_SLOTS})
-        assert len(built) <= 1 + slots * equivar.homogeneity.resample_width(cfg.sizes, cfg.bootstrap_b)
+        return len(built)
+
+    @pytest.mark.parametrize("cfg", CELLS, ids=IDS)
+    def test_one_resample_batch_of_generators_per_slot(self, cfg, monkeypatch):
+        # one pool, at most a resample batch wide, serves the data and both bootstrap slots
+        width = equivar.homogeneity.resample_width(cfg.sizes, cfg.bootstrap_b)
+        built = self._generators_built(cfg, monkeypatch)
+        assert built == min(width, equivar.simulation._chunk_width(cfg), cfg.replications)
         if cfg.sizes == (40,) * 4:
-            assert len(built) == 3
+            assert built == 1
+
+    @pytest.mark.parametrize("sizes, expected", [((5, 5), 13), ((15, 15), 4)])
+    def test_generators_built_for_a_null_grid_cell(self, sizes, expected, monkeypatch):
+        # 2**16 // (500 * 10) and 2**16 // (500 * 30) replications per resample batch
+        cfg = _cfg(sizes=sizes, replications=200, bootstrap_b=500)
+        assert self._generators_built(cfg, monkeypatch) == expected
 
     def test_fetched_streams_are_the_keyed_streams(self):
         seed, slot, pool = 12, 2, 2
@@ -330,6 +358,7 @@ class TestRunGrid:
 
     def test_pool_no_wider_than_the_grid(self, monkeypatch):
         widths = []
+        monkeypatch.setattr(equivar.simulation.os, "cpu_count", lambda: 64)
         monkeypatch.setattr(equivar.simulation, "ProcessPoolExecutor", _recording_pool(widths))
         cells = [_cfg(master_seed=s, tests=("levene",), replications=5) for s in (1, 2, 3)]
         assert [e.rates for e in run_grid(cells[:2], threads=16)] == [run_cell(c).rates for c in cells[:2]]
@@ -349,12 +378,14 @@ class TestRunGrid:
         ids=["three_chunks_uneven", "box_redraws", "degenerate_levene", "laplace_4x40"],
     )
     def test_single_cell_on_threads_matches_run_cell(self, cfg, threads):
-        # widths 105, 32, 105 and 1: three chunks in the first three cells, five in the last
+        # resample batches of 546, 32, 327 and 1 replications: three chunks of up to 105 in the first
+        # and third cells; one chunk, of three batches in the second and of five in the last
         assert pickle.dumps(run_grid([cfg], threads=threads)) == pickle.dumps([run_cell(cfg)])
 
     def test_threads_no_more_than_the_chunks(self, monkeypatch):
         # a thread takes whole resample batches, here of 2**16 // (30 * 16) = 136 replications
         widths = []
+        monkeypatch.setattr(equivar.simulation.os, "cpu_count", lambda: 64)
         monkeypatch.setattr(equivar.simulation, "ThreadPoolExecutor", _recording_pool(widths))
         one_batch = _cfg(replications=105, bootstrap_b=30)
         two_batches = _cfg(replications=211, bootstrap_b=30, tests=("levene",))
@@ -362,6 +393,25 @@ class TestRunGrid:
         assert widths == []
         assert pickle.dumps(run_grid([two_batches], threads=16)) == pickle.dumps([run_cell(two_batches)])
         assert widths == [2]
+
+    def test_workers_capped_at_the_cpu_count(self, monkeypatch):
+        sim = equivar.simulation
+        widths = []
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", _recording_pool(widths))
+        monkeypatch.setattr(sim, "ThreadPoolExecutor", _recording_pool(widths))
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 3)
+        cells = [_cfg(master_seed=s, tests=("levene",), replications=5) for s in range(5)]
+        # one replication per resample batch: seven batches in three ranges
+        lone = _cfg(distribution="laplace", sizes=(40,) * 4, variances=(1.0, 2.0, 3.0, 4.0), replications=7,
+                    bootstrap_b=500, master_seed=5)
+        assert pickle.dumps(run_grid(cells, threads=100000)) == pickle.dumps([run_cell(c) for c in cells])
+        assert pickle.dumps(run_grid([lone], threads=100000)) == pickle.dumps([run_cell(lone)])
+        assert widths == [3, 3]
+        for unknown_or_one in (None, 1):  # os.cpu_count() may not know: run serially
+            monkeypatch.setattr(sim.os, "cpu_count", lambda: unknown_or_one)
+            assert pickle.dumps(run_grid(cells, threads=100000)) == pickle.dumps([run_cell(c) for c in cells])
+            assert pickle.dumps(run_grid([lone], threads=100000)) == pickle.dumps([run_cell(lone)])
+        assert widths == [3, 3]
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -396,6 +446,18 @@ class TestAveragedPower:
     def test_requires_reversed_variances(self):
         cfg_a = _cfg(variances=(1.0, 9.0), tests=("levene",))
         cfg_b = _cfg(variances=(1.0, 9.0), tests=("levene",))
+        with pytest.raises(ValueError, match="revers"):
+            averaged_power(cfg_a, cfg_b)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("alpha", 0.1), ("replications", 41), ("bootstrap_b", 31), ("tests", ("levene", "box")),
+         ("distribution", "laplace")],
+    )
+    def test_requires_every_other_field_to_match(self, field, value, monkeypatch):
+        monkeypatch.setattr(equivar.simulation, "run_cell", lambda cfg: pytest.fail("a cell ran"))
+        cfg_a = _cfg(variances=(1.0, 9.0), tests=("levene",))
+        cfg_b = _cfg(**{"variances": (9.0, 1.0), "master_seed": 2, "tests": ("levene",), field: value})
         with pytest.raises(ValueError, match="revers"):
             averaged_power(cfg_a, cfg_b)
 
