@@ -127,7 +127,10 @@ def _config_from_json(obj, index: int) -> ExperimentConfig:
 
 def _load_configs(path: str) -> list[ExperimentConfig]:
     with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     items = raw if isinstance(raw, list) else [raw]
     if not items:
         raise ValueError(f"{path}: config file contains no experiments")
@@ -185,10 +188,22 @@ def _check_pivot(configs: list[ExperimentConfig]) -> None:
             )
 
 
+def _check_writable(path: Path) -> None:
+    """Raise the OSError that writing ``path`` would raise, leaving what is there as it was."""
+    try:
+        path.open("x").close()
+    except FileExistsError:
+        path.open("a").close()
+    else:
+        path.unlink()
+
+
 def _cmd_simulate(args) -> int:
     configs = _load_configs(args.config)
     if args.pivot:
         _check_pivot(configs)
+    if args.out:
+        _check_writable(Path(args.out))
     estimates = run_grid(configs, threads=args.threads)
     text = _grid_csv(estimates)
     if args.out:

@@ -7,20 +7,21 @@ execution order.
 
 ``stream`` builds the generator for one path.  ``mt19937_keys`` computes
 the MT19937 keys of many paths of one master seed in a few array passes,
-bit for bit the keys ``stream`` seeds with: numpy's ``SeedSequence`` hash
-(O'Neill's seed_seq_fe, frozen by NEP 19) uses constants that do not
-depend on the data.  ``rekey`` writes such a key in place into an MT19937
-generator's state, through numpy's ctypes interface, after which it draws
-exactly what ``stream`` of that path draws; it refuses any other bit
-generator type, and checks once per process that the state it writes
-reads back.  The Monte Carlo harness re-keys a few generators this way
-instead of building three per replication.
+bit for bit the keys ``stream`` seeds with: it takes numpy's
+``SeedSequence`` pool for the master seed alone, then mixes in the path
+words as that hash does (O'Neill's seed_seq_fe, frozen by NEP 19), whose
+constants do not depend on the data.  ``rekey`` writes such a key in
+place into an MT19937 generator's state, through numpy's ctypes
+interface, after which it draws exactly what ``stream`` of that path
+draws; it refuses any other bit generator type, and checks once per
+process that the state it writes reads back.  The Monte Carlo harness
+re-keys a few generators this way instead of building three per
+replication.
 """
 
 from __future__ import annotations
 
 import ctypes
-from functools import lru_cache
 
 import numpy as np
 
@@ -60,8 +61,8 @@ while len(_STATE_CONSTS) <= _KEY_WORDS:
 _STATE_CONSTS = np.array(_STATE_CONSTS, dtype=np.uint32)
 _STATE_POOL_INDEX = np.arange(_KEY_WORDS) % _POOL_SIZE
 
-# The hash steps below take a word as a Python int or words as a uint32
-# array; both wrap modulo 2**32.
+# The hash steps below take words as uint32 arrays and hash constants as
+# Python ints; both wrap modulo 2**32.
 
 
 def _hashmix(value, const: int):
@@ -85,27 +86,15 @@ def _absorb(pool: list, words, const: int) -> int:
     return const
 
 
-@lru_cache(maxsize=64)
-def _seed_pool(master_seed: int) -> tuple[tuple[int, ...], int]:
+def _seed_pool(master_seed: int) -> tuple[np.ndarray, int]:
     """The SeedSequence pool after absorbing ``master_seed`` alone, and the next hash constant.
 
     A nonempty spawn key pads the seed's 32-bit words with zeros to the
-    pool size, so the first 16 hash-mix steps, and those of any further
-    seed words, depend on the seed alone; the path words come after them.
+    pool size, which leaves numpy's pool of the seed alone as it is; the
+    path words are mixed in after 4 hash-mix steps per padded seed word.
     """
-    words = [master_seed >> shift & _MASK32 for shift in range(0, max(master_seed.bit_length(), 1), 32)]
-    words += [0] * (_POOL_SIZE - len(words))
-    pool, const = [], _INIT_A
-    for word in words[:_POOL_SIZE]:
-        mixed, const = _hashmix(word, const)
-        pool.append(mixed)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                mixed, const = _hashmix(pool[src], const)
-                pool[dst] = _mix(pool[dst], mixed)
-    const = _absorb(pool, words[_POOL_SIZE:], const)
-    return tuple(pool), const
+    words = max(_POOL_SIZE, -(-master_seed.bit_length() // 32))
+    return np.random.SeedSequence(master_seed).pool, _INIT_A * pow(_MULT_A, 4 * words, 2**32) & _MASK32
 
 
 def mt19937_keys(master_seed: int, paths) -> np.ndarray:

@@ -38,9 +38,8 @@ _DATA_SLOT = 0
 _BOOTSTRAP_SLOTS = {BOOTSTRAP_LEVENE: 1, BOX: 2}
 
 # A chunk of replications is drawn and keyed at once: its 624-word
-# stream keys, per slot, stay within 2**16 values, so a chunk is at most
-# 2**16 // 624 = 105 replications wide.  The bootstrap tests resample it
-# in batches of ``resample_width`` datasets.
+# stream keys, per slot, stay within 2**16 values, so a chunk is
+# 2**16 // 624 = 105 replications wide, or less at the end of a range.
 _CHUNK_ROWS = 2**16 // 624
 
 TWO_GROUP_NULL_SIZES = ((5, 5), (10, 10), (15, 15), (5, 10), (7, 15), (10, 15))
@@ -136,45 +135,21 @@ def run_cell(cfg: ExperimentConfig) -> CellEstimate:
     Replication r draws its data from stream (master_seed, r, 0); the
     bootstrap tests consume streams (master_seed, r, 1) and
     (master_seed, r, 2), each replication drawing from its own streams in
-    the order a one-dataset test call would.  The statistics are evaluated
-    over chunks of consecutive replications: replication j of a chunk
-    draws its groups into row j of one (width, n_i) array per group, so
-    that one call of each test covers the chunk.  A chunk holds at most
-    105 replications, so that its 624-word stream keys per slot stay
-    within 2**16 values, and a whole number of resample batches; each
-    bootstrap test resamples the chunk in batches of
-    ``resample_width(sizes, B)`` replications, which bounds a stacked
-    resample array by 2**16 values.  Each chunk computes the keys of all
-    its (r, slot) paths in one ``mt19937_keys`` call.  One pool of
-    generators, built once per range of replications and at most one
-    resample batch wide, serves the data and both bootstrap slots: a
-    generator is re-keyed to a row's key as that row's data are drawn or
-    a test fetches that row's stream (a box resample is redrawn from its
-    row's stream after its whole batch has been resampled), so the draws
-    are those of ``stream``.  Rows are evaluated independently, so the
-    estimates are byte-identical to evaluating each replication on its
-    own.  The estimate is computed from integer rejection and error
-    counts summed over ranges of replications, here the one range of all
-    of them; ``run_grid`` sums several ranges of whole resample batches
-    run on threads, with the same result.  The F and chi-square critical
-    values are computed once per cell.
+    the order a one-dataset test call would.  The replications are
+    evaluated in chunks of 105, each bootstrap test resampling a chunk in
+    batches of ``resample_width(sizes, B)``, from re-keyed generators of
+    one pool; the README's "How a simulation cell is computed" sets this
+    out.  Rows are evaluated independently, so the estimates are
+    byte-identical to evaluating each replication on its own.  The
+    estimate is computed from integer rejection and error counts summed
+    over ranges of replications, here the one range of all of them;
+    ``run_grid`` sums several ranges run on threads, with the same result.
     Replications where a test raises a degeneracy or numeric error are
     counted separately and excluded from that test's denominator; a
     non-finite draw raises ``DegenerateDataError`` naming the replication
     and group.
     """
-    return _estimate(cfg, [_tally(cfg, _tests(cfg), range(cfg.replications))])
-
-
-def _tests(cfg: ExperimentConfig) -> dict:
-    # stateless, so one set serves every range of the cell
-    return {t: batched(t, cfg.sizes, cfg.alpha, cfg.bootstrap_b) for t in cfg.tests}
-
-
-def _chunk_width(cfg: ExperimentConfig) -> int:
-    # a whole number of resample batches, so that no chunk ends in a short one
-    batch = min(resample_width(cfg.sizes, cfg.bootstrap_b), _CHUNK_ROWS)
-    return _CHUNK_ROWS // batch * batch
+    return _estimate(cfg, [_tally(cfg, range(cfg.replications))])
 
 
 class _Rekeyed:
@@ -191,27 +166,28 @@ class _Rekeyed:
         return rng
 
 
-def _tally(cfg: ExperimentConfig, tests: dict, reps: range) -> tuple[dict[str, int], dict[str, int]]:
+def _tally(cfg: ExperimentConfig, reps: range) -> tuple[dict[str, int], dict[str, int]]:
     """Rejections and errors per test over replications ``reps``, chunk by chunk.
 
-    Each chunk is drawn, keyed and checked at once, and each test is
-    called once on it.  One pool of generators serves every slot: a
-    chunk's data draws end before any test is called, and the tests run
-    one after another.  Each slot sees the pool as a ``_Rekeyed`` view of
-    its keys.  A bootstrap test fetches a row's stream once, just before
-    that row's batch draws, and the rows of one batch, a window of
-    ``resample_width`` rows, map to distinct generators, as the pool is
-    that wide at most.  The pool is built here, so concurrent calls share
-    none.
+    The range builds its own tests, and so computes its F and chi-square
+    quantiles once, and its own pool of generators, so concurrent calls
+    share nothing.  A chunk of up to ``_CHUNK_ROWS`` replications is
+    drawn, keyed and checked at once, and each test is called once on it.
+    The pool serves every slot: a chunk's data draws end before any test
+    is called, and the tests run one after another.  Each slot sees the
+    pool as a ``_Rekeyed`` view of its keys.  A bootstrap test fetches a
+    row's stream once, just before that row's batch draws, and the rows of
+    one batch, a window of ``resample_width`` rows, map to distinct
+    generators, as the pool is that wide at most.
     """
+    tests = {t: batched(t, cfg.sizes, cfg.alpha, cfg.bootstrap_b) for t in cfg.tests}
     rejects = dict.fromkeys(cfg.tests, 0)
     errors = dict.fromkeys(cfg.tests, 0)
     scales = [math.sqrt(v) for v in cfg.variances]
-    width = _chunk_width(cfg)
     slots = [_DATA_SLOT] + sorted({_BOOTSTRAP_SLOTS[t] for t in cfg.tests if t in _BOOTSTRAP_SLOTS})
-    pool = [_generator() for _ in range(min(resample_width(cfg.sizes, cfg.bootstrap_b), width, len(reps)))]
-    for first in range(reps.start, reps.stop, width):
-        chunk = range(first, min(first + width, reps.stop))
+    pool = [_generator() for _ in range(min(resample_width(cfg.sizes, cfg.bootstrap_b), _CHUNK_ROWS, len(reps)))]
+    for first in range(reps.start, reps.stop, _CHUNK_ROWS):
+        chunk = range(first, min(first + _CHUNK_ROWS, reps.stop))
         keys = mt19937_keys(cfg.master_seed, [(r, slot) for slot in slots for r in chunk])
         streams = {slot: _Rekeyed(pool, k) for slot, k in zip(slots, keys.reshape(len(slots), len(chunk), -1))}
         groups = [np.empty((len(chunk), n)) for n in cfg.sizes]
@@ -253,17 +229,19 @@ def _generator() -> np.random.Generator:
 
 
 def _threaded_cell(cfg: ExperimentConfig, threads: int) -> CellEstimate:
-    """``run_cell(cfg)`` with contiguous ranges of whole resample batches tallied on up to ``threads`` threads."""
+    """``run_cell(cfg)`` with contiguous ranges of whole resample batches tallied on up to ``threads`` threads.
+
+    A cell that makes one range is handed to ``run_cell`` itself.
+    """
     width = resample_width(cfg.sizes, cfg.bootstrap_b)
     batches = -(-cfg.replications // width)
     parts = min(threads, batches)
     if parts == 1:
         return run_cell(cfg)
     bounds = [min(width * (batches * i // parts), cfg.replications) for i in range(parts + 1)]
-    tests = _tests(cfg)
     with ThreadPoolExecutor(max_workers=parts) as pool:
         # consumed in range order, so a failing draw raises for its lowest replication, as serially
-        tallies = list(pool.map(lambda reps: _tally(cfg, tests, reps), map(range, bounds, bounds[1:])))
+        tallies = list(pool.map(lambda reps: _tally(cfg, reps), map(range, bounds, bounds[1:])))
     return _estimate(cfg, tallies)
 
 
@@ -276,7 +254,7 @@ def run_grid(cells, threads: int = 1) -> list[CellEstimate]:
     time per process; a grid of one cell is split into at most
     ``threads`` contiguous ranges of whole resample batches (one thread
     per batch at most), whose rejection and error counts are tallied on
-    threads and summed.  Every cell is a pure function of its
+    threads and summed.  Any other cell runs here, through ``run_cell``.  Every cell is a pure function of its
     configuration and the counts are integers, so results are identical
     for any thread count.
     """
@@ -286,10 +264,8 @@ def run_grid(cells, threads: int = 1) -> list[CellEstimate]:
     if not cells:
         raise ValueError("empty grid")
     threads = min(threads, os.cpu_count() or 1)
-    if threads == 1:
-        return [run_cell(c) for c in cells]
-    if len(cells) == 1:
-        return [_threaded_cell(cells[0], threads)]
+    if threads == 1 or len(cells) == 1:
+        return [_threaded_cell(c, threads) for c in cells]
     with ProcessPoolExecutor(max_workers=min(threads, len(cells))) as pool:
         return list(pool.map(run_cell, cells))
 

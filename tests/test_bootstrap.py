@@ -216,6 +216,14 @@ class TestSearchCritical:
         with pytest.raises(ValueError):
             search_critical(np.empty((0, 2)), 0.1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        rows = np.zeros((2, 5, 3))
+        rows[1, 4, 2] = bad
+        for centered in (rows[1], rows):
+            with pytest.raises(ValueError, match="centered statistics contain non-finite values"):
+                search_critical(centered, 0.1)
+
     @pytest.mark.parametrize(
         "alpha, message",
         [

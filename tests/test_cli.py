@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -322,6 +323,37 @@ class TestSimulateCommand:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert main(["simulate", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: Expecting property name")
+
+    @pytest.mark.parametrize("where", ["missing/x.csv", "."], ids=["no_directory", "a_directory"])
+    def test_unwritable_out_exits_2_before_the_grid_runs(self, tmp_path, capsys, monkeypatch, where):
+        monkeypatch.setattr(equivar.cli, "run_grid", lambda *a, **k: pytest.fail("the grid ran"))
+        out = tmp_path / where
+        assert main(["simulate", self._config(tmp_path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(out) in captured.err
+
+    def test_failed_run_leaves_out_as_it_was(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ValueError("cell failed")
+
+        monkeypatch.setattr(equivar.cli, "run_grid", fail)
+        existing, new = tmp_path / "old.csv", tmp_path / "new.csv"
+        existing.write_text("old results\n")
+        for out in (existing, new):
+            assert main(["simulate", self._config(tmp_path), "--out", str(out)]) == 2
+            assert capsys.readouterr().err == "error: cell failed\n"
+        assert existing.read_text() == "old results\n"
+        assert not new.exists()
+
+    def test_pivot_shows_a_nan_rate_as_a_dash(self, tmp_path, capsys):
+        # in groups of two, |x - median| is the same for both points: every Levene replication is degenerate
+        config = self._config(tmp_path, sizes=[2, 2], replications=5, tests=["levene", "box"])
+        assert main(["simulate", config, "--pivot"]) == 0
+        out = capsys.readouterr().out
+        assert "| levene | - |" in out
+        assert re.search(r"\| box \| \d\.\d\d \|", out)
 
 
 class TestCriticalCommand:
@@ -352,6 +384,12 @@ class TestCriticalCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    def test_gate_output_is_pinned(self, capsys):
+        # the reproducibility contract for the calibration: a fixed seed keeps this digest
+        assert main(["critical", "--sizes", "10,10", "--draws", "200000", "--seed", "1"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "01dfc84cd3f0c7f1004b0895cac2dbce02297aff4d5e290258948f42caa32ca1"
 
     def test_two_seeds_agree_within_three_se(self, capsys):
         halves = []

@@ -195,13 +195,14 @@ def _assert_matches_reference(cfg: ExperimentConfig) -> None:
 class TestChunkedRunCell:
     """run_cell evaluates chunks of replications at once; the results must match one at a time.
 
-    Resample batch widths follow from B and n (max(1, 2**16 // (B * n))),
-    and a chunk is 105 replications, set by the 624-word stream keys,
-    rounded down to whole batches; the widths noted below are the batch
-    widths.  The cells cover replication counts that are not a multiple of
-    the width, counts below one chunk, a width of 1, several chunks,
-    master seeds of several words, and subsets of the tests, which key a
-    subset of the bootstrap slots.
+    A chunk is 105 replications, set by the 624-word stream keys, and a
+    bootstrap test resamples it in windows of max(1, 2**16 // (B * n))
+    replications, so a chunk's last batch may be short; the widths noted
+    below are the batch widths.  The cells cover replication counts that
+    are not a multiple of the width, counts below one chunk, a width of 1,
+    several chunks, chunks ending in a short batch, master seeds of several
+    words, and subsets of the tests, which key a subset of the bootstrap
+    slots.
     """
 
     @pytest.mark.parametrize(
@@ -214,6 +215,7 @@ class TestChunkedRunCell:
             ("student_t5", (5, 5), (1.0, 1.0), 1.0, 25, 300),          # alpha = 1; width 21
             ("normal", (2, 2), (1.0, 1.0), 0.05, 20, 50),              # degenerate Levene; one chunk
             ("extreme_value", (20, 20), (1.0, 2.0), 0.05, 5, 2000),    # width 1
+            ("uniform", (3, 5, 7), (1.0, 1.0, 2.0), 0.05, 120, 50),   # width 87: batches 87, 18 and 15
         ],
     )
     def test_matches_replication_by_replication_reference(self, dist, sizes, variances, alpha, reps, b):
@@ -286,7 +288,7 @@ class TestResampleBatches:
         built = []
         real = sim._generator
         monkeypatch.setattr(sim, "_generator", lambda: built.append(1) or real())
-        sim._tally(cfg, sim._tests(cfg), range(cfg.replications))
+        sim._tally(cfg, range(cfg.replications))
         return len(built)
 
     @pytest.mark.parametrize("cfg", CELLS, ids=IDS)
@@ -294,7 +296,7 @@ class TestResampleBatches:
         # one pool, at most a resample batch wide, serves the data and both bootstrap slots
         width = equivar.homogeneity.resample_width(cfg.sizes, cfg.bootstrap_b)
         built = self._generators_built(cfg, monkeypatch)
-        assert built == min(width, equivar.simulation._chunk_width(cfg), cfg.replications)
+        assert built == min(width, equivar.simulation._CHUNK_ROWS, cfg.replications)
         if cfg.sizes == (40,) * 4:
             assert built == 1
 
@@ -412,6 +414,21 @@ class TestRunGrid:
             assert pickle.dumps(run_grid(cells, threads=100000)) == pickle.dumps([run_cell(c) for c in cells])
             assert pickle.dumps(run_grid([lone], threads=100000)) == pickle.dumps([run_cell(lone)])
         assert widths == [3, 3]
+
+    def test_each_in_process_cell_runs_through_run_cell(self, monkeypatch):
+        # a wrapper of the module's run_cell sees every cell run in this process, once
+        sim = equivar.simulation
+        ran = []
+        real = sim.run_cell
+        monkeypatch.setattr(sim, "run_cell", lambda cfg: ran.append(cfg) or real(cfg))
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 4)
+        cells = [_cfg(master_seed=s, tests=("levene",), replications=5) for s in (1, 2, 3)]
+        assert [e.config for e in run_grid(cells, threads=1)] == ran == cells
+        # one resample batch of 2**16 // (30 * 16) = 136 replications: the lone cell cannot split
+        lone = _cfg(replications=105, bootstrap_b=30)
+        ran.clear()
+        monkeypatch.setattr(sim, "ThreadPoolExecutor", lambda max_workers: pytest.fail("the cell split"))
+        assert [e.config for e in run_grid([lone], threads=4)] == ran == [lone]
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="empty"):

@@ -1,10 +1,12 @@
 import math
+import types
 
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.stats
 
+import equivar.special
 from equivar import (
     NumericError,
     chi2_cdf,
@@ -153,8 +155,45 @@ def test_numeric_error_is_distinct_type():
     assert issubclass(NumericError, RuntimeError)
 
 
-def test_non_finite_quantile_raises_numeric_error():
+def test_non_finite_quantile_raises_numeric_error(monkeypatch):
+    # infinite degrees of freedom are refused up front, so a scipy that returns NaN stands in
+    nan = types.SimpleNamespace(fdtri=lambda *a: math.nan, gammaincinv=lambda *a: math.nan)
+    monkeypatch.setattr(equivar.special, "_sp", nan)
     with pytest.raises(NumericError, match="F quantile"):
-        f_quantile(0.95, math.inf, 10)
+        f_quantile(0.95, 3, 10)
     with pytest.raises(NumericError, match="chi-square quantile"):
-        chi2_quantile(0.95, math.inf)
+        chi2_quantile(0.95, 3)
+
+
+_NOT_REAL = ["0.5", None, True, np.bool_(False), math.nan]
+_NOT_FINITE = [math.inf, -math.inf]
+
+
+class TestArgumentChecks:
+    """Every argument is a real number, not a boolean; p and the degrees of freedom are also finite."""
+
+    @pytest.mark.parametrize("p", _NOT_REAL + _NOT_FINITE)
+    def test_bad_probability(self, p):
+        with pytest.raises(ValueError, match="probability must"):
+            f_quantile(p, 3, 12)
+        with pytest.raises(ValueError, match="probability must"):
+            chi2_quantile(p, 3)
+
+    @pytest.mark.parametrize("df", _NOT_REAL + _NOT_FINITE)
+    def test_bad_degrees_of_freedom(self, df):
+        for call in (lambda: f_quantile(0.5, df, 12), lambda: f_quantile(0.5, 3, df), lambda: chi2_quantile(0.5, df),
+                     lambda: f_cdf(1.0, df, 12), lambda: f_cdf(1.0, 3, df), lambda: chi2_cdf(1.0, df)):
+            with pytest.raises(ValueError, match="degrees of freedom must be positive finite real numbers"):
+                call()
+
+    @pytest.mark.parametrize("x", _NOT_REAL)
+    def test_bad_x(self, x):
+        with pytest.raises(ValueError, match="x must be a real number"):
+            f_cdf(x, 3, 12)
+        with pytest.raises(ValueError, match="x must be a real number"):
+            chi2_cdf(x, 2)
+
+    def test_numpy_and_integer_arguments_accepted(self):
+        assert f_quantile(np.float64(0.5), np.int64(4), 4) == pytest.approx(1.0, abs=1e-9)
+        assert chi2_cdf(np.float32(2.0), np.int32(2)) == pytest.approx(1.0 - math.exp(-1.0), abs=1e-7)
+        assert chi2_cdf(-math.inf, 2) == 0.0
