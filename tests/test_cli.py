@@ -391,6 +391,20 @@ class TestCriticalCommand:
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == "01dfc84cd3f0c7f1004b0895cac2dbce02297aff4d5e290258948f42caa32ca1"
 
+    @pytest.mark.parametrize(
+        "sizes, expected",
+        [
+            ("5,10,15", "af78cff9f52316b363485a15f4d2e44b424c6c7614f2235ab8dd29b5be586d85"),
+            ("20,20,20,20", "9bc7f310e68d29d506c993875256e191b203b7e4f731de13b0e4b3f9c84d8d03"),
+        ],
+        ids=["unequal shapes", "four equal shapes"],
+    )
+    def test_gate_output_is_pinned_for_more_groups(self, capsys, sizes, expected):
+        # the same contract for unequal shapes (broadcast gamma draws) and for four groups
+        assert main(["critical", "--sizes", sizes, "--draws", "200000", "--seed", "1"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == expected
+
     def test_two_seeds_agree_within_three_se(self, capsys):
         halves = []
         ses = []

@@ -5,6 +5,7 @@ import pytest
 from scipy.special import gammaln
 
 from equivar import DirichletParams, calibrate_box, log_contrast, sample_dirichlet, search_critical, stream
+from equivar.bootstrap import box_rank
 
 
 def two_group_contrast_pdf(w, nu1, nu2):
@@ -16,6 +17,83 @@ def two_group_contrast_pdf(w, nu1, nu2):
     nu = nu1 + nu2
     log_const = math.log(2.0) + gammaln(nu) - gammaln(nu1) - gammaln(nu2)
     return np.exp(log_const - nu * np.logaddexp(w, -w) + (nu1 - nu2) * w)
+
+
+def assert_same_bits(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert (actual.dtype, actual.shape) == (expected.dtype, expected.shape)
+    assert actual.tobytes() == expected.tobytes()
+
+
+# Oracles: the plain numpy formulas the calibration reproduces bit for bit.
+def numpy_dirichlet(params, rng, size):
+    shape = np.asarray(params.nu)
+    g = rng.standard_gamma(np.broadcast_to(shape, (size, shape.size)))
+    return g / g.sum(axis=1, keepdims=True)
+
+
+def numpy_log_contrast(x):
+    lx = np.log(x)
+    return lx - lx.mean(axis=-1, keepdims=True)
+
+
+def numpy_box(params, alpha, draws, rng):
+    w = numpy_log_contrast(numpy_dirichlet(params, rng, draws))
+    mean = w.mean(axis=0)
+    sd = w.std(axis=0, ddof=1)
+    row_max = np.sort(np.abs((w - mean) / sd).max(axis=1))
+    c = row_max[box_rank(draws, alpha)]
+    return mean, sd, c, np.searchsorted(row_max, c, side="right") / draws
+
+
+# k = 9 rows are summed pairwise by numpy; shorter ones by whole columns
+SHAPES = [
+    (4.5, 4.5),
+    (2.0, 7.0),
+    (1.5, 1.5, 1.5),
+    (2.0, 4.5, 7.0),
+    (9.5, 9.5, 9.5, 9.5),
+    (0.5, 2.0, 2.0, 9.5),
+    (3.0,) * 9,
+    tuple(0.5 + i for i in range(9)),
+]
+
+
+class TestNumpyBits:
+    @pytest.mark.parametrize("nu", SHAPES)
+    def test_sample_dirichlet(self, nu):
+        params = DirichletParams(nu)
+        assert_same_bits(sample_dirichlet(params, stream(70), size=3001), numpy_dirichlet(params, stream(70), 3001))
+
+    @pytest.mark.parametrize("nu", SHAPES)
+    def test_calibrate_box(self, nu):
+        params = DirichletParams(nu)
+        box = calibrate_box(params, 0.05, 20_000, stream(71))
+        mean, sd, c, coverage = numpy_box(params, 0.05, 20_000, stream(71))
+        assert_same_bits(box.mean, mean)
+        assert_same_bits(box.sd, sd)
+        assert (box.half_width, box.coverage) == (c, coverage)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 9])
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            lambda x: x[0, 0],
+            lambda x: x[0],
+            lambda x: x,
+            lambda x: np.asfortranarray(x[0]),
+            lambda x: np.asfortranarray(x),
+            lambda x: x[::2, ::-1],
+            lambda x: x.transpose(1, 0, 2),
+            lambda x: np.asfortranarray(x.transpose(2, 0, 1)).transpose(1, 2, 0),
+        ],
+        ids=["1-D", "2-D", "3-D", "2-D Fortran", "3-D Fortran", "strided", "axes swapped", "last axis inner"],
+    )
+    def test_log_contrast(self, k, layout):
+        x = layout(np.exp(stream(72).normal(size=(6, 40, k))))
+        before = x.copy()
+        assert_same_bits(log_contrast(x), numpy_log_contrast(x))
+        assert_same_bits(x, before)
 
 
 class TestDirichletParams:
@@ -71,6 +149,14 @@ class TestSampleDirichlet:
         x = sample_dirichlet(DirichletParams((1.0, 1.0)), stream(52), size=100_000)
         assert x[:, 0].mean() == pytest.approx(0.5, abs=0.01)
 
+    @pytest.mark.parametrize("size", [0, -1, 2.5, 1000.0, True, None, "10"])
+    def test_size_must_be_a_positive_integer(self, size):
+        with pytest.raises(ValueError, match="size must be an integer of at least 1"):
+            sample_dirichlet(DirichletParams((1.0, 2.0)), stream(0), size)
+
+    def test_numpy_integer_size_accepted(self):
+        assert sample_dirichlet(DirichletParams((1.0, 2.0)), stream(0), np.int64(3)).shape == (3, 2)
+
     def test_mean_matches_shape_ratio(self):
         x = sample_dirichlet(DirichletParams((2.0, 3.0)), stream(53), size=100_000)
         assert x[:, 0].mean() == pytest.approx(0.4, abs=0.005)
@@ -93,6 +179,16 @@ class TestLogContrast:
     def test_zero_component_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             log_contrast([0.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+    def test_non_finite_component_rejected(self, bad):
+        with pytest.raises(ValueError, match="log contrasts require finite, strictly positive components"):
+            log_contrast([[0.5, 0.5], [bad, 1.0]])
+
+    @pytest.mark.parametrize("x", [0.5, np.empty((3, 0))], ids=["scalar", "no components"])
+    def test_needs_a_last_axis(self, x):
+        with pytest.raises(ValueError, match="at least one component along the last axis"):
+            log_contrast(x)
 
 
 class TestCalibrateBox:
