@@ -59,7 +59,9 @@ def sample_dirichlet(params: DirichletParams, rng: np.random.Generator, size: in
     ``size`` is an integer of at least 1.  Equal shapes are drawn with the
     one scalar shape, which gives the same variates as the broadcast shape
     array, faster.  Each row is divided by its ``row_sum``, so the result is
-    ``g / g.sum(axis=1, keepdims=True)`` bit for bit.
+    ``g / g.sum(axis=1, keepdims=True)`` bit for bit.  A row whose gamma
+    variates all underflow to 0, which shapes far below 1 make common,
+    cannot be normalized: it raises ``NumericError``.
     """
     if not is_int(size) or size < 1:
         raise ValueError(f"size must be an integer of at least 1, got {size!r}")
@@ -68,7 +70,10 @@ def sample_dirichlet(params: DirichletParams, rng: np.random.Generator, size: in
         g = rng.standard_gamma(nu[0], size=(size, len(nu)))
     else:
         g = rng.standard_gamma(np.broadcast_to(nu, (size, len(nu))))
-    g /= row_sum(g)[:, None]
+    total = row_sum(g)
+    if not total.all():
+        raise NumericError(f"every gamma variate of a Dirichlet row underflowed to 0 at shapes {nu}")
+    g /= total[:, None]
     return g
 
 

@@ -21,7 +21,8 @@ sizes (``batched``): a batch is a list whose entry i is the (R, n_i)
 array of group i over the R datasets, the statistics come from row
 kernels over it, and a bootstrap test resamples it in windows of
 ``resample_width`` datasets, drawing each dataset's resamples from that
-dataset's own generator before one kernel evaluates the window.  The
+dataset's own generator before one kernel evaluates the window (two
+when bootstrap Levene decides without p-values; see ``batched``).  The
 functions above pass their dataset as the batch of one
 (``GroupedSample.rows``); the Monte Carlo harness draws chunks of
 replications straight into batches.  Rows are evaluated
@@ -31,6 +32,7 @@ results do not depend on how datasets are batched.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -117,7 +119,11 @@ class BootstrapConfig:
 
 @dataclass
 class Outcomes:
-    """One test applied to each dataset of a batch; row r belongs to dataset r."""
+    """One test applied to each dataset of a batch; row r belongs to dataset r.
+
+    ``p_value`` is None for every test but bootstrap Levene, and for that
+    one too when ``batched`` built it with ``p_values=False``.
+    """
 
     method: str
     alpha: float
@@ -125,7 +131,7 @@ class Outcomes:
     reject: np.ndarray            # (R,) bool; meaningless on rows in ``errors``
     errors: dict[int, Exception]  # rows the test cannot run on, with the reason
     critical_value: np.ndarray | None = None  # (R,)
-    p_value: np.ndarray | None = None         # (R,), bootstrap Levene only
+    p_value: np.ndarray | None = None         # (R,), bootstrap Levene with p_values=True only
     df: tuple[float, ...] | None = None
 
     @property
@@ -277,7 +283,29 @@ def _resample_batches(count: int, errors, sizes, b: int) -> list[list[int]]:
     return [list(batch) for _, batch in groupby(rows, key=lambda r: r // width)]
 
 
-def _bootstrap_levene_outcomes(groups, alpha: float, rngs, b: int) -> Outcomes:
+def _exceedances(draws: np.ndarray, observed: np.ndarray, bounds) -> np.ndarray:
+    """Per dataset, how many of its resamples in ``draws``, (R, w, n), have a Levene statistic above ``observed``, (R,)."""
+    flat = draws.reshape(-1, draws.shape[2])  # a copy only when draws is a strided view
+    boot, _ = _levene_stat_rows([flat[:, lo:hi] for lo, hi in zip(bounds, bounds[1:])])
+    return (boot.reshape(len(observed), -1) > observed[:, None]).sum(axis=1)
+
+
+def _curtailment(alpha: float, b: int, sizes) -> tuple[int, int, float]:
+    """(c, m, gate) of the decision-only bootstrap Levene; ``batched`` sets out their use.
+
+    c is the smallest count with c / b >= alpha, m = max(1, b // 5), and
+    gate the F(k, n - k - 1) quantile at 1 - c / m, or -inf when c >= m.
+    """
+    c = math.ceil(alpha * b)
+    while c > 1 and (c - 1) / b >= alpha:
+        c -= 1
+    while c / b < alpha:
+        c += 1
+    m = max(1, b // 5)
+    return c, m, f_quantile(1.0 - c / m, *_levene_df(sizes)) if c < m else -math.inf
+
+
+def _bootstrap_levene_outcomes(groups, alpha: float, rngs, b: int, curtail=None) -> Outcomes:
     stat, errors = _observed_levene(groups)
     pools = np.concatenate([g - _row_medians(g) for g in groups], axis=1)
     for r in np.flatnonzero(np.all(pools == 0.0, axis=1)):
@@ -285,16 +313,32 @@ def _bootstrap_levene_outcomes(groups, alpha: float, rngs, b: int) -> Outcomes:
     q = _jitter_scale(groups)
     sizes = tuple(g.shape[1] for g in groups)
     bounds = np.cumsum((0,) + sizes)
-    p = np.full(len(stat), np.nan)
+    # without smoothing jitter a row's draws are its indices alone, which split into two calls
+    split = min(sizes) >= 10
+    c, m, gate = curtail or (b, b, -math.inf)
+    count = np.full(len(stat), np.nan)
     for rows in _resample_batches(len(stat), errors, sizes, b):
-        draws = np.empty((len(rows) * b, pools.shape[1]))
+        streams = [rngs[r] for r in rows]
+        observed = stat[rows]
+        early = observed < gate
+        draws = np.empty((len(rows), b, pools.shape[1]))
         for j, r in enumerate(rows):
-            _pooled_resamples(pools[r], q[r], sizes, rngs[r], draws[j * b:(j + 1) * b])
-        boot, _ = _levene_stat_rows([draws[:, lo:hi] for lo, hi in zip(bounds, bounds[1:])])
-        p[rows] = (boot.reshape(len(rows), b) > stat[rows, None]).sum(axis=1) / b
+            _pooled_resamples(pools[r], q[r], sizes, streams[j], draws[j, :m if early[j] and split else b])
+        if early.any():
+            hits = _exceedances(draws[:, :m], observed, bounds)
+            go_on = np.flatnonzero(hits < c)  # a row with c exceedances accepts, whatever its other resamples give
+            if split:
+                for j in go_on[early[go_on]]:
+                    _pooled_resamples(pools[rows[j]], q[rows[j]], sizes, streams[j], draws[j, m:])
+            if go_on.size:
+                hits[go_on] += _exceedances(draws[go_on, m:], observed[go_on], bounds)
+        else:
+            hits = _exceedances(draws, observed, bounds)
+        count[rows] = hits
+    p = count / b
     return Outcomes(
         BOOTSTRAP_LEVENE, alpha, stat, _decide(alpha, p < alpha), errors,
-        p_value=p, df=_levene_df(sizes),
+        p_value=None if curtail else p, df=_levene_df(sizes),
     )
 
 
@@ -385,7 +429,7 @@ def box_test(data: GroupedSample, alpha: float, cfg: BootstrapConfig) -> TestRes
     return batched(BOX, data.sizes, alpha, cfg.b, cfg.pivot_variant)(data.rows, [cfg.rng]).result()
 
 
-def batched(method: str, sizes, alpha: float, b: int = 500, pivot_variant: bool = False):
+def batched(method: str, sizes, alpha: float, b: int = 500, pivot_variant: bool = False, p_values: bool = True):
     """Test ``method`` at level ``alpha`` as a function (groups, rngs) -> Outcomes.
 
     ``groups[i]`` is the (R, n_i) array of group i over R datasets, one
@@ -401,7 +445,27 @@ def batched(method: str, sizes, alpha: float, b: int = 500, pivot_variant: bool 
     just before that batch's draws, and in increasing r, so ``rngs`` may
     be any sequence whose item r is row r's generator when fetched; the
     rows of one batch may not share a generator object, as the box
-    redraws from all of them after the batch's first draws.
+    redraws from all of them after the batch's first draws, and bootstrap
+    Levene with ``p_values=False`` may draw from all of them after its
+    early round.
+
+    ``p_values=False`` makes bootstrap Levene decide without p-values
+    (``Outcomes.p_value`` is None), with the same ``reject`` and
+    ``errors``.  Let c be the smallest count with c / b >= alpha and
+    m = max(1, b // 5).  A row whose count of resampled statistics above
+    the observed one reaches c accepts, whatever its other resamples
+    give.  When c < m, a resample batch holding a row whose observed
+    statistic is below the F(k, n - k - 1) quantile at 1 - c / m (an
+    F-test p-value above c / m, so likely to accept) evaluates the first
+    m resamples of all its rows in an early round, and the rows that
+    reach c stop there; the other rows evaluate their remaining resamples
+    in one more kernel call.  A batch without such a row takes one kernel
+    call, as with p-values.  Without smoothed groups (every n_i >= 10) a
+    row below the quantile draws only its first m resamples' indices, and
+    the rest only if it goes on: bounded integers carry no state between
+    calls, so the draws are those of one call.  With smoothed groups the
+    jitter follows all b rows of indices in the stream, so every row
+    draws in full up front.  The other tests ignore ``p_values``.
     """
     if not is_real(alpha):
         raise ValueError(f"alpha must be a finite real number, got {alpha!r}")
@@ -418,7 +482,8 @@ def batched(method: str, sizes, alpha: float, b: int = 500, pivot_variant: bool 
     if b < 1:
         raise ValueError(f"bootstrap replicate count b must be >= 1, got {b}")
     if method == BOOTSTRAP_LEVENE:
-        return lambda groups, rngs: _bootstrap_levene_outcomes(groups, alpha, rngs, b)
+        curtail = None if p_values else _curtailment(alpha, b, sizes)
+        return lambda groups, rngs: _bootstrap_levene_outcomes(groups, alpha, rngs, b, curtail)
     if method == BOX:
         return lambda groups, rngs: _box_outcomes(groups, alpha, rngs, b, pivot_variant)
     raise ValueError(f"unknown test {method!r}; choose from {list(ALL_METHODS)}")

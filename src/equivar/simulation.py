@@ -171,7 +171,9 @@ def _tally(cfg: ExperimentConfig, reps: range) -> tuple[dict[str, int], dict[str
 
     The range builds its own tests, and so computes its F and chi-square
     quantiles once, and its own pool of generators, so concurrent calls
-    share nothing.  A chunk of up to ``_CHUNK_ROWS`` replications is
+    share nothing.  Only decisions are counted, so bootstrap Levene is
+    built with ``p_values=False`` and stops a replication's resampling
+    once its decision is settled.  A chunk of up to ``_CHUNK_ROWS`` replications is
     drawn, keyed and checked at once, and each test is called once on it.
     The pool serves every slot: a chunk's data draws end before any test
     is called, and the tests run one after another.  Each slot sees the
@@ -180,7 +182,7 @@ def _tally(cfg: ExperimentConfig, reps: range) -> tuple[dict[str, int], dict[str
     one batch, a window of ``resample_width`` rows, map to distinct
     generators, as the pool is that wide at most.
     """
-    tests = {t: batched(t, cfg.sizes, cfg.alpha, cfg.bootstrap_b) for t in cfg.tests}
+    tests = {t: batched(t, cfg.sizes, cfg.alpha, cfg.bootstrap_b, p_values=False) for t in cfg.tests}
     rejects = dict.fromkeys(cfg.tests, 0)
     errors = dict.fromkeys(cfg.tests, 0)
     scales = [math.sqrt(v) for v in cfg.variances]

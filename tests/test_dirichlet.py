@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from equivar import DirichletParams, calibrate_box, log_contrast, sample_dirichlet, search_critical, stream
+from equivar import DirichletParams, NumericError, calibrate_box, log_contrast, sample_dirichlet, search_critical, stream
 from equivar.bootstrap import box_rank
 
 
@@ -160,6 +160,14 @@ class TestSampleDirichlet:
     def test_mean_matches_shape_ratio(self):
         x = sample_dirichlet(DirichletParams((2.0, 3.0)), stream(53), size=100_000)
         assert x[:, 0].mean() == pytest.approx(0.4, abs=0.005)
+
+    def test_underflowed_row_raises_naming_the_shapes(self):
+        # at shape 1e-3 both gamma variates of 454 of these 2000 rows underflow to 0
+        params = DirichletParams((1e-3, 1e-3))
+        with pytest.raises(NumericError, match=r"underflowed to 0 at shapes \(0\.001, 0\.001\)"):
+            sample_dirichlet(params, stream(0), 2000)
+        with pytest.raises(NumericError, match="underflowed"):
+            calibrate_box(params, 0.05, 2000, stream(0))
 
 
 class TestLogContrast:

@@ -379,6 +379,36 @@ class TestBatched:
         assert fetched == [r for r in range(12) if r not in skipped]  # each row once, in order
         self._assert_rows_match(test, datasets, batch, seed=363)
 
+    @pytest.mark.parametrize("sizes", [(10, 12), (4, 12)], ids=["split_draws", "smoothed"])
+    def test_decision_mode_keeps_the_p_value_decisions(self, sizes, monkeypatch):
+        # c = 10 of b = 100, an early round of m = 20 resamples gated at the F median; two resample batches
+        rng = stream(364)
+        stacked = [rng.normal(size=(40, n)) for n in sizes]
+        real = equivar.homogeneity._levene_stat_rows
+        fetched, evaluated = [], {True: [], False: []}
+
+        class Streams:
+            def __getitem__(self, r):
+                fetched.append(r)
+                return stream(365, r)
+
+        outcomes = {}
+        for p_values in (True, False):
+            monkeypatch.setattr(equivar.homogeneity, "_levene_stat_rows",
+                                lambda blocks: evaluated[p_values].extend(np.hstack(blocks)) or real(blocks))
+            fetched.clear()
+            outcomes[p_values] = batched(BOOTSTRAP_LEVENE, sizes, 0.1, b=100, p_values=p_values)(stacked, Streams())
+            assert fetched == list(range(40))  # each row once, in order
+        full, decided = outcomes[True], outcomes[False]
+        assert decided.p_value is None and full.p_value is not None
+        assert 0 < decided.rejections < 40
+        np.testing.assert_array_equal(decided.reject, full.reject)
+        np.testing.assert_array_equal(decided.statistic, full.statistic)
+        # the curtailed resamples are fewer, and every one of them is a resample the full path draws
+        drawn = {row.tobytes() for row in evaluated[True]}
+        assert len(evaluated[False]) < len(evaluated[True])
+        assert all(row.tobytes() in drawn for row in evaluated[False])
+
     @staticmethod
     def _assert_rows_match(test, datasets, batch, seed=361):
         for r, data in enumerate(datasets):

@@ -216,6 +216,15 @@ class TestChunkedRunCell:
             ("normal", (2, 2), (1.0, 1.0), 0.05, 20, 50),              # degenerate Levene; one chunk
             ("extreme_value", (20, 20), (1.0, 2.0), 0.05, 5, 2000),    # width 1
             ("uniform", (3, 5, 7), (1.0, 1.0, 2.0), 0.05, 120, 50),   # width 87: batches 87, 18 and 15
+            # bootstrap Levene stops at c exceedances, after an early round of m = B // 5 resamples
+            ("normal", (10, 10), (1.0, 1.0), 0.05, 105, 500),          # unsmoothed: draws split in two calls
+            ("laplace", (5, 7), (1.0, 1.0), 0.05, 60, 500),            # smoothed: drawn in full up front
+            ("uniform", (12, 15, 11), (1.0, 1.0, 1.0), 0.05, 60, 1),   # c / m = 1: no early round
+            ("normal", (10, 12), (1.0, 1.0), 0.05, 60, 7),             # c / m = 1
+            ("exponential", (10, 10), (1.0, 1.0), 0.05, 80, 20),       # c = 1, m = 4
+            ("student_t5", (11, 14), (1.0, 1.0), 0.01, 60, 500),       # c = 5
+            ("normal", (6, 12), (1.0, 1.0), 0.1, 60, 500),             # c = 50
+            ("normal", (10, 10), (1.0, 1.0), 0.5, 40, 500),            # c = 250 >= m: no early round
         ],
     )
     def test_matches_replication_by_replication_reference(self, dist, sizes, variances, alpha, reps, b):
@@ -234,6 +243,14 @@ class TestChunkedRunCell:
     def test_keyed_streams_match_reference(self, dist, sizes, reps, b, seed, tests):
         _assert_matches_reference(ExperimentConfig(dist, sizes, (1.0, 2.0), replications=reps, bootstrap_b=b,
                                                    master_seed=seed, tests=tests))
+
+    def test_split_decision_cell_matches_reference(self):
+        # 40 resample batches of 3 replications, tallied in two ranges
+        cfg = ExperimentConfig("normal", (12, 12, 12), (1.0, 1.0, 1.0), replications=120, master_seed=10,
+                               tests=("bootstrap_levene",))
+        est, ref = run_grid([cfg], threads=2)[0], _reference_cell(cfg)
+        np.testing.assert_equal(est.rates, ref.rates)
+        assert est.error_counts == ref.error_counts
 
     def test_two_point_groups_reach_the_degenerate_levene_path(self):
         # |x - median| is the same for both points of a two-point group, up to rounding
@@ -262,6 +279,29 @@ class TestChunkedRunCell:
         poison.pop(0)
         with pytest.raises(DegenerateDataError, match="replication 7: group 0 contains non-finite"):
             run_grid([cfg], threads=2)
+
+
+class TestCurtailedBootstrapLevene:
+    """run_cell stops a replication's bootstrap-Levene resampling once its decision is settled."""
+
+    @staticmethod
+    def _resamples_evaluated(cfg, monkeypatch) -> int:
+        real = equivar.homogeneity._levene_stat_rows
+        rows = []
+        monkeypatch.setattr(equivar.homogeneity, "_levene_stat_rows",
+                            lambda blocks: rows.append(blocks[0].shape[0]) or real(blocks))
+        run_cell(cfg)
+        return sum(rows) - cfg.replications  # less one observed statistic per replication
+
+    def test_null_cell_stops_early(self, monkeypatch):
+        cfg = _cfg(sizes=(10, 10), replications=105, bootstrap_b=500, tests=("bootstrap_levene",))
+        assert self._resamples_evaluated(cfg, monkeypatch) < cfg.replications * cfg.bootstrap_b // 2
+
+    def test_rejecting_cell_evaluates_every_resample(self, monkeypatch):
+        cfg = _cfg(sizes=(10, 10), variances=(1.0, 100.0), replications=105, bootstrap_b=500,
+                   tests=("bootstrap_levene",))
+        assert run_cell(cfg).rates["bootstrap_levene"] == 1.0
+        assert self._resamples_evaluated(cfg, monkeypatch) == cfg.replications * cfg.bootstrap_b
 
 
 class TestResampleBatches:
