@@ -1,6 +1,7 @@
 """The smoothing constant of the bootstrap Levene test and the box critical-value rule.
 
 ``box_rank`` sizes both boxes: the bootstrap one here, the exact-normal one in ``dirichlet``.
+It and bootstrap Levene's curtailment count through the one rule ``first_count``.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ __all__ = [
     "SMOOTH_FACTOR",
     "CriticalSearch",
     "box_rank",
+    "first_count",
     "search_critical",
 ]
 
@@ -31,19 +33,28 @@ class CriticalSearch:
     coverage: float | np.ndarray  # fraction of rows inside [-c_star, c_star] in every coordinate
 
 
+def first_count(b: int, level: float) -> int:
+    """The smallest count m in 1..b with m / b >= level, for 0 < level <= 1.
+
+    The compare is the float division that coverage and exceedance rates
+    are reported in, so ``ceil(b * level)``, whose product can round,
+    is only the starting guess.
+    """
+    m = math.ceil(b * level)
+    while m > 1 and (m - 1) / b >= level:
+        m -= 1
+    while m / b < level:
+        m += 1
+    return m
+
+
 def box_rank(b: int, alpha: float) -> int:
     """Index, from 0, of the box half-width among B ascending row maxima, for 0 < alpha < 1.
 
-    It is m - 1 for m the first count with m / B >= 1 - alpha, compared in
-    the float division that coverage is reported in, so the box is the
-    smallest whose coverage reaches 1 - alpha.
+    It is m - 1 for m the first count with m / B >= 1 - alpha, so the box
+    is the smallest whose coverage reaches 1 - alpha.
     """
-    m = math.ceil(b * (1.0 - alpha))  # rounding of the product can put this one off
-    while m > 1 and (m - 1) / b >= 1.0 - alpha:
-        m -= 1
-    while m / b < 1.0 - alpha:
-        m += 1
-    return m - 1
+    return first_count(b, 1.0 - alpha) - 1
 
 
 def search_critical(centered, alpha: float) -> CriticalSearch:

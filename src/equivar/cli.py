@@ -272,8 +272,8 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("config", help="JSON experiment object or array of objects")
     s.add_argument("--out", "-o", help="write the long-format CSV here (default: stdout)")
     s.add_argument("--threads", type=int, default=1,
-                   help="degree of parallelism: worker processes across the cells of a grid, "
-                        "threads within a grid of a single cell (default 1)")
+                   help="degree of parallelism: each cell is split into ranges of its resample "
+                        "batches, run on threads for one cell and on processes for several (default 1)")
     s.add_argument("--pivot", action="store_true",
                    help="print markdown tables pivoted by distribution instead of CSV")
     s.set_defaults(func=_cmd_simulate)

@@ -38,7 +38,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .bootstrap import SMOOTH_FACTOR, search_critical
+from .bootstrap import SMOOTH_FACTOR, first_count, search_critical
 from .descriptive import GroupedSample, column_reduce, log_variance_rows, log_variance_t, moment_rows, row_sum
 from .errors import DegenerateDataError, NumericError, is_int, is_real
 from .rng import stream
@@ -293,14 +293,11 @@ def _exceedances(draws: np.ndarray, observed: np.ndarray, bounds) -> np.ndarray:
 def _curtailment(alpha: float, b: int, sizes) -> tuple[int, int, float]:
     """(c, m, gate) of the decision-only bootstrap Levene; ``batched`` sets out their use.
 
-    c is the smallest count with c / b >= alpha, m = max(1, b // 5), and
-    gate the F(k, n - k - 1) quantile at 1 - c / m, or -inf when c >= m.
+    c = ``first_count(b, alpha)``, the smallest count with c / b >= alpha,
+    m = max(1, b // 5), and gate the F(k, n - k - 1) quantile at 1 - c / m,
+    or -inf when c >= m.
     """
-    c = math.ceil(alpha * b)
-    while c > 1 and (c - 1) / b >= alpha:
-        c -= 1
-    while c / b < alpha:
-        c += 1
+    c = first_count(b, alpha)
     m = max(1, b // 5)
     return c, m, f_quantile(1.0 - c / m, *_levene_df(sizes)) if c < m else -math.inf
 

@@ -143,7 +143,7 @@ def run_cell(cfg: ExperimentConfig) -> CellEstimate:
     byte-identical to evaluating each replication on its own.  The
     estimate is computed from integer rejection and error counts summed
     over ranges of replications, here the one range of all of them;
-    ``run_grid`` sums several ranges run on threads, with the same result.
+    ``run_grid`` sums several ranges run on a pool, with the same result.
     Replications where a test raises a degeneracy or numeric error are
     counted separately and excluded from that test's denominator; a
     non-finite draw raises ``DegenerateDataError`` naming the replication
@@ -169,12 +169,15 @@ class _Rekeyed:
 def _tally(cfg: ExperimentConfig, reps: range) -> tuple[dict[str, int], dict[str, int]]:
     """Rejections and errors per test over replications ``reps``, chunk by chunk.
 
-    The range builds its own tests, and so computes its F and chi-square
-    quantiles once, and its own pool of generators, so concurrent calls
-    share nothing.  Only decisions are counted, so bootstrap Levene is
-    built with ``p_values=False`` and stops a replication's resampling
-    once its decision is settled.  A chunk of up to ``_CHUNK_ROWS`` replications is
-    drawn, keyed and checked at once, and each test is called once on it.
+    This is the one unit of work: ``run_cell`` tallies the range of all
+    replications, and ``run_grid`` maps it over (cell, range) tasks on a
+    worker pool.  The range builds its own tests, and so computes its F
+    and chi-square quantiles once, and its own pool of generators, so
+    concurrent calls share nothing.  Only decisions are counted, so
+    bootstrap Levene is built with ``p_values=False`` and stops a
+    replication's resampling once its decision is settled.  A chunk of up
+    to ``_CHUNK_ROWS`` replications is drawn, keyed and checked at once,
+    and each test is called once on it.
     The pool serves every slot: a chunk's data draws end before any test
     is called, and the tests run one after another.  Each slot sees the
     pool as a ``_Rekeyed`` view of its keys.  A bootstrap test fetches a
@@ -230,35 +233,28 @@ def _generator() -> np.random.Generator:
     return np.random.Generator(np.random.MT19937(0))
 
 
-def _threaded_cell(cfg: ExperimentConfig, threads: int) -> CellEstimate:
-    """``run_cell(cfg)`` with contiguous ranges of whole resample batches tallied on up to ``threads`` threads.
-
-    A cell that makes one range is handed to ``run_cell`` itself.
-    """
+def _ranges(cfg: ExperimentConfig, parts: int) -> list[range]:
+    """Up to ``parts`` contiguous ranges of whole resample batches that cover ``cfg``'s replications, in order."""
     width = resample_width(cfg.sizes, cfg.bootstrap_b)
     batches = -(-cfg.replications // width)
-    parts = min(threads, batches)
-    if parts == 1:
-        return run_cell(cfg)
+    parts = min(parts, batches)
     bounds = [min(width * (batches * i // parts), cfg.replications) for i in range(parts + 1)]
-    with ThreadPoolExecutor(max_workers=parts) as pool:
-        # consumed in range order, so a failing draw raises for its lowest replication, as serially
-        tallies = list(pool.map(lambda reps: _tally(cfg, reps), map(range, bounds, bounds[1:])))
-    return _estimate(cfg, tallies)
+    return list(map(range, bounds, bounds[1:]))
 
 
 def run_grid(cells, threads: int = 1) -> list[CellEstimate]:
     """Run independent cells, preserving input order.
 
     ``threads`` is an integer >= 1; more than ``os.cpu_count()`` counts
-    as that many.  With ``threads`` > 1, a grid of several cells is
-    distributed over up to ``threads`` worker processes, one cell at a
-    time per process; a grid of one cell is split into at most
-    ``threads`` contiguous ranges of whole resample batches (one thread
-    per batch at most), whose rejection and error counts are tallied on
-    threads and summed.  Any other cell runs here, through ``run_cell``.  Every cell is a pure function of its
-    configuration and the counts are integers, so results are identical
-    for any thread count.
+    as that many.  With ``threads`` > 1, each cell is split into up to
+    ``ceil(threads / len(cells))`` contiguous ranges of whole resample
+    batches, and every (cell, range) tally runs on a pool of up to
+    ``threads`` workers: threads for a grid of one cell, processes for a
+    grid of several.  Each cell's rejection and error counts are summed
+    over its ranges in order.  With ``threads`` == 1, or when the grid
+    makes a single range, every cell runs here, through ``run_cell``.
+    Every cell is a pure function of its configuration and the counts
+    are integers, so results are identical for any thread count.
     """
     if not is_int(threads) or threads < 1:
         raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
@@ -266,10 +262,22 @@ def run_grid(cells, threads: int = 1) -> list[CellEstimate]:
     if not cells:
         raise ValueError("empty grid")
     threads = min(threads, os.cpu_count() or 1)
-    if threads == 1 or len(cells) == 1:
-        return [_threaded_cell(c, threads) for c in cells]
-    with ProcessPoolExecutor(max_workers=min(threads, len(cells))) as pool:
-        return list(pool.map(run_cell, cells))
+    if threads == 1:
+        return [run_cell(c) for c in cells]
+    splits = [_ranges(c, -(-threads // len(cells))) for c in cells]
+    tasks = [(c, reps) for c, ranges in zip(cells, splits) for reps in ranges]
+    if len(tasks) == 1:
+        return [run_cell(cells[0])]
+    # Measured on a 2-core Xeon.  A lone laplace 4x40 cell ran about 1.5x faster on 2 processes
+    # than on 2 threads, but each worker process peaked at 47 MB of its own, so a lone cell stays
+    # on threads, in this process.  The 36-cell null grid, at 100 replications, took 2.2-2.3 s on
+    # threads, its per-replication Python loops waiting on the GIL, 2.3-2.4 s serially and
+    # 1.2-1.9 s on 2 processes, so a grid goes to processes.
+    executor = ThreadPoolExecutor if len(cells) == 1 else ProcessPoolExecutor
+    with executor(max_workers=min(threads, len(tasks))) as pool:
+        # consumed in task order, so a failing draw raises for the lowest replication of the first failing cell
+        tallies = pool.map(_tally, *zip(*tasks))
+        return [_estimate(c, [next(tallies) for _ in ranges]) for c, ranges in zip(cells, splits)]
 
 
 def averaged_power(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig) -> CellEstimate:
@@ -318,11 +326,7 @@ def robustness(cells, alpha: float = 0.05) -> RobustnessReport:
             raise ValueError(f"cell with variances {c.config.variances} is not a null configuration")
         if c.config.alpha != alpha:
             raise ValueError(f"cell run at alpha={c.config.alpha} cannot be judged at alpha={alpha}")
-    tests: list[str] = []
-    for c in cells:
-        for t in c.config.tests:
-            if t not in tests:
-                tests.append(t)
+    tests = list(dict.fromkeys(t for c in cells for t in c.config.tests))
     max_size: dict[str, float] = {}
     for t in tests:
         values = [c.rates[t] for c in cells if t in c.rates and not math.isnan(c.rates[t])]

@@ -10,7 +10,7 @@ from equivar import (
     search_critical,
     stream,
 )
-from equivar.bootstrap import box_rank
+from equivar.bootstrap import box_rank, first_count
 from equivar.descriptive import log_variance_rows
 from equivar.homogeneity import _pooled_resamples, _resample_rows
 
@@ -238,6 +238,12 @@ class TestSearchCritical:
     def test_bad_alpha_rejected(self, alpha, message):
         with pytest.raises(ValueError, match=message):
             search_critical(np.ones((5, 2)), alpha)
+
+
+@pytest.mark.parametrize("level", [0.01, 0.05, 0.1, 0.3, 1.0 / 3.0, 0.7, 0.95, 1.0])
+def test_first_count_is_the_brute_force_count(level):
+    for b in range(1, 601):
+        assert first_count(b, level) == min(m for m in range(1, b + 1) if m / b >= level), (b, level)
 
 
 def test_box_rank_is_the_first_count_reaching_the_level():

@@ -1,5 +1,7 @@
 import math
 import pickle
+import time
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -260,18 +262,22 @@ class TestChunkedRunCell:
 
     def test_non_finite_draw_escapes(self, monkeypatch):
         # one chunk of five resample batches of two; at threads=2 the ranges are replications 0-3 and 4-9
+        sim = equivar.simulation
         cfg = _cfg(replications=10, bootstrap_b=2000)
-        real = equivar.simulation.sample_standardized
+        real = sim.sample_standardized
         # the first group of replications 3 and 7, keyed by value: the threads interleave the calls
         poison = [real(cfg.distribution, 8, stream(cfg.master_seed, r, 0)) for r in (3, 7)]
+        late = poison[1]
 
         def poisoned(kind, n, rng):
             x = real(kind, n, rng)
+            if np.array_equal(x, late):
+                time.sleep(0.2)  # on a concurrent pool, ranges that run beside this one fail first
             if any(np.array_equal(x, p) for p in poison):
                 x[0] = np.nan
             return x
 
-        monkeypatch.setattr(equivar.simulation, "sample_standardized", poisoned)
+        monkeypatch.setattr(sim, "sample_standardized", poisoned)
         with pytest.raises(DegenerateDataError, match="replication 3: group 0 contains non-finite"):
             run_cell(cfg)
         with pytest.raises(DegenerateDataError, match="replication 3: group 0 contains non-finite"):
@@ -279,6 +285,20 @@ class TestChunkedRunCell:
         poison.pop(0)
         with pytest.raises(DegenerateDataError, match="replication 7: group 0 contains non-finite"):
             run_grid([cfg], threads=2)
+        # at threads=4 a two-cell grid splits each cell into those two ranges; replication 3 of the
+        # second cell, in its first range, is poisoned too, and the error still names the first cell's
+        other = _cfg(replications=10, bootstrap_b=2000, master_seed=2)
+        poison.append(real(other.distribution, 8, stream(other.master_seed, 3, 0)))
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 4)
+        widths = []
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", _recording_pool(widths))
+        with pytest.raises(DegenerateDataError, match="replication 7: group 0 contains non-finite"):
+            run_grid([cfg, other], threads=4)
+        assert widths == [4]
+        # on a real pool the four ranges run at once, and the results are still consumed in task order
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", ThreadPoolExecutor)
+        with pytest.raises(DegenerateDataError, match="replication 7: group 0 contains non-finite"):
+            run_grid([cfg, other], threads=4)
 
 
 class TestCurtailedBootstrapLevene:
@@ -375,8 +395,8 @@ def _recording_pool(widths: list):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     return RecordingPool
 
@@ -435,6 +455,23 @@ class TestRunGrid:
         assert widths == []
         assert pickle.dumps(run_grid([two_batches], threads=16)) == pickle.dumps([run_cell(two_batches)])
         assert widths == [2]
+
+    def test_small_grid_splits_its_cells_on_processes(self, monkeypatch):
+        # resample batches of 2**16 // (30 * 16) = 136 replications: three per cell, in two ranges
+        sim = equivar.simulation
+        cells = [_cfg(replications=300, master_seed=31), _cfg(replications=300, master_seed=32, variances=(1.0, 4.0))]
+        expected = pickle.dumps([run_cell(c) for c in cells])
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 4)
+        widths, tallied = [], []
+        real = sim._tally
+        monkeypatch.setattr(sim, "_tally", lambda cfg, reps: tallied.append((cfg.master_seed, reps)) or real(cfg, reps))
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", _recording_pool(widths))
+        assert pickle.dumps(run_grid(cells, threads=4)) == expected
+        assert widths == [4]
+        assert tallied == [(s, reps) for s in (31, 32) for reps in (range(0, 136), range(136, 300))]
+        monkeypatch.setattr(sim, "_tally", real)
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", ProcessPoolExecutor)
+        assert pickle.dumps(run_grid(cells, threads=4)) == expected
 
     def test_workers_capped_at_the_cpu_count(self, monkeypatch):
         sim = equivar.simulation
