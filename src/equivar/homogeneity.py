@@ -39,7 +39,9 @@ from itertools import groupby
 import numpy as np
 
 from .bootstrap import SMOOTH_FACTOR, first_count, search_critical
-from .descriptive import GroupedSample, column_reduce, log_variance_rows, log_variance_t, moment_rows, row_sum
+from .descriptive import (
+    GroupedSample, centred, column_reduce, in_place, log_variance_rows, log_variance_t, moment_rows, row_sum,
+)
 from .errors import DegenerateDataError, NumericError, is_int, is_real
 from .rng import stream
 from .special import chi2_quantile, f_quantile
@@ -167,7 +169,7 @@ def _levene_df(sizes) -> tuple[int, int]:
 
 
 def _row_medians(x: np.ndarray) -> np.ndarray:
-    """Medians of the rows of x as an (R, 1) column; for an even row size, the midpoint of the central pair.
+    """Medians of the rows of x, shape (R,); for an even row size, the midpoint of the central pair.
 
     On rows as short as group samples and their resamples, sorting is
     several times faster than the partition in ``np.median``; the values
@@ -176,8 +178,8 @@ def _row_medians(x: np.ndarray) -> np.ndarray:
     s = np.sort(x, axis=1)
     h = x.shape[1] // 2
     if x.shape[1] % 2:
-        return s[:, h:h + 1]
-    return (s[:, h - 1:h] + s[:, h:h + 1]) / 2.0
+        return s[:, h]
+    return (s[:, h - 1] + s[:, h]) / 2.0
 
 
 def _levene_stat_rows(blocks) -> tuple[np.ndarray, np.ndarray]:
@@ -189,17 +191,18 @@ def _levene_stat_rows(blocks) -> tuple[np.ndarray, np.ndarray]:
     statistics compare with an observed one in every case.  Within-group
     variation at rounding level, at most eps * n * (grand mean)^2, counts
     as zero: in a two-point group both deviations from the median are
-    equal, but their computed values can differ in the last bit.
+    equal, but their computed values can differ in the last bit.  The
+    absolute and squared deviations are taken in place, by columns under
+    the shape rule (``centred``).
     """
     k, df2 = _levene_df([bl.shape[1] for bl in blocks])
     n = df2 + k + 1
-    e = [np.abs(bl - _row_medians(bl)) for bl in blocks]
+    e = [in_place(np.absolute, centred(bl, _row_medians(bl))) for bl in blocks]
     sums = [row_sum(x) for x in e]
-    means = np.stack([total / x.shape[1] for total, x in zip(sums, e)], axis=1)
+    means = [total / bl.shape[1] for total, bl in zip(sums, blocks)]
     grand = sum(sums) / n
-    sizes = np.array([x.shape[1] for x in e], dtype=float)
-    ssb = row_sum(sizes * (means - grand[:, None]) ** 2)
-    ssw = sum(row_sum((x - m[:, None]) ** 2) for x, m in zip(e, means.T))
+    ssb = row_sum([bl.shape[1] * (m - grand) ** 2 for m, bl in zip(means, blocks)])
+    ssw = sum(row_sum(in_place(np.multiply, centred(x, m))) for x, m in zip(e, means))
     out = np.zeros_like(ssb)
     ok = ssw > _EPS * n * grand * grand
     out[ok] = (ssb[ok] / k) / (ssw[ok] / df2)
@@ -267,7 +270,11 @@ def _pooled_resamples(pool: np.ndarray, q: float, sizes, rng, out: np.ndarray) -
     for ni in sizes:
         if ni < 10:
             block = out[:, start:start + ni]
-            block[...] = SMOOTH_FACTOR * (block + q * rng.uniform(-0.5, 0.5, block.shape))
+            u = rng.uniform(-0.5, 0.5, block.shape)  # the jitter, in the draw's own array
+            u *= q
+            u += block
+            u *= SMOOTH_FACTOR
+            block[...] = u
         start += ni
 
 
@@ -304,7 +311,7 @@ def _curtailment(alpha: float, b: int, sizes) -> tuple[int, int, float]:
 
 def _bootstrap_levene_outcomes(groups, alpha: float, rngs, b: int, curtail=None) -> Outcomes:
     stat, errors = _observed_levene(groups)
-    pools = np.concatenate([g - _row_medians(g) for g in groups], axis=1)
+    pools = np.concatenate([g - _row_medians(g)[:, None] for g in groups], axis=1)
     for r in np.flatnonzero(np.all(pools == 0.0, axis=1)):
         errors.setdefault(int(r), DegenerateDataError("residual pool is identically zero"))
     q = _jitter_scale(groups)
@@ -399,8 +406,10 @@ def _box_outcomes(groups, alpha: float, rngs, b: int, pivot_variant: bool) -> Ou
         if keep:
             t = t[keep]
             kept = [rows[j] for j in keep]
-            centre = observed[kept, None, :] if pivot_variant else t.mean(axis=1, keepdims=True)
-            c_star[kept] = search_critical(t - centre, alpha).c_star
+            centre = observed[kept] if pivot_variant else t.mean(axis=1)
+            for i in range(t.shape[2]):  # group by group: an (R, 1, k) broadcast loops once per resample
+                t[:, :, i] -= centre[:, i, None]
+            c_star[kept] = search_critical(t, alpha).c_star
     t_max = np.abs(observed).max(axis=1)
     return Outcomes(BOX, alpha, observed, _decide(alpha, t_max > c_star), errors, critical_value=c_star)
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import equivar.cli
-from equivar import BootstrapConfig, ExperimentConfig, GroupedSample, NumericError, run_all
+from equivar import BootstrapConfig, ExperimentConfig, GroupedSample, NumericError, run_all, two_group_null_grid
 from equivar.cli import _config_from_json, main
 
 GOOD_CSV = "group,value\n" + "".join(
@@ -295,6 +295,21 @@ class TestSimulateCommand:
         assert main(["simulate", str(grid), "--out", str(out), "--threads", threads]) == 0
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == "da951e9a8415b1a8144c85400d1179501233b04f98c1470c6628d3f5ddadb454"
+
+    def test_null_grid_output_is_pinned(self, tmp_path):
+        # the 36-cell null grid at seed 1: one chunk of 60 replications per cell, resampled in batches
+        # whose box stacks of B=100 resamples hold from 200 rows (a last batch of 2) to 6000, on both
+        # sides of the kernels' shape rule, for groups of 5, 7, 10 and 15
+        cells = [
+            {"distribution": c.distribution.value, "sizes": list(c.sizes), "variances": list(c.variances),
+             "replications": 60, "bootstrap_b": 100, "seed": c.master_seed}
+            for c in two_group_null_grid(1)
+        ]
+        grid, out = tmp_path / "null.json", tmp_path / "null.csv"
+        grid.write_text(json.dumps(cells))
+        assert main(["simulate", str(grid), "--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "db5ac861ec793669a2c3191d2afb2de05d4ec399dc55770e41475417e80351fe"
 
     @pytest.mark.parametrize(
         "grid, message",

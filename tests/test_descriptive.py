@@ -9,8 +9,8 @@ from equivar import (
     log_variance_contrasts,
     stream,
 )
-from equivar.descriptive import column_reduce, log_variance_rows, moment_rows, row_sum
-from equivar.homogeneity import _row_medians
+from equivar.descriptive import _COLUMNS_FROM_ROWS, by_columns, column_reduce, log_variance_rows, moment_rows, row_sum
+from equivar.homogeneity import _levene_stat_rows, _row_medians
 
 # A fixed two-group dataset reused by the oracle comparisons here and in the
 # test-statistic checks.
@@ -112,7 +112,7 @@ class TestSummarize:
         assert sigma2[0] * 6 == pytest.approx(2 * 1.0 + 2 * 4.0)
 
     def test_even_n_median_is_midpoint(self):
-        assert _row_medians(np.array([[1.0, 2.0, 3.0, 4.0]]))[0, 0] == 2.5
+        assert _row_medians(np.array([[1.0, 2.0, 3.0, 4.0]]))[0] == 2.5
 
     def test_constant_group_has_zero_variance(self):
         np.testing.assert_allclose(_s2(GroupedSample([[5, 5, 5], [1, 2, 3]])), [0.0, 1.0])
@@ -253,18 +253,27 @@ def _same_bits(ours, theirs):
     return np.array_equal(ours, theirs, equal_nan=True) and np.array_equal(np.signbit(ours), np.signbit(theirs))
 
 
+# row counts on both sides of the shape rule, which takes columns from _COLUMNS_FROM_ROWS rows
+_ROW_COUNTS = [1, 2, 13, _COLUMNS_FROM_ROWS - 1, _COLUMNS_FROM_ROWS, 6500]
+
+
 class TestRowReductions:
     """The short-row helpers give numpy's row reductions bit for bit, signs of zeros included."""
 
-    @pytest.mark.parametrize("r", [1, 2, 13, 6500])
-    @pytest.mark.parametrize("n", range(1, 13))
+    def test_shape_rule(self):
+        assert by_columns(_COLUMNS_FROM_ROWS, 15) and not by_columns(_COLUMNS_FROM_ROWS, 16)
+        assert not by_columns(_COLUMNS_FROM_ROWS - 1, 2)
+
+    @pytest.mark.parametrize("r", _ROW_COUNTS)
+    @pytest.mark.parametrize("n", range(1, 18))
     def test_row_sum_is_numpys_row_sum(self, n, r):
         for x in _layouts(_awkward_rows(n, r)):
             with np.errstate(over="ignore", invalid="ignore"):
                 assert _same_bits(row_sum(x), x.sum(axis=1))
                 assert _same_bits(row_sum(x) / n, x.mean(axis=1))
+                assert _same_bits(row_sum([x[:, j].copy() for j in range(n)]), x.sum(axis=1))
 
-    @pytest.mark.parametrize("r", [1, 2, 13, 6500])
+    @pytest.mark.parametrize("r", _ROW_COUNTS)
     @pytest.mark.parametrize("n", range(1, 13))
     def test_column_reductions_are_numpys(self, n, r):
         for x in _layouts(_awkward_rows(n, r)):
@@ -272,3 +281,75 @@ class TestRowReductions:
             assert _same_bits(column_reduce(np.maximum, x[None]), x[None].max(axis=-1))  # an (R, B, k) stack
             finite = np.isfinite(x)
             assert np.array_equal(column_reduce(np.logical_and, finite), finite.all(axis=1))
+
+
+def _reference_moments(groups):
+    """``moment_rows`` as plain numpy broadcasts and row sums."""
+    n = sum(g.shape[1] for g in groups)
+    s2 = np.empty((groups[0].shape[0], len(groups)))
+    ss2 = ss4 = 0.0
+    for i, g in enumerate(groups):
+        dev = g - g.mean(axis=1, keepdims=True)
+        d2 = dev * dev
+        within = d2.sum(axis=1)
+        s2[:, i] = within / (g.shape[1] - 1)
+        ss2 = ss2 + within
+        ss4 = ss4 + (d2 * d2).sum(axis=1)
+    return s2, ss4 / n, ss2 / n
+
+
+def _reference_contrasts(groups, use_harmonic):
+    """var(ln s_i^2), contrast, se and t of ``log_variance_rows`` as plain numpy broadcasts and row sums."""
+    s2, mu4, sigma2 = _reference_moments(groups)
+    m = np.asarray([g.shape[1] for g in groups], dtype=float)
+    if use_harmonic:
+        m = np.full(len(m), len(m) / float((1.0 / m).sum()))
+    k = len(groups)
+    kurt = mu4 / (sigma2 * sigma2)
+    var_log_s2 = (kurt[:, None] - (m - 3.0) / m) / (m - 1.0)
+    log_s2 = np.log(s2)
+    contrast = log_s2 - log_s2.mean(axis=1, keepdims=True)
+    se = np.sqrt((1.0 - 2.0 / k) * var_log_s2 + var_log_s2.sum(axis=1, keepdims=True) / k**2)
+    return var_log_s2, contrast, se, contrast / se
+
+
+def _reference_levene(blocks):
+    """The Levene statistic of ``_levene_stat_rows`` as plain numpy broadcasts and row sums, sort medians."""
+    k = len(blocks) - 1
+    n = sum(bl.shape[1] for bl in blocks)
+    e = []
+    for bl in blocks:
+        s, h = np.sort(bl, axis=1), bl.shape[1] // 2
+        median = s[:, h:h + 1] if bl.shape[1] % 2 else (s[:, h - 1:h] + s[:, h:h + 1]) / 2.0
+        e.append(np.abs(bl - median))
+    sums = [x.sum(axis=1) for x in e]
+    means = np.stack([total / x.shape[1] for total, x in zip(sums, e)], axis=1)
+    grand = sum(sums) / n
+    sizes = np.array([x.shape[1] for x in e], dtype=float)
+    ssb = (sizes * (means - grand[:, None]) ** 2).sum(axis=1)
+    ssw = sum(((x - m[:, None]) ** 2).sum(axis=1) for x, m in zip(e, means.T))
+    out = np.zeros_like(ssb)
+    ok = ssw > np.finfo(float).eps * n * grand * grand
+    out[ok] = (ssb[ok] / k) / (ssw[ok] / (n - k - 1))
+    out[~ok & (ssb > 0.0)] = np.inf
+    return out
+
+
+class TestKernelBits:
+    """The row kernels give their plain numpy formulas bit for bit, by rows and by columns."""
+
+    @pytest.mark.parametrize("r", [13, _COLUMNS_FROM_ROWS - 1, _COLUMNS_FROM_ROWS, 2600])
+    @pytest.mark.parametrize("sizes", [(2, 3), (5, 5), (7, 15), (8, 9, 16), (10, 15, 12), (4, 40)])
+    def test_kernels_match_plain_numpy(self, sizes, r):
+        bounds = np.cumsum((0,) + sizes)
+        for x in _layouts(_awkward_rows(int(bounds[-1]), r)):
+            groups = [x[:, lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+            with np.errstate(all="ignore"):
+                for ours, theirs in zip(moment_rows(groups), _reference_moments(groups)):
+                    assert _same_bits(ours, theirs)
+                for use_harmonic in (False, True):
+                    contrasts, var_log_s2, _ = log_variance_rows(groups, use_harmonic)
+                    ours = (var_log_s2, contrasts.contrast, contrasts.se, contrasts.t)
+                    for a, b in zip(ours, _reference_contrasts(groups, use_harmonic)):
+                        assert _same_bits(a, b)
+                assert _same_bits(_levene_stat_rows(groups)[0], _reference_levene(groups))

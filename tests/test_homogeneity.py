@@ -94,7 +94,7 @@ class TestLevene:
         rng = stream(202)
         for n in (2, 3, 5, 10, 15, 40):
             x = rng.normal(size=(50, n))
-            np.testing.assert_array_equal(_row_medians(x), np.median(x, axis=1, keepdims=True))
+            np.testing.assert_array_equal(_row_medians(x), np.median(x, axis=1))
 
     def test_between_without_within_variation_degenerate(self):
         data = GroupedSample([[-1.0, 1.0, -1.0, 1.0], [-2.0, 2.0, -2.0, 2.0]])
