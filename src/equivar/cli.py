@@ -1,6 +1,10 @@
 """Command line interface: run tests on CSV data, simulate grids, calibrate boxes.
 
 Exit codes: 0 success, 2 input/data error, 3 numeric failure or out of memory.
+A data CSV that cannot be decoded or parsed is reported by its path, and by
+``path:line`` where a line is at fault.  The argument parser is built on the
+first ``main`` call and reused by every later call in the process; parsing
+keeps no state between calls.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ import dataclasses
 import json
 import math
 import sys
+from functools import cache
 from pathlib import Path
 
 from .descriptive import GroupedSample
@@ -29,23 +34,30 @@ _CONFIG_FIELDS = {("seed" if f.name == "master_seed" else f.name): f for f in da
 def _read_grouped_csv(path: str) -> GroupedSample:
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["group", "value"]:
-            raise ValueError(f"{path}: expected header 'group,value', got {header}")
         values: dict[str, list[float]] = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
-            label = row[0].strip()
-            try:
-                value = float(row[1])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: value {row[1]!r} is not a number") from None
-            if not math.isfinite(value):
-                raise ValueError(f"{path}:{lineno}: value {row[1]!r} is not finite")
-            values.setdefault(label, []).append(value)
+        try:
+            header = next(reader, None)
+            if header is None or [h.strip() for h in header] != ["group", "value"]:
+                raise ValueError(f"{path}: expected header 'group,value', got {header}")
+            for row in reader:
+                # line_num is the physical line a record ends on, quoted newlines included
+                lineno = reader.line_num
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) != 2:
+                    raise ValueError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
+                label = row[0].strip()
+                try:
+                    value = float(row[1])
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: value {row[1]!r} is not a number") from None
+                if not math.isfinite(value):
+                    raise ValueError(f"{path}:{lineno}: value {row[1]!r} is not finite")
+                values.setdefault(label, []).append(value)
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        except csv.Error as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     try:
         return GroupedSample(values)
     except DegenerateDataError as exc:
@@ -250,7 +262,13 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The ``equivar`` parser, built once per process on first use, not at import.
+
+    Building it costs about ten times what parsing one argv with it does,
+    which in-process callers of ``main`` would otherwise pay on every call.
+    """
     parser = argparse.ArgumentParser(
         prog="equivar",
         description="Tests for homogeneity of variances and a Monte Carlo study harness.",

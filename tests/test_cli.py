@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import hashlib
 import json
@@ -89,6 +90,35 @@ class TestTestCommand:
         path.write_text("group,value\na,1.0\na,2.0,3.0\nb,1.0\nb,2.0\n")
         assert main(["test", str(path)]) == 2
         assert f"error: {path}:3: expected 2 fields, got 3" in capsys.readouterr().err
+
+    def test_line_numbers_count_lines_inside_quoted_fields(self, tmp_path, capsys):
+        path = tmp_path / "multiline.csv"
+        path.write_text('group,value\n"a\nb",1\n"a\nb",2\nc,1\nc,x\n')
+        assert main(["test", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}:7: value 'x' is not a number\n"
+
+    def test_field_over_the_csv_limit_exits_2(self, tmp_path, capsys):
+        limit = csv.field_size_limit()
+        path = tmp_path / "long.csv"
+        path.write_text(f"group,value\na,1.0\na,{'1' * (limit + 1)}\nb,1.0\nb,2.0\n")
+        assert main(["test", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}:3: field larger than field limit ({limit})\n"
+
+    @pytest.mark.parametrize(
+        "content, byte",
+        [(b"\xffgroup,value\n", "0xff"), (b"group,value\na,1.0\na,2.0\nb\xe9,1.0\nb\xe9,2.0\n", "0xe9")],
+        ids=["header", "label"],
+    )
+    def test_undecodable_file_exits_2_naming_it(self, tmp_path, capsys, content, byte):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(content)
+        assert main(["test", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: 'utf-8' codec can't decode byte {byte} in position ")
+        assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     def test_non_finite_value_exits_2(self, tmp_path, capsys, value):
@@ -476,3 +506,39 @@ def test_bad_seed_exits_2_naming_the_option(argv, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "argument --seed: expected a nonnegative integer" in err and "Traceback" not in err
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; no call may see state left by another."""
+
+    def test_parser_is_built_once(self):
+        assert equivar.cli._build_parser() is equivar.cli._build_parser()
+
+    def test_calls_match_calls_on_a_fresh_parser(self, data_csv, capsys):
+        test = ["test", data_csv, "--seed", "3", "--bootstrap-b", "40"]
+        sequence = [
+            test,
+            test + ["--format", "csv"],
+            test + ["--format", "json", "--pivot-variant"],
+            ["critical", "--sizes", "5,10", "--draws", "2000", "--seed", "4"],
+            ["test", data_csv, "--seed", "-1"],
+            ["test", "--help"],
+            test,
+        ]
+
+        def run(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        reused = [run(argv) for argv in sequence]
+        fresh = []
+        for argv in sequence:
+            equivar.cli._build_parser.cache_clear()
+            fresh.append(run(argv))
+        assert [code for code, _, _ in reused] == [0, 0, 0, 0, 2, 0, 0]
+        assert reused == fresh
+        assert reused[-1] == reused[0]
