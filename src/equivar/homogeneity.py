@@ -72,10 +72,16 @@ ALL_METHODS = (LEVENE, SHOEMAKER, BOOTSTRAP_LEVENE, BOX)
 _MAX_REDRAWS = 100
 _EPS = np.finfo(float).eps
 
-# Cap on the values in one stacked resample array, datasets x b x n: 2**16
-# float64 values, 512 KiB.  Wider batches ran faster but raised peak
-# memory; a batch is at least one dataset.
-_RESAMPLE_ELEMENTS = 2**16
+# Cap on the values in one stacked resample array, datasets x b x n: 5 * 2**15
+# float64 values, 1.25 MiB; a batch is at least one dataset.  Each batch pays a
+# fixed cost per kernel call, and on threads retakes the GIL after each one.
+# Measured on a 2-core Xeon against 2**16: a laplace 4x40 cell at B=500 (80 000
+# values a dataset) stacks two datasets, not one, and runs about 15% faster on
+# 2 threads; the 36-cell null grid runs about 5% faster; peak RSS rises 4-7%.
+# 2**17 leaves that cell at one dataset.  2**18 ran the null grid about 2%
+# slower than 2**17 or this cap, and raised the traced peak of a 105-replication
+# tally from 3.0-4.9 MB to 4.9-7.5 MB.
+_RESAMPLE_ELEMENTS = 5 * 2**15
 
 
 @dataclass

@@ -270,9 +270,11 @@ def run_grid(cells, threads: int = 1) -> list[CellEstimate]:
         return [run_cell(cells[0])]
     # Measured on a 2-core Xeon.  A lone laplace 4x40 cell ran about 1.5x faster on 2 processes
     # than on 2 threads, but each worker process peaked at 47 MB of its own, so a lone cell stays
-    # on threads, in this process.  The 36-cell null grid, at 100 replications, took 2.2-2.3 s on
-    # threads, its per-replication Python loops waiting on the GIL, 2.3-2.4 s serially and
-    # 1.2-1.9 s on 2 processes, so a grid goes to processes.
+    # on threads, in this process.  At two replications per resample batch, its 100 replications
+    # take 0.19 s on 2 threads (0.20-0.22 s at one) against 0.17-0.18 s on 2 processes.  The
+    # 36-cell null grid, at 100 replications, took 2.2-2.3 s on threads, its per-replication
+    # Python loops waiting on the GIL, 2.3-2.4 s serially and 1.2-1.9 s on 2 processes, so a grid
+    # goes to processes.
     executor = ThreadPoolExecutor if len(cells) == 1 else ProcessPoolExecutor
     with executor(max_workers=min(threads, len(tasks))) as pool:
         # consumed in task order, so a failing draw raises for the lowest replication of the first failing cell

@@ -198,7 +198,7 @@ class TestChunkedRunCell:
     """run_cell evaluates chunks of replications at once; the results must match one at a time.
 
     A chunk is 105 replications, set by the 624-word stream keys, and a
-    bootstrap test resamples it in windows of max(1, 2**16 // (B * n))
+    bootstrap test resamples it in windows of max(1, 5 * 2**15 // (B * n))
     replications, so a chunk's last batch may be short; the widths noted
     below are the batch widths.  The cells cover replication counts that
     are not a multiple of the width, counts below one chunk, a width of 1,
@@ -210,14 +210,14 @@ class TestChunkedRunCell:
     @pytest.mark.parametrize(
         "dist, sizes, variances, alpha, reps, b",
         [
-            ("normal", (5, 5), (1.0, 4.0), 0.05, 16, 2000),            # smoothed; width 3
-            ("exponential", (12, 15), (1.0, 3.0), 0.05, 15, 1000),     # unsmoothed; width 2
-            ("laplace", (4, 9, 12), (1.0, 1.0, 4.0), 0.1, 22, 500),    # three groups, mixed; width 5
-            ("uniform", (5, 8, 11, 6), (1.0, 2.0, 3.0, 4.0), 0.05, 23, 400),  # four groups; width 5
-            ("student_t5", (5, 5), (1.0, 1.0), 1.0, 25, 300),          # alpha = 1; width 21
+            ("normal", (5, 5), (1.0, 4.0), 0.05, 16, 2000),            # smoothed; width 8
+            ("exponential", (12, 15), (1.0, 3.0), 0.05, 15, 1000),     # unsmoothed; width 6
+            ("laplace", (4, 9, 12), (1.0, 1.0, 4.0), 0.1, 22, 500),    # three groups, mixed; width 13
+            ("uniform", (5, 8, 11, 6), (1.0, 2.0, 3.0, 4.0), 0.05, 23, 400),  # four groups; width 13
+            ("student_t5", (5, 5), (1.0, 1.0), 1.0, 25, 300),          # alpha = 1; width 54
             ("normal", (2, 2), (1.0, 1.0), 0.05, 20, 50),              # degenerate Levene; one chunk
-            ("extreme_value", (20, 20), (1.0, 2.0), 0.05, 5, 2000),    # width 1
-            ("uniform", (3, 5, 7), (1.0, 1.0, 2.0), 0.05, 120, 50),   # width 87: batches 87, 18 and 15
+            ("extreme_value", (21, 21), (1.0, 2.0), 0.05, 5, 2000),    # width 1
+            ("uniform", (3, 5, 7), (1.0, 1.0, 2.0), 0.05, 120, 50),   # width 218: the chunks cut it to 105 and 15
             # bootstrap Levene stops at c exceedances, after an early round of m = B // 5 resamples
             ("normal", (10, 10), (1.0, 1.0), 0.05, 105, 500),          # unsmoothed: draws split in two calls
             ("laplace", (5, 7), (1.0, 1.0), 0.05, 60, 500),            # smoothed: drawn in full up front
@@ -247,7 +247,7 @@ class TestChunkedRunCell:
                                                    master_seed=seed, tests=tests))
 
     def test_split_decision_cell_matches_reference(self):
-        # 40 resample batches of 3 replications, tallied in two ranges
+        # 14 resample batches of 9 replications, the last of 3, tallied in two ranges
         cfg = ExperimentConfig("normal", (12, 12, 12), (1.0, 1.0, 1.0), replications=120, master_seed=10,
                                tests=("bootstrap_levene",))
         est, ref = run_grid([cfg], threads=2)[0], _reference_cell(cfg)
@@ -261,7 +261,7 @@ class TestChunkedRunCell:
         assert math.isnan(est.rates["levene"]) and math.isnan(est.rates["bootstrap_levene"])
 
     def test_non_finite_draw_escapes(self, monkeypatch):
-        # one chunk of five resample batches of two; at threads=2 the ranges are replications 0-3 and 4-9
+        # one chunk of two resample batches of five; at threads=2 the ranges are replications 0-4 and 5-9
         sim = equivar.simulation
         cfg = _cfg(replications=10, bootstrap_b=2000)
         real = sim.sample_standardized
@@ -338,7 +338,7 @@ class TestResampleBatches:
     @pytest.mark.parametrize("cfg", CELLS, ids=IDS)
     def test_results_do_not_depend_on_the_resample_cap(self, cfg, monkeypatch):
         expected = pickle.dumps(run_cell(cfg))
-        for cap in (1, 2**10):
+        for cap in (1, 2**10, 2**16, 2**18):
             monkeypatch.setattr(equivar.homogeneity, "_RESAMPLE_ELEMENTS", cap)
             assert pickle.dumps(run_cell(cfg)) == expected
 
@@ -358,11 +358,20 @@ class TestResampleBatches:
         built = self._generators_built(cfg, monkeypatch)
         assert built == min(width, equivar.simulation._CHUNK_ROWS, cfg.replications)
         if cfg.sizes == (40,) * 4:
-            assert built == 1
+            assert built == 2
 
-    @pytest.mark.parametrize("sizes, expected", [((5, 5), 13), ((15, 15), 4)])
+    @pytest.mark.parametrize(
+        "sizes, width",
+        [((40,) * 4, 2), ((5, 5), 32), ((10, 10), 16), ((15, 15), 10), ((5, 10), 21), ((7, 15), 14),
+         ((10, 15), 13)],
+    )
+    def test_resample_width_at_the_bench_shapes(self, sizes, width):
+        # the wide cell and the null grid's group sizes, at B = 500
+        assert equivar.homogeneity.resample_width(sizes, 500) == width
+
+    @pytest.mark.parametrize("sizes, expected", [((5, 5), 32), ((15, 15), 10)])
     def test_generators_built_for_a_null_grid_cell(self, sizes, expected, monkeypatch):
-        # 2**16 // (500 * 10) and 2**16 // (500 * 30) replications per resample batch
+        # 5 * 2**15 // (500 * 10) and 5 * 2**15 // (500 * 30) replications per resample batch
         cfg = _cfg(sizes=sizes, replications=200, bootstrap_b=500)
         assert self._generators_built(cfg, monkeypatch) == expected
 
@@ -432,7 +441,7 @@ class TestRunGrid:
         "cfg",
         [
             _cfg(sizes=(3, 3), variances=(1.0, 2.0), replications=230, bootstrap_b=20, master_seed=230),
-            _cfg(sizes=(2, 2), replications=70, bootstrap_b=500, master_seed=3, tests=("box",)),
+            _cfg(sizes=(2, 2), replications=170, bootstrap_b=500, master_seed=3, tests=("box",)),
             _cfg(sizes=(2, 2), replications=250, bootstrap_b=50, master_seed=4),
             _cfg(distribution="laplace", sizes=(40,) * 4, variances=(1.0, 2.0, 3.0, 4.0), replications=5,
                  bootstrap_b=500, master_seed=5),
@@ -440,26 +449,26 @@ class TestRunGrid:
         ids=["three_chunks_uneven", "box_redraws", "degenerate_levene", "laplace_4x40"],
     )
     def test_single_cell_on_threads_matches_run_cell(self, cfg, threads):
-        # resample batches of 546, 32, 327 and 1 replications: three chunks of up to 105 in the first
-        # and third cells; one chunk, of three batches in the second and of five in the last
+        # resample batches of 1365, 81, 819 and 2 replications: three chunks of up to 105 in the first
+        # and third cells, each one batch; three batches in the second (in two chunks) and in the last
         assert pickle.dumps(run_grid([cfg], threads=threads)) == pickle.dumps([run_cell(cfg)])
 
     def test_threads_no_more_than_the_chunks(self, monkeypatch):
-        # a thread takes whole resample batches, here of 2**16 // (30 * 16) = 136 replications
+        # a thread takes whole resample batches, here of 5 * 2**15 // (30 * 16) = 341 replications
         widths = []
         monkeypatch.setattr(equivar.simulation.os, "cpu_count", lambda: 64)
         monkeypatch.setattr(equivar.simulation, "ThreadPoolExecutor", _recording_pool(widths))
         one_batch = _cfg(replications=105, bootstrap_b=30)
-        two_batches = _cfg(replications=211, bootstrap_b=30, tests=("levene",))
+        two_batches = _cfg(replications=421, bootstrap_b=30, tests=("levene",))
         assert pickle.dumps(run_grid([one_batch], threads=16)) == pickle.dumps([run_cell(one_batch)])
         assert widths == []
         assert pickle.dumps(run_grid([two_batches], threads=16)) == pickle.dumps([run_cell(two_batches)])
         assert widths == [2]
 
     def test_small_grid_splits_its_cells_on_processes(self, monkeypatch):
-        # resample batches of 2**16 // (30 * 16) = 136 replications: three per cell, in two ranges
+        # resample batches of 5 * 2**15 // (30 * 16) = 341 replications: three per cell, in two ranges
         sim = equivar.simulation
-        cells = [_cfg(replications=300, master_seed=31), _cfg(replications=300, master_seed=32, variances=(1.0, 4.0))]
+        cells = [_cfg(replications=750, master_seed=31), _cfg(replications=750, master_seed=32, variances=(1.0, 4.0))]
         expected = pickle.dumps([run_cell(c) for c in cells])
         monkeypatch.setattr(sim.os, "cpu_count", lambda: 4)
         widths, tallied = [], []
@@ -468,7 +477,7 @@ class TestRunGrid:
         monkeypatch.setattr(sim, "ProcessPoolExecutor", _recording_pool(widths))
         assert pickle.dumps(run_grid(cells, threads=4)) == expected
         assert widths == [4]
-        assert tallied == [(s, reps) for s in (31, 32) for reps in (range(0, 136), range(136, 300))]
+        assert tallied == [(s, reps) for s in (31, 32) for reps in (range(0, 341), range(341, 750))]
         monkeypatch.setattr(sim, "_tally", real)
         monkeypatch.setattr(sim, "ProcessPoolExecutor", ProcessPoolExecutor)
         assert pickle.dumps(run_grid(cells, threads=4)) == expected
@@ -480,7 +489,7 @@ class TestRunGrid:
         monkeypatch.setattr(sim, "ThreadPoolExecutor", _recording_pool(widths))
         monkeypatch.setattr(sim.os, "cpu_count", lambda: 3)
         cells = [_cfg(master_seed=s, tests=("levene",), replications=5) for s in range(5)]
-        # one replication per resample batch: seven batches in three ranges
+        # two replications per resample batch: four batches in three ranges
         lone = _cfg(distribution="laplace", sizes=(40,) * 4, variances=(1.0, 2.0, 3.0, 4.0), replications=7,
                     bootstrap_b=500, master_seed=5)
         assert pickle.dumps(run_grid(cells, threads=100000)) == pickle.dumps([run_cell(c) for c in cells])
@@ -501,7 +510,7 @@ class TestRunGrid:
         monkeypatch.setattr(sim.os, "cpu_count", lambda: 4)
         cells = [_cfg(master_seed=s, tests=("levene",), replications=5) for s in (1, 2, 3)]
         assert [e.config for e in run_grid(cells, threads=1)] == ran == cells
-        # one resample batch of 2**16 // (30 * 16) = 136 replications: the lone cell cannot split
+        # one resample batch of 5 * 2**15 // (30 * 16) = 341 replications: the lone cell cannot split
         lone = _cfg(replications=105, bootstrap_b=30)
         ran.clear()
         monkeypatch.setattr(sim, "ThreadPoolExecutor", lambda max_workers: pytest.fail("the cell split"))
