@@ -264,24 +264,32 @@ def _jitter_scale(groups) -> np.ndarray:
     return np.sqrt(moment_rows(groups)[2])
 
 
-def _pooled_resamples(pool: np.ndarray, q: float, sizes, rng, out: np.ndarray) -> None:
-    """Fill ``out``, shape (b, n), with one dataset's bootstrap-Levene resamples.
+def _pooled_resamples(pools: np.ndarray, q: np.ndarray, sizes, rngs, out: np.ndarray) -> None:
+    """Fill ``out``, shape (R, b, n), with bootstrap-Levene resamples: ``out[j]`` from pool j and ``rngs[j]``.
 
-    Each row draws n residuals with replacement from ``pool``; the groups
-    take contiguous blocks of the row, and blocks for groups smaller than
-    10 are smoothed with variance-preserving uniform jitter of scale q.
+    Each row of ``out[j]`` draws n residuals with replacement from
+    ``pools[j]``; the groups take contiguous blocks of the row, and blocks
+    for groups smaller than 10 are smoothed with variance-preserving
+    uniform jitter of scale ``q[j]``.  Generator j draws the indices, then
+    each smoothed block's uniforms, as ``uniform(-0.5, 0.5)`` would: that
+    is ``-0.5 + U`` on the same doubles U.  Only the draws run per dataset;
+    the jitter arithmetic, ``((u * q) + block) * SMOOTH_FACTOR`` in that
+    order, runs once for all R.
     """
-    _resample_rows([pool], rng, [out])
-    start = 0
-    for ni in sizes:
-        if ni < 10:
-            block = out[:, start:start + ni]
-            u = rng.uniform(-0.5, 0.5, block.shape)  # the jitter, in the draw's own array
-            u *= q
-            u += block
-            u *= SMOOTH_FACTOR
-            block[...] = u
-        start += ni
+    bounds = np.cumsum((0,) + tuple(sizes))
+    smoothed = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi - lo < 10]
+    jitter = [np.empty(out.shape[:2] + (hi - lo,)) for lo, hi in smoothed]
+    for j, rng in enumerate(rngs):
+        _resample_rows([pools[j]], rng, [out[j]])
+        for u in jitter:
+            rng.random(out=u[j])
+    for (lo, hi), u in zip(smoothed, jitter):
+        block = out[:, :, lo:hi]
+        u -= 0.5
+        u *= q[:, None, None]
+        u += block
+        u *= SMOOTH_FACTOR
+        block[...] = u
 
 
 def resample_width(sizes, b: int) -> int:
@@ -332,14 +340,17 @@ def _bootstrap_levene_outcomes(groups, alpha: float, rngs, b: int, curtail=None)
         observed = stat[rows]
         early = observed < gate
         draws = np.empty((len(rows), b, pools.shape[1]))
-        for j, r in enumerate(rows):
-            _pooled_resamples(pools[r], q[r], sizes, streams[j], draws[j, :m if early[j] and split else b])
+        if split:
+            for j, r in enumerate(rows):
+                _resample_rows([pools[r]], streams[j], [draws[j, :m if early[j] else b]])
+        else:
+            _pooled_resamples(pools[rows], q[rows], sizes, streams, draws)
         if early.any():
             hits = _exceedances(draws[:, :m], observed, bounds)
             go_on = np.flatnonzero(hits < c)  # a row with c exceedances accepts, whatever its other resamples give
             if split:
                 for j in go_on[early[go_on]]:
-                    _pooled_resamples(pools[rows[j]], q[rows[j]], sizes, streams[j], draws[j, m:])
+                    _resample_rows([pools[rows[j]]], streams[j], [draws[j, m:]])
             if go_on.size:
                 hits[go_on] += _exceedances(draws[go_on, m:], observed[go_on], bounds)
         else:
@@ -368,8 +379,10 @@ def bootstrap_levene(data: GroupedSample, alpha: float, cfg: BootstrapConfig) ->
 def _resample_rows(groups, rng: np.random.Generator, outs) -> list[np.ndarray]:
     """Fill outs[i], shape (count, n_i), with resamples of group i drawn with replacement."""
     # g[indices] written straight into out; the indices are in range,
-    # and mode="clip" spares take the copy it makes under mode="raise"
-    return [np.take(g, rng.integers(0, g.size, size=out.shape), out=out, mode="clip") for g, out in zip(groups, outs)]
+    # and mode="clip" spares take the copy it makes under mode="raise".
+    # The method, not np.take, whose Python wrapper costs about as much
+    # again on one dataset's resamples (3.7 against 7.6 µs on (500, 10))
+    return [g.take(rng.integers(0, g.size, size=out.shape), out=out, mode="clip") for g, out in zip(groups, outs)]
 
 
 def _redraw_degenerate(t: np.ndarray, groups, rngs) -> np.ndarray:
@@ -396,6 +409,17 @@ def _redraw_degenerate(t: np.ndarray, groups, rngs) -> np.ndarray:
     return np.unique(bad // b)
 
 
+def _column_mean(x: np.ndarray) -> np.ndarray:
+    """``mean(axis=1)`` of an (R, b) array, bit for bit: the b values of a row added in turn to 0.0, then / b.
+
+    This is the order in which ``t.mean(axis=1)`` sums the middle axis of
+    an (R, b, k) stack, whose inner loop of k values runs once per
+    resample; a column ``x.sum(axis=1)`` is pairwise and differs.
+    Adding 0.0 turns an all -0.0 row's sum into +0.0, as numpy's does.
+    """
+    return (np.add.accumulate(x, axis=1)[:, -1] + 0.0) / x.shape[1]
+
+
 def _box_outcomes(groups, alpha: float, rngs, b: int, pivot_variant: bool) -> Outcomes:
     contrasts, _, errors = log_variance_rows(groups)
     observed = contrasts.t
@@ -412,9 +436,9 @@ def _box_outcomes(groups, alpha: float, rngs, b: int, pivot_variant: bool) -> Ou
         if keep:
             t = t[keep]
             kept = [rows[j] for j in keep]
-            centre = observed[kept] if pivot_variant else t.mean(axis=1)
             for i in range(t.shape[2]):  # group by group: an (R, 1, k) broadcast loops once per resample
-                t[:, :, i] -= centre[:, i, None]
+                centre = observed[kept, i] if pivot_variant else _column_mean(t[:, :, i])
+                t[:, :, i] -= centre[:, None]
             c_star[kept] = search_critical(t, alpha).c_star
     t_max = np.abs(observed).max(axis=1)
     return Outcomes(BOX, alpha, observed, _decide(alpha, t_max > c_star), errors, critical_value=c_star)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -41,6 +42,10 @@ _BOOTSTRAP_SLOTS = {BOOTSTRAP_LEVENE: 1, BOX: 2}
 # stream keys, per slot, stay within 2**16 values, so a chunk is
 # 2**16 // 624 = 105 replications wide, or less at the end of a range.
 _CHUNK_ROWS = 2**16 // 624
+
+# Each thread's generators, built on first need and kept: building an
+# MT19937 costs about 150 µs, and every use re-keys it first.
+_local = threading.local()
 
 TWO_GROUP_NULL_SIZES = ((5, 5), (10, 10), (15, 15), (5, 10), (7, 15), (10, 15))
 
@@ -138,10 +143,10 @@ def run_cell(cfg: ExperimentConfig) -> CellEstimate:
     the order a one-dataset test call would.  The replications are
     evaluated in chunks of 105, each bootstrap test resampling a chunk in
     batches of ``resample_width(sizes, B)``, from re-keyed generators of
-    one pool; the README's "How a simulation cell is computed" sets this
-    out.  Rows are evaluated independently, so the estimates are
-    byte-identical to evaluating each replication on its own.  The
-    estimate is computed from integer rejection and error counts summed
+    the calling thread's pool; the README's "How a simulation cell is
+    computed" sets this out.  Rows are evaluated independently, so the
+    estimates are byte-identical to evaluating each replication on its
+    own.  The estimate is computed from integer rejection and error counts summed
     over ranges of replications, here the one range of all of them;
     ``run_grid`` sums several ranges run on a pool, with the same result.
     Replications where a test raises a degeneracy or numeric error are
@@ -172,12 +177,14 @@ def _tally(cfg: ExperimentConfig, reps: range) -> tuple[dict[str, int], dict[str
     This is the one unit of work: ``run_cell`` tallies the range of all
     replications, and ``run_grid`` maps it over (cell, range) tasks on a
     worker pool.  The range builds its own tests, and so computes its F
-    and chi-square quantiles once, and its own pool of generators, so
-    concurrent calls share nothing.  Only decisions are counted, so
+    and chi-square quantiles once.  Its generators are a prefix of the
+    calling thread's pool (``_pool``), so concurrent calls on other
+    threads share none, and each is re-keyed before every use, so no state
+    carries over from an earlier call.  Only decisions are counted, so
     bootstrap Levene is built with ``p_values=False`` and stops a
     replication's resampling once its decision is settled.  A chunk of up
-    to ``_CHUNK_ROWS`` replications is drawn, keyed and checked at once,
-    and each test is called once on it.
+    to ``_CHUNK_ROWS`` replications is drawn, scaled, keyed and checked at
+    once, and each test is called once on it.
     The pool serves every slot: a chunk's data draws end before any test
     is called, and the tests run one after another.  Each slot sees the
     pool as a ``_Rekeyed`` view of its keys.  A bootstrap test fetches a
@@ -190,7 +197,7 @@ def _tally(cfg: ExperimentConfig, reps: range) -> tuple[dict[str, int], dict[str
     errors = dict.fromkeys(cfg.tests, 0)
     scales = [math.sqrt(v) for v in cfg.variances]
     slots = [_DATA_SLOT] + sorted({_BOOTSTRAP_SLOTS[t] for t in cfg.tests if t in _BOOTSTRAP_SLOTS})
-    pool = [_generator() for _ in range(min(resample_width(cfg.sizes, cfg.bootstrap_b), _CHUNK_ROWS, len(reps)))]
+    pool = _pool(min(resample_width(cfg.sizes, cfg.bootstrap_b), _CHUNK_ROWS, len(reps)))
     for first in range(reps.start, reps.stop, _CHUNK_ROWS):
         chunk = range(first, min(first + _CHUNK_ROWS, reps.stop))
         keys = mt19937_keys(cfg.master_seed, [(r, slot) for slot in slots for r in chunk])
@@ -198,8 +205,10 @@ def _tally(cfg: ExperimentConfig, reps: range) -> tuple[dict[str, int], dict[str
         groups = [np.empty((len(chunk), n)) for n in cfg.sizes]
         for j in range(len(chunk)):
             rng = streams[_DATA_SLOT][j]
-            for g, s, n in zip(groups, scales, cfg.sizes):
-                g[j] = s * sample_standardized(cfg.distribution, n, rng)
+            for g, n in zip(groups, cfg.sizes):
+                g[j] = sample_standardized(cfg.distribution, n, rng)
+        for g, s in zip(groups, scales):
+            g *= s
         finite = np.stack([np.isfinite(g).all(axis=1) for g in groups], axis=1)
         if not finite.all():
             j, i = np.argwhere(~finite)[0]
@@ -231,6 +240,13 @@ def _estimate(cfg: ExperimentConfig, tallies) -> CellEstimate:
 def _generator() -> np.random.Generator:
     # an MT19937 generator to be re-keyed before each use
     return np.random.Generator(np.random.MT19937(0))
+
+
+def _pool(width: int) -> list[np.random.Generator]:
+    """The first ``width`` generators of this thread's pool, which grows to ``width`` if it is narrower."""
+    pool = _local.__dict__.setdefault("pool", [])
+    pool.extend(_generator() for _ in range(width - len(pool)))
+    return pool[:width]
 
 
 def _ranges(cfg: ExperimentConfig, parts: int) -> list[range]:

@@ -32,9 +32,10 @@ def _within(data, rng, count):
 
 
 def _pooled(pool, q, sizes, rng, b):
-    out = np.empty((b, sum(sizes)))
-    _pooled_resamples(np.asarray(pool, dtype=float), q, sizes, rng, out)
-    return out
+    """One dataset's ``b`` bootstrap-Levene resamples, drawn as a batch of one."""
+    out = np.empty((1, b, sum(sizes)))
+    _pooled_resamples(np.asarray(pool, dtype=float)[None], np.array([q]), sizes, [rng], out)
+    return out[0]
 
 
 class TestResampleWithinGroups:
@@ -101,6 +102,37 @@ class TestSmooth:
         out = _pooled(pool, 1.0, (5, 5), rng, 100_000)
         assert out.var() == pytest.approx((12.0 / 13.0) * (pool.var() + 1.0 / 12.0), rel=5e-3)
         assert out.var() == pytest.approx(1.0, abs=0.01)
+
+
+def _per_row_pooled(pool, q, sizes, rng, b):
+    """One dataset's resamples by the per-row formula: the indices, then each smoothed block's uniform jitter."""
+    out = pool[rng.integers(0, pool.size, size=(b, sum(sizes)))]
+    start = 0
+    for n in sizes:
+        if n < 10:
+            u = rng.uniform(-0.5, 0.5, (b, n))
+            out[:, start:start + n] = ((u * q) + out[:, start:start + n]) * SMOOTH_FACTOR
+        start += n
+    return out
+
+
+class TestBatchJitter:
+    """Datasets draw one by one and are jittered as a batch, with the bits of the per-row formula."""
+
+    @pytest.mark.parametrize("q_zero", [True, False], ids=["q0", "q"])
+    @pytest.mark.parametrize("sizes", [(3, 12), (5, 5), (7, 9, 15)])
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_batch_matches_the_per_row_formula(self, rows, sizes, q_zero):
+        seed, b = 21, 40
+        source = stream(seed, 99)
+        pools = source.standard_normal((rows, sum(sizes))) * 10.0 ** source.integers(-3, 4, (rows, 1))
+        q = np.zeros(rows) if q_zero else source.uniform(0.1, 5.0, rows)
+        out = np.empty((rows, b, sum(sizes)))
+        _pooled_resamples(pools, q, sizes, [stream(seed, r, 1) for r in range(rows)], out)
+        for r in range(rows):
+            expected = _per_row_pooled(pools[r], q[r], sizes, stream(seed, r, 1), b)
+            assert np.array_equal(out[r], expected)
+            assert np.array_equal(np.signbit(out[r]), np.signbit(expected))
 
 
 def _box_rows(data, seed, b):

@@ -10,7 +10,7 @@ from equivar import (
     stream,
 )
 from equivar.descriptive import _COLUMNS_FROM_ROWS, by_columns, column_reduce, log_variance_rows, moment_rows, row_sum
-from equivar.homogeneity import _levene_stat_rows, _row_medians
+from equivar.homogeneity import _column_mean, _levene_stat_rows, _row_medians
 
 # A fixed two-group dataset reused by the oracle comparisons here and in the
 # test-statistic checks.
@@ -353,3 +353,19 @@ class TestKernelBits:
                     for a, b in zip(ours, _reference_contrasts(groups, use_harmonic)):
                         assert _same_bits(a, b)
                 assert _same_bits(_levene_stat_rows(groups)[0], _reference_levene(groups))
+
+
+class TestColumnMean:
+    """The box test's centre of one group column is ``t.mean(axis=1)`` of the (R, b, k) stack, bit for bit."""
+
+    @pytest.mark.parametrize("k", [2, 4, 6])
+    @pytest.mark.parametrize("b", [1, 7, 500, 2000])
+    @pytest.mark.parametrize("r", [1, 13])
+    def test_matches_the_stack_mean(self, r, b, k):
+        rng = stream(0, r, b, k)
+        t = rng.standard_normal((r, b, k)) * 10.0 ** rng.choice([-150.0, 0.0, 150.0], (r, b, k))
+        t[:, :, 0] = -0.0           # sums to +0.0 from numpy's zero start
+        t[:, : b // 2 + 1, 1] = -0.0  # a run of -0.0, then other values
+        expected = t.mean(axis=1)
+        for i in range(k):
+            assert _same_bits(_column_mean(t[:, :, i]), expected[:, i])

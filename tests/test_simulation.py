@@ -1,5 +1,6 @@
 import math
 import pickle
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
@@ -343,22 +344,33 @@ class TestResampleBatches:
             assert pickle.dumps(run_cell(cfg)) == expected
 
     @staticmethod
-    def _generators_built(cfg, monkeypatch) -> int:
+    def _pool_widths(cfg, monkeypatch) -> list[int]:
+        sim = equivar.simulation
+        widths = []
+        real = sim._pool
+        monkeypatch.setattr(sim, "_pool", lambda width: widths.append(width) or real(width))
+        sim._tally(cfg, range(cfg.replications))
+        return widths
+
+    @staticmethod
+    def _generators_built(run, monkeypatch) -> int:
         sim = equivar.simulation
         built = []
         real = sim._generator
         monkeypatch.setattr(sim, "_generator", lambda: built.append(1) or real())
-        sim._tally(cfg, range(cfg.replications))
+        run()
         return len(built)
 
     @pytest.mark.parametrize("cfg", CELLS, ids=IDS)
     def test_one_resample_batch_of_generators_per_slot(self, cfg, monkeypatch):
         # one pool, at most a resample batch wide, serves the data and both bootstrap slots
         width = equivar.homogeneity.resample_width(cfg.sizes, cfg.bootstrap_b)
-        built = self._generators_built(cfg, monkeypatch)
-        assert built == min(width, equivar.simulation._CHUNK_ROWS, cfg.replications)
+        widths = self._pool_widths(cfg, monkeypatch)
+        assert widths == [min(width, equivar.simulation._CHUNK_ROWS, cfg.replications)]
         if cfg.sizes == (40,) * 4:
-            assert built == 2
+            assert widths == [2]
+        pool = equivar.simulation._pool(widths[0])
+        assert len({id(rng) for rng in pool}) == len(pool) == widths[0]
 
     @pytest.mark.parametrize(
         "sizes, width",
@@ -373,7 +385,48 @@ class TestResampleBatches:
     def test_generators_built_for_a_null_grid_cell(self, sizes, expected, monkeypatch):
         # 5 * 2**15 // (500 * 10) and 5 * 2**15 // (500 * 30) replications per resample batch
         cfg = _cfg(sizes=sizes, replications=200, bootstrap_b=500)
-        assert self._generators_built(cfg, monkeypatch) == expected
+        assert self._pool_widths(cfg, monkeypatch) == [expected]
+
+    def test_a_second_tally_on_a_thread_builds_no_generator(self, monkeypatch):
+        cfg = self.CELLS[0]
+        tally = equivar.simulation._tally
+        first = tally(cfg, range(cfg.replications))
+        second = []
+        assert self._generators_built(lambda: second.append(tally(cfg, range(cfg.replications))), monkeypatch) == 0
+        assert second == [first]
+
+    def test_a_fresh_thread_builds_its_own_pool(self, monkeypatch):
+        cfg = self.CELLS[0]  # 70 replications in one resample batch: a pool of 70
+        tally = equivar.simulation._tally
+        here = tally(cfg, range(cfg.replications))
+        there = []
+        thread = threading.Thread(target=lambda: there.append(tally(cfg, range(cfg.replications))))
+        assert self._generators_built(lambda: (thread.start(), thread.join()), monkeypatch) == 70
+        assert there == [here]
+
+    def test_the_threads_of_a_lone_cell_rekey_their_own_generators(self, monkeypatch):
+        # resample batches of 2 replications: the 5 replications make ranges 0-1 and 2-4 on 2 threads
+        sim = equivar.simulation
+        cfg = self.CELLS[1]
+        expected = pickle.dumps([run_cell(cfg)])
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
+        rekeyed: dict[int, list] = {}
+        both_running = threading.Barrier(2, timeout=60)
+        real = sim.rekey
+
+        def spy(rng, key):
+            thread = threading.get_ident()
+            if thread not in rekeyed:
+                rekeyed[thread] = []
+                both_running.wait()  # neither range starts until the other one's thread has
+            rekeyed[thread].append(rng)  # holds the generator, so its id stays its own
+            real(rng, key)
+
+        monkeypatch.setattr(sim, "rekey", spy)
+        assert pickle.dumps(run_grid([cfg], threads=2)) == expected
+        assert len(rekeyed) == 2
+        first, second = ({id(rng) for rng in used} for used in rekeyed.values())
+        assert first and second and not first & second
 
     def test_fetched_streams_are_the_keyed_streams(self):
         seed, slot, pool = 12, 2, 2
@@ -440,17 +493,18 @@ class TestRunGrid:
     @pytest.mark.parametrize(
         "cfg",
         [
-            _cfg(sizes=(3, 3), variances=(1.0, 2.0), replications=230, bootstrap_b=20, master_seed=230),
+            _cfg(sizes=(3, 3), variances=(1.0, 2.0), replications=230, bootstrap_b=500, master_seed=230),
             _cfg(sizes=(2, 2), replications=170, bootstrap_b=500, master_seed=3, tests=("box",)),
-            _cfg(sizes=(2, 2), replications=250, bootstrap_b=50, master_seed=4),
+            _cfg(sizes=(2, 2), replications=250, bootstrap_b=500, master_seed=4),
             _cfg(distribution="laplace", sizes=(40,) * 4, variances=(1.0, 2.0, 3.0, 4.0), replications=5,
                  bootstrap_b=500, master_seed=5),
         ],
         ids=["three_chunks_uneven", "box_redraws", "degenerate_levene", "laplace_4x40"],
     )
     def test_single_cell_on_threads_matches_run_cell(self, cfg, threads):
-        # resample batches of 1365, 81, 819 and 2 replications: three chunks of up to 105 in the first
-        # and third cells, each one batch; three batches in the second (in two chunks) and in the last
+        # resample batches of 54, 81, 81 and 2 replications: 5, 3, 4 and 3 batches, so every cell makes
+        # at least two ranges; three chunks of up to 105 in the first cell and in the third
+        assert len(equivar.simulation._ranges(cfg, threads)) > 1
         assert pickle.dumps(run_grid([cfg], threads=threads)) == pickle.dumps([run_cell(cfg)])
 
     def test_threads_no_more_than_the_chunks(self, monkeypatch):
