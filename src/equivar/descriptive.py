@@ -204,14 +204,14 @@ def moment_rows(groups) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return s2, ss4 / n, ss2 / n
 
 
-def _contrast_rows(groups, use_harmonic: bool):
+def _contrast_rows(groups, use_harmonic: bool, moments=None):
     """Moments, kurtosis ratios, sizes m, var(ln s_i^2) and contrasts of each row; see ``log_variance_rows``.
 
     Under the shape rule each group's var(ln s_i^2), contrast, se and t
     are computed as (R,) columns, written into the (R, groups) results,
     with no broadcast of a per-row vector.
     """
-    s2, mu4, sigma2 = moment_rows(groups)
+    s2, mu4, sigma2 = moment_rows(groups) if moments is None else moments
     m = np.asarray([g.shape[1] for g in groups], dtype=float)
     if use_harmonic:
         m = np.full(len(m), len(m) / float((1.0 / m).sum()))
@@ -241,7 +241,7 @@ def log_variance_t(groups) -> np.ndarray:
     return _contrast_rows(groups, False)[-1].t
 
 
-def log_variance_rows(groups, use_harmonic: bool = False):
+def log_variance_rows(groups, use_harmonic: bool = False, moments=None):
     """Log-variance contrasts of datasets stacked row-wise, as in ``moment_rows``.
 
     var(ln s_i^2) is estimated as [mu4/sigma2^2 - (m-3)/m] / (m-1), where
@@ -251,9 +251,10 @@ def log_variance_rows(groups, use_harmonic: bool = False):
     Returns (contrasts, var_log_s2, errors): ``contrasts`` and the
     estimates ``var_log_s2`` hold (R, groups) arrays; ``errors`` maps each
     row on which the contrasts are undefined to the exception a
-    one-dataset call raises.
+    one-dataset call raises.  ``moments`` is ``moment_rows(groups)``,
+    when the caller has it already.
     """
-    s2, kurt, m, var_log_s2, contrasts = _contrast_rows(groups, use_harmonic)
+    s2, kurt, m, var_log_s2, contrasts = _contrast_rows(groups, use_harmonic, moments)
     # the first zero-variance group of each undefined row, without a per-row loop
     zero = s2 <= 0.0
     undefined = zero.any(axis=1)

@@ -22,9 +22,11 @@ array of group i over the R datasets, the statistics come from row
 kernels over it, and a bootstrap test resamples it in windows of
 ``resample_width`` datasets, drawing each dataset's resamples from that
 dataset's own generator before one kernel evaluates the window (two
-when bootstrap Levene decides without p-values; see ``batched``).  The
-functions above pass their dataset as the batch of one
-(``GroupedSample.rows``); the Monte Carlo harness draws chunks of
+when bootstrap Levene decides without p-values; see ``batched``).  One
+call runs the selected tests on a batch and computes each observed
+statistic that several of them use once.  The functions above pass their
+dataset as the batch of one (``GroupedSample.rows``), ``run_all`` passes
+it to all four tests at once, and the Monte Carlo harness draws chunks of
 replications straight into batches.  Rows are evaluated
 independently, in the same arithmetic order whatever the batch, so
 results do not depend on how datasets are batched.
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import groupby
 
 import numpy as np
@@ -43,7 +46,7 @@ from .descriptive import (
     GroupedSample, centred, column_reduce, in_place, log_variance_rows, log_variance_t, moment_rows, row_sum,
 )
 from .errors import DegenerateDataError, NumericError, is_int, is_real
-from .rng import stream
+from .rng import spawned, stream
 from .special import chi2_quantile, f_quantile
 
 __all__ = [
@@ -188,10 +191,11 @@ def _row_medians(x: np.ndarray) -> np.ndarray:
     return (s[:, h - 1] + s[:, h]) / 2.0
 
 
-def _levene_stat_rows(blocks) -> tuple[np.ndarray, np.ndarray]:
+def _levene_stat_rows(blocks) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """Levene/Brown-Forsythe F ratios with median centering, one per row; blocks[i] is (R, n_i).
 
-    Returns the statistics and the rows that are degenerate: zero
+    Returns the statistics, the group medians (the (R,) medians of each
+    block) and the rows that are degenerate: zero
     within-group variation with nonzero between variation.  Those map to
     +inf and rows with zero between variation to 0, so that resampled
     statistics compare with an observed one in every case.  Within-group
@@ -203,7 +207,8 @@ def _levene_stat_rows(blocks) -> tuple[np.ndarray, np.ndarray]:
     """
     k, df2 = _levene_df([bl.shape[1] for bl in blocks])
     n = df2 + k + 1
-    e = [in_place(np.absolute, centred(bl, _row_medians(bl))) for bl in blocks]
+    medians = [_row_medians(bl) for bl in blocks]
+    e = [in_place(np.absolute, centred(bl, med)) for bl, med in zip(blocks, medians)]
     sums = [row_sum(x) for x in e]
     means = [total / bl.shape[1] for total, bl in zip(sums, blocks)]
     grand = sum(sums) / n
@@ -214,20 +219,41 @@ def _levene_stat_rows(blocks) -> tuple[np.ndarray, np.ndarray]:
     out[ok] = (ssb[ok] / k) / (ssw[ok] / df2)
     degenerate = ~ok & (ssb > 0.0)
     out[degenerate] = np.inf
-    return out, degenerate
+    return out, medians, degenerate
 
 
-def _observed_levene(groups) -> tuple[np.ndarray, dict[int, Exception]]:
-    stat, degenerate = _levene_stat_rows(groups)
-    message = "absolute deviations from the group medians have no within-group variation"
-    return stat, {int(r): DegenerateDataError(message) for r in np.flatnonzero(degenerate)}
+class _Observed:
+    """The observed statistics of one batch that several tests use, each computed on first use and kept.
+
+    ``batched`` makes one per call, so a statistic is computed at most
+    once per batch, and only when a selected test uses it.
+    """
+
+    def __init__(self, groups):
+        self.groups = groups
+        self.sizes = tuple(g.shape[1] for g in groups)
+
+    @cached_property
+    def levene(self) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+        """``_levene_stat_rows(groups)``: Levene's statistics and bootstrap Levene's residual centres."""
+        return _levene_stat_rows(self.groups)
+
+    @cached_property
+    def moments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``moment_rows(groups)``: Shoemaker's and the box test's variances, and the jitter scale."""
+        return moment_rows(self.groups)
+
+    def levene_errors(self) -> dict[int, Exception]:
+        """A fresh mapping of the rows with a degenerate Levene statistic to their reason."""
+        message = "absolute deviations from the group medians have no within-group variation"
+        return {int(r): DegenerateDataError(message) for r in np.flatnonzero(self.levene[2])}
 
 
-def _levene_outcomes(groups, alpha: float, critical: float) -> Outcomes:
-    stat, errors = _observed_levene(groups)
+def _levene_outcomes(obs: _Observed, alpha: float, critical: float) -> Outcomes:
+    stat = obs.levene[0]
     return Outcomes(
-        LEVENE, alpha, stat, _decide(alpha, stat > critical), errors,
-        critical_value=np.full(len(stat), critical), df=_levene_df([g.shape[1] for g in groups]),
+        LEVENE, alpha, stat, _decide(alpha, stat > critical), obs.levene_errors(),
+        critical_value=np.full(len(stat), critical), df=_levene_df(obs.sizes),
     )
 
 
@@ -237,15 +263,15 @@ def levene(data: GroupedSample, alpha: float = 0.05) -> TestResult:
     Scale variables are |observation - group median|; their one-way ANOVA
     F ratio is compared with the F(k, n - k - 1) quantile at 1 - alpha.
     """
-    return batched(LEVENE, data.sizes, alpha)(data.rows, None).result()
+    return batched((LEVENE,), data.sizes, alpha)(data.rows, {})[LEVENE].result()
 
 
-def _shoemaker_outcomes(groups, alpha: float, critical: float) -> Outcomes:
-    contrasts, var_log_s2, errors = log_variance_rows(groups, use_harmonic=True)
+def _shoemaker_outcomes(obs: _Observed, alpha: float, critical: float) -> Outcomes:
+    contrasts, var_log_s2, errors = log_variance_rows(obs.groups, use_harmonic=True, moments=obs.moments)
     stat = row_sum(contrasts.contrast**2 / var_log_s2)
     return Outcomes(
         SHOEMAKER, alpha, stat, _decide(alpha, stat > critical), errors,
-        critical_value=np.full(len(stat), critical), df=(len(groups) - 1,),
+        critical_value=np.full(len(stat), critical), df=(len(obs.sizes) - 1,),
     )
 
 
@@ -256,12 +282,12 @@ def shoemaker(data: GroupedSample, alpha: float = 0.05) -> TestResult:
     var(ln s_i^2) estimated from the pooled kurtosis ratio and the harmonic
     mean group size, and is compared with the chi-square(k) quantile.
     """
-    return batched(SHOEMAKER, data.sizes, alpha)(data.rows, None).result()
+    return batched((SHOEMAKER,), data.sizes, alpha)(data.rows, {})[SHOEMAKER].result()
 
 
-def _jitter_scale(groups) -> np.ndarray:
-    """Smoothing scale q of each row: the pooled standard deviation about the group means."""
-    return np.sqrt(moment_rows(groups)[2])
+def _jitter_scale(moments) -> np.ndarray:
+    """Smoothing scale q of each row, from its ``moment_rows``: the pooled standard deviation about the group means."""
+    return np.sqrt(moments[2])
 
 
 def _pooled_resamples(pools: np.ndarray, q: np.ndarray, sizes, rngs, out: np.ndarray) -> None:
@@ -307,7 +333,7 @@ def _resample_batches(count: int, errors, sizes, b: int) -> list[list[int]]:
 def _exceedances(draws: np.ndarray, observed: np.ndarray, bounds) -> np.ndarray:
     """Per dataset, how many of its resamples in ``draws``, (R, w, n), have a Levene statistic above ``observed``, (R,)."""
     flat = draws.reshape(-1, draws.shape[2])  # a copy only when draws is a strided view
-    boot, _ = _levene_stat_rows([flat[:, lo:hi] for lo, hi in zip(bounds, bounds[1:])])
+    boot = _levene_stat_rows([flat[:, lo:hi] for lo, hi in zip(bounds, bounds[1:])])[0]
     return (boot.reshape(len(observed), -1) > observed[:, None]).sum(axis=1)
 
 
@@ -323,16 +349,17 @@ def _curtailment(alpha: float, b: int, sizes) -> tuple[int, int, float]:
     return c, m, f_quantile(1.0 - c / m, *_levene_df(sizes)) if c < m else -math.inf
 
 
-def _bootstrap_levene_outcomes(groups, alpha: float, rngs, b: int, curtail=None) -> Outcomes:
-    stat, errors = _observed_levene(groups)
-    pools = np.concatenate([g - _row_medians(g)[:, None] for g in groups], axis=1)
+def _bootstrap_levene_outcomes(obs: _Observed, alpha: float, rngs, b: int, curtail=None) -> Outcomes:
+    stat, medians, _ = obs.levene
+    errors = obs.levene_errors()
+    pools = np.concatenate([g - m[:, None] for g, m in zip(obs.groups, medians)], axis=1)
     for r in np.flatnonzero(np.all(pools == 0.0, axis=1)):
         errors.setdefault(int(r), DegenerateDataError("residual pool is identically zero"))
-    q = _jitter_scale(groups)
-    sizes = tuple(g.shape[1] for g in groups)
+    sizes = obs.sizes
     bounds = np.cumsum((0,) + sizes)
     # without smoothing jitter a row's draws are its indices alone, which split into two calls
     split = min(sizes) >= 10
+    q = None if split else _jitter_scale(obs.moments)
     c, m, gate = curtail or (b, b, -math.inf)
     count = np.full(len(stat), np.nan)
     for rows in _resample_batches(len(stat), errors, sizes, b):
@@ -373,7 +400,8 @@ def bootstrap_levene(data: GroupedSample, alpha: float, cfg: BootstrapConfig) ->
     scale q, the pooled standard deviation about group means.  The p-value
     is the fraction of rounds whose statistic exceeds the observed one.
     """
-    return batched(BOOTSTRAP_LEVENE, data.sizes, alpha, cfg.b)(data.rows, [cfg.rng]).result()
+    run = batched((BOOTSTRAP_LEVENE,), data.sizes, alpha, cfg.b)
+    return run(data.rows, {BOOTSTRAP_LEVENE: [cfg.rng]})[BOOTSTRAP_LEVENE].result()
 
 
 def _resample_rows(groups, rng: np.random.Generator, outs) -> list[np.ndarray]:
@@ -420,11 +448,12 @@ def _column_mean(x: np.ndarray) -> np.ndarray:
     return (np.add.accumulate(x, axis=1)[:, -1] + 0.0) / x.shape[1]
 
 
-def _box_outcomes(groups, alpha: float, rngs, b: int, pivot_variant: bool) -> Outcomes:
-    contrasts, _, errors = log_variance_rows(groups)
+def _box_outcomes(obs: _Observed, alpha: float, rngs, b: int, pivot_variant: bool) -> Outcomes:
+    groups = obs.groups
+    contrasts, _, errors = log_variance_rows(groups, moments=obs.moments)
     observed = contrasts.t
     c_star = np.full(len(observed), np.nan)
-    for rows in _resample_batches(len(observed), errors, [g.shape[1] for g in groups], b):
+    for rows in _resample_batches(len(observed), errors, obs.sizes, b):
         batch, streams = [g[rows] for g in groups], [rngs[r] for r in rows]
         samples = [np.empty((len(rows) * b, g.shape[1])) for g in batch]
         for j, rng in enumerate(streams):
@@ -462,28 +491,36 @@ def box_test(data: GroupedSample, alpha: float, cfg: BootstrapConfig) -> TestRes
     When every group has two, each replicate equals the observed t up to
     rounding, the half-width is rounding noise and the test rejects.
     """
-    return batched(BOX, data.sizes, alpha, cfg.b, cfg.pivot_variant)(data.rows, [cfg.rng]).result()
+    run = batched((BOX,), data.sizes, alpha, cfg.b, cfg.pivot_variant)
+    return run(data.rows, {BOX: [cfg.rng]})[BOX].result()
 
 
-def batched(method: str, sizes, alpha: float, b: int = 500, pivot_variant: bool = False, p_values: bool = True):
-    """Test ``method`` at level ``alpha`` as a function (groups, rngs) -> Outcomes.
+def batched(methods, sizes, alpha: float, b: int = 500, pivot_variant: bool = False, p_values: bool = True):
+    """The tests ``methods``, a tuple of names, at level ``alpha``, as one function (groups, rngs) -> {method: Outcomes}.
 
     ``groups[i]`` is the (R, n_i) array of group i over R datasets, one
-    dataset per row, with n_i = ``sizes[i]``.  The F and chi-square
-    critical values depend on nothing else, so they are computed here,
-    once.  The bootstrap tests take ``b`` resamples per dataset, dataset r
-    drawing from ``rngs[r]``; the other tests ignore ``rngs``.
-    ``pivot_variant`` is the box-test option of ``BootstrapConfig``.
+    dataset per row, with n_i = ``sizes[i]``; the result maps each of
+    ``methods``, in order, to its outcomes.  The tests run one after
+    another.  The F and chi-square critical values depend on nothing
+    else, so they are computed here, once.  The observed statistics that
+    several tests use are computed once per call, and only when a selected
+    test uses them: the Levene statistics and their group medians (Levene,
+    and bootstrap Levene's residual pools), and ``moment_rows`` (Shoemaker,
+    the box test, and bootstrap Levene's jitter scale when a group is
+    smoothed).  The bootstrap tests take ``b`` resamples per dataset,
+    dataset r drawing from ``rngs[method][r]``; ``rngs`` needs no entry
+    for the other tests.  ``pivot_variant`` is the box-test option of
+    ``BootstrapConfig``.
 
     A bootstrap test computes its observed statistics over all R rows,
     then resamples the rows that have one in batches: the rows r with
-    equal ``r // resample_width(sizes, b)``.  It fetches ``rngs[r]`` once,
-    just before that batch's draws, and in increasing r, so ``rngs`` may
-    be any sequence whose item r is row r's generator when fetched; the
-    rows of one batch may not share a generator object, as the box
-    redraws from all of them after the batch's first draws, and bootstrap
-    Levene with ``p_values=False`` may draw from all of them after its
-    early round.
+    equal ``r // resample_width(sizes, b)``.  It fetches ``rngs[method][r]``
+    once, just before that batch's draws, and in increasing r, so each
+    entry of ``rngs`` may be any sequence whose item r is row r's generator
+    when fetched; the rows of one batch may not share a generator object,
+    as the box redraws from all of them after the batch's first draws, and
+    bootstrap Levene with ``p_values=False`` may draw from all of them
+    after its early round.
 
     ``p_values=False`` makes bootstrap Levene decide without p-values
     (``Outcomes.p_value`` is None), with the same ``reject`` and
@@ -507,22 +544,35 @@ def batched(method: str, sizes, alpha: float, b: int = 500, pivot_variant: bool 
         raise ValueError(f"alpha must be a finite real number, got {alpha!r}")
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    for method in methods:
+        if method not in ALL_METHODS:
+            raise ValueError(f"unknown test {method!r}; choose from {list(ALL_METHODS)}")
+    if BOOTSTRAP_LEVENE in methods or BOX in methods:
+        if not is_int(b):
+            raise ValueError(f"bootstrap replicate count b must be an integer, got {b!r}")
+        if b < 1:
+            raise ValueError(f"bootstrap replicate count b must be >= 1, got {b}")
+    tests = {method: _test(method, sizes, alpha, b, pivot_variant, p_values) for method in methods}
+
+    def run(groups, rngs) -> dict[str, Outcomes]:
+        obs = _Observed(groups)
+        return {method: test(obs, rngs) for method, test in tests.items()}
+
+    return run
+
+
+def _test(method: str, sizes, alpha: float, b: int, pivot_variant: bool, p_values: bool):
+    """Test ``method``, with its arguments checked by ``batched``, as a function (_Observed, rngs) -> Outcomes."""
     if method == LEVENE:
         crit = 0.0 if alpha >= 1.0 else f_quantile(1.0 - alpha, *_levene_df(sizes))
-        return lambda groups, rngs: _levene_outcomes(groups, alpha, crit)
+        return lambda obs, rngs: _levene_outcomes(obs, alpha, crit)
     if method == SHOEMAKER:
         crit = 0.0 if alpha >= 1.0 else chi2_quantile(1.0 - alpha, len(sizes) - 1)
-        return lambda groups, rngs: _shoemaker_outcomes(groups, alpha, crit)
-    if not is_int(b):
-        raise ValueError(f"bootstrap replicate count b must be an integer, got {b!r}")
-    if b < 1:
-        raise ValueError(f"bootstrap replicate count b must be >= 1, got {b}")
+        return lambda obs, rngs: _shoemaker_outcomes(obs, alpha, crit)
     if method == BOOTSTRAP_LEVENE:
         curtail = None if p_values else _curtailment(alpha, b, sizes)
-        return lambda groups, rngs: _bootstrap_levene_outcomes(groups, alpha, rngs, b, curtail)
-    if method == BOX:
-        return lambda groups, rngs: _box_outcomes(groups, alpha, rngs, b, pivot_variant)
-    raise ValueError(f"unknown test {method!r}; choose from {list(ALL_METHODS)}")
+        return lambda obs, rngs: _bootstrap_levene_outcomes(obs, alpha, rngs[method], b, curtail)
+    return lambda obs, rngs: _box_outcomes(obs, alpha, rngs[method], b, pivot_variant)
 
 
 def run_all(
@@ -530,17 +580,23 @@ def run_all(
 ) -> tuple[list[TestResult], dict[str, str]]:
     """Run all four tests on the same data.
 
-    The two bootstrap tests consume disjoint child streams spawned from
-    ``cfg.rng``.  A test that cannot run on this data contributes an entry
-    in the returned error mapping instead of aborting the rest.
+    The two bootstrap tests consume disjoint child streams of ``cfg.rng``:
+    the two that ``cfg.rng.spawn(2)`` gives, with its spawn counter
+    advanced as that advances it, so each call on one config takes the
+    next two children.  For an MT19937 they are drawn by generators of the
+    calling thread's pool, re-keyed (``rng.spawned``), so the call builds
+    no generator.  The four tests run as one batch of one dataset, so the
+    Levene statistic, the group medians and the group moments are computed
+    once.  A test that cannot run on this data contributes an entry in the
+    returned error mapping instead of aborting the rest.
     """
-    rngs = dict(zip((BOOTSTRAP_LEVENE, BOX), cfg.rng.spawn(2)))
+    rngs = {method: [rng] for method, rng in zip((BOOTSTRAP_LEVENE, BOX), spawned(cfg.rng, 2))}
+    outcomes = batched(ALL_METHODS, data.sizes, alpha, cfg.b, cfg.pivot_variant)(data.rows, rngs)
     results: list[TestResult] = []
     errors: dict[str, str] = {}
-    for method in ALL_METHODS:
+    for method, outcome in outcomes.items():
         try:
-            test = batched(method, data.sizes, alpha, cfg.b, cfg.pivot_variant)
-            results.append(test(data.rows, [rngs.get(method)]).result())
+            results.append(outcome.result())
         except (DegenerateDataError, NumericError) as exc:
             errors[method] = str(exc)
     return results, errors

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -20,7 +19,7 @@ import numpy as np
 from .distributions import Distribution, sample_standardized
 from .errors import DegenerateDataError, checked_tuple, is_int, is_real
 from .homogeneity import ALL_METHODS, BOOTSTRAP_LEVENE, BOX, batched, resample_width
-from .rng import derive_seed, mt19937_keys, rekey
+from .rng import derive_seed, generator_pool, mt19937_keys, rekey
 
 __all__ = [
     "ExperimentConfig",
@@ -42,10 +41,6 @@ _BOOTSTRAP_SLOTS = {BOOTSTRAP_LEVENE: 1, BOX: 2}
 # stream keys, per slot, stay within 2**16 values, so a chunk is
 # 2**16 // 624 = 105 replications wide, or less at the end of a range.
 _CHUNK_ROWS = 2**16 // 624
-
-# Each thread's generators, built on first need and kept: building an
-# MT19937 costs about 150 µs, and every use re-keys it first.
-_local = threading.local()
 
 TWO_GROUP_NULL_SIZES = ((5, 5), (10, 10), (15, 15), (5, 10), (7, 15), (10, 15))
 
@@ -143,7 +138,7 @@ def run_cell(cfg: ExperimentConfig) -> CellEstimate:
     the order a one-dataset test call would.  The replications are
     evaluated in chunks of 105, each bootstrap test resampling a chunk in
     batches of ``resample_width(sizes, B)``, from re-keyed generators of
-    the calling thread's pool; the README's "How a simulation cell is
+    the calling thread's pool (``rng.generator_pool``); the README's "How a simulation cell is
     computed" sets this out.  Rows are evaluated independently, so the
     estimates are byte-identical to evaluating each replication on its
     own.  The estimate is computed from integer rejection and error counts summed
@@ -166,9 +161,7 @@ class _Rekeyed:
         self.pool, self.keys = pool, keys
 
     def __getitem__(self, r: int) -> np.random.Generator:
-        rng = self.pool[r % len(self.pool)]
-        rekey(rng, self.keys[r])
-        return rng
+        return rekey(self.pool[r % len(self.pool)], self.keys[r])
 
 
 def _tally(cfg: ExperimentConfig, reps: range) -> tuple[dict[str, int], dict[str, int]]:
@@ -178,13 +171,14 @@ def _tally(cfg: ExperimentConfig, reps: range) -> tuple[dict[str, int], dict[str
     replications, and ``run_grid`` maps it over (cell, range) tasks on a
     worker pool.  The range builds its own tests, and so computes its F
     and chi-square quantiles once.  Its generators are a prefix of the
-    calling thread's pool (``_pool``), so concurrent calls on other
+    calling thread's pool (``generator_pool``), so concurrent calls on other
     threads share none, and each is re-keyed before every use, so no state
     carries over from an earlier call.  Only decisions are counted, so
     bootstrap Levene is built with ``p_values=False`` and stops a
     replication's resampling once its decision is settled.  A chunk of up
     to ``_CHUNK_ROWS`` replications is drawn, scaled, keyed and checked at
-    once, and each test is called once on it.
+    once, and the tests are called once on it, together, so the observed
+    statistics that several of them use are computed once per chunk.
     The pool serves every slot: a chunk's data draws end before any test
     is called, and the tests run one after another.  Each slot sees the
     pool as a ``_Rekeyed`` view of its keys.  A bootstrap test fetches a
@@ -192,12 +186,12 @@ def _tally(cfg: ExperimentConfig, reps: range) -> tuple[dict[str, int], dict[str
     one batch, a window of ``resample_width`` rows, map to distinct
     generators, as the pool is that wide at most.
     """
-    tests = {t: batched(t, cfg.sizes, cfg.alpha, cfg.bootstrap_b, p_values=False) for t in cfg.tests}
+    tests = batched(cfg.tests, cfg.sizes, cfg.alpha, cfg.bootstrap_b, p_values=False)
     rejects = dict.fromkeys(cfg.tests, 0)
     errors = dict.fromkeys(cfg.tests, 0)
     scales = [math.sqrt(v) for v in cfg.variances]
     slots = [_DATA_SLOT] + sorted({_BOOTSTRAP_SLOTS[t] for t in cfg.tests if t in _BOOTSTRAP_SLOTS})
-    pool = _pool(min(resample_width(cfg.sizes, cfg.bootstrap_b), _CHUNK_ROWS, len(reps)))
+    pool = generator_pool(min(resample_width(cfg.sizes, cfg.bootstrap_b), _CHUNK_ROWS, len(reps)))
     for first in range(reps.start, reps.stop, _CHUNK_ROWS):
         chunk = range(first, min(first + _CHUNK_ROWS, reps.stop))
         keys = mt19937_keys(cfg.master_seed, [(r, slot) for slot in slots for r in chunk])
@@ -213,8 +207,8 @@ def _tally(cfg: ExperimentConfig, reps: range) -> tuple[dict[str, int], dict[str
         if not finite.all():
             j, i = np.argwhere(~finite)[0]
             raise DegenerateDataError(f"replication {chunk[j]}: group {i} contains non-finite values")
-        for t, test in tests.items():
-            outcomes = test(groups, streams.get(_BOOTSTRAP_SLOTS.get(t)))
+        rngs = {t: streams[slot] for t, slot in _BOOTSTRAP_SLOTS.items() if slot in streams}
+        for t, outcomes in tests(groups, rngs).items():
             rejects[t] += outcomes.rejections
             errors[t] += len(outcomes.errors)
     return rejects, errors
@@ -235,18 +229,6 @@ def _estimate(cfg: ExperimentConfig, tallies) -> CellEstimate:
             rates[t] = p
             ses[t] = math.sqrt(p * (1.0 - p) / valid)
     return CellEstimate(cfg, rates, ses, errors)
-
-
-def _generator() -> np.random.Generator:
-    # an MT19937 generator to be re-keyed before each use
-    return np.random.Generator(np.random.MT19937(0))
-
-
-def _pool(width: int) -> list[np.random.Generator]:
-    """The first ``width`` generators of this thread's pool, which grows to ``width`` if it is narrower."""
-    pool = _local.__dict__.setdefault("pool", [])
-    pool.extend(_generator() for _ in range(width - len(pool)))
-    return pool[:width]
 
 
 def _ranges(cfg: ExperimentConfig, parts: int) -> list[range]:

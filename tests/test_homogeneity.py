@@ -20,7 +20,7 @@ from equivar import (
     shoemaker,
     stream,
 )
-from equivar.descriptive import log_variance_rows
+from equivar.descriptive import log_variance_rows, moment_rows
 from equivar.homogeneity import BOOTSTRAP_LEVENE, BOX, _jitter_scale, _row_medians, batched
 
 FIXED_A = [0.1, -0.3, 0.5, 1.2, -0.9]
@@ -129,7 +129,7 @@ class TestShoemaker:
 
 class TestBootstrapLevene:
     def test_jitter_scale_worked_example(self):
-        assert _jitter_scale(GroupedSample([[0.0, 2.0], [1.0, 3.0]]).rows)[0] == pytest.approx(1.0)
+        assert _jitter_scale(moment_rows(GroupedSample([[0.0, 2.0], [1.0, 3.0]]).rows))[0] == pytest.approx(1.0)
 
     def test_p_value_on_lattice(self):
         cfg = BootstrapConfig.from_seed(7, b=40)
@@ -269,19 +269,44 @@ class TestRunAll:
         assert "levene" in ran and "bootstrap_levene" in ran
         assert set(errors) == {"shoemaker", "box"}
 
+    @staticmethod
+    def _reference(data, alpha, rngs, b, pivot=False) -> list[dict]:
+        """The four one-dataset calls, the bootstrap tests on ``rngs``."""
+        bl_rng, box_rng = rngs
+        return [r.as_dict() for r in (
+            levene(data, alpha),
+            shoemaker(data, alpha),
+            bootstrap_levene(data, alpha, BootstrapConfig(bl_rng, b=b, pivot_variant=pivot)),
+            box_test(data, alpha, BootstrapConfig(box_rng, b=b, pivot_variant=pivot)),
+        )]
+
     @pytest.mark.parametrize("pivot", [False, True])
     def test_matches_the_four_calls_on_spawned_streams(self, pivot):
         data = _random_data(342, spread=(1.0, 1.5, 1.0))
         results, errors = run_all(data, 0.1, BootstrapConfig.from_seed(15, b=70, pivot_variant=pivot))
-        bl_rng, box_rng = stream(15).spawn(2)
-        expected = [
-            levene(data, 0.1),
-            shoemaker(data, 0.1),
-            bootstrap_levene(data, 0.1, BootstrapConfig(bl_rng, b=70, pivot_variant=pivot)),
-            box_test(data, 0.1, BootstrapConfig(box_rng, b=70, pivot_variant=pivot)),
-        ]
         assert errors == {}
-        assert [r.as_dict() for r in results] == [e.as_dict() for e in expected]
+        assert [r.as_dict() for r in results] == self._reference(data, 0.1, stream(15).spawn(2), 70, pivot)
+
+    @pytest.mark.parametrize("pivot", [False, True])
+    @pytest.mark.parametrize("b", [1, 60, 500])
+    def test_pooled_streams_match_spawned_ones(self, b, pivot):
+        data = _random_data(343, sizes=(5, 12, 9), spread=(1.0, 2.0, 1.0))
+        results, errors = run_all(data, 0.1, BootstrapConfig.from_seed(16, b=b, pivot_variant=pivot))
+        assert errors == {}
+        assert [r.as_dict() for r in results] == self._reference(data, 0.1, stream(16).spawn(2), b, pivot)
+
+    def test_two_calls_on_one_config_take_the_next_children(self):
+        data = _random_data(344)
+        cfg, parent = BootstrapConfig.from_seed(17, b=40), stream(17)
+        for _ in range(2):  # children 0-1, then 2-3
+            assert [r.as_dict() for r in run_all(data, 0.1, cfg)[0]] == self._reference(data, 0.1, parent.spawn(2), 40)
+        assert cfg.rng.bit_generator.seed_seq.n_children_spawned == 4
+
+    def test_a_pcg64_config_gives_the_reference_results(self):
+        data = _random_data(345)
+        cfg = BootstrapConfig(np.random.Generator(np.random.PCG64(18)), b=60)
+        expected = self._reference(data, 0.1, np.random.Generator(np.random.PCG64(18)).spawn(2), 60)
+        assert [r.as_dict() for r in run_all(data, 0.1, cfg)[0]] == expected
 
     @pytest.mark.parametrize(
         "groups",
@@ -339,6 +364,12 @@ class TestBatched:
 
     SIZES = (4, 6)
 
+    @staticmethod
+    def _test(method, *args, **kwargs):
+        """``method`` alone in ``batched``, as a function (groups, row streams) -> Outcomes."""
+        run = batched((method,), *args, **kwargs)
+        return lambda groups, rngs: run(groups, {method: rngs})[method]
+
     def _datasets(self):
         rng = stream(360)
         groups = [[s * rng.normal(size=n) for n, s in zip(self.SIZES, (1.0, 2.0))] for _ in range(5)]
@@ -349,7 +380,7 @@ class TestBatched:
     @pytest.mark.parametrize("method", ALL_METHODS)
     def test_rows_match_one_dataset_calls(self, method):
         datasets = self._datasets()
-        test = batched(method, self.SIZES, 0.1, b=40)
+        test = self._test(method, self.SIZES, 0.1, b=40)
         stacked = [np.stack(column) for column in zip(*(d.groups for d in datasets))]
         batch = test(stacked, [stream(361, r) for r in range(len(datasets))])
         assert batch.errors  # the degenerate rows reach every method
@@ -364,7 +395,7 @@ class TestBatched:
         for r in (1, 4):
             datasets[r][0] = np.full(self.SIZES[0], 2.5)
         datasets = [GroupedSample(g) for g in datasets]
-        test = batched(method, self.SIZES, 0.1, b=40)
+        test = self._test(method, self.SIZES, 0.1, b=40)
         stacked = [np.stack(column) for column in zip(*(d.groups for d in datasets))]
         fetched = []
 
@@ -397,7 +428,7 @@ class TestBatched:
             monkeypatch.setattr(equivar.homogeneity, "_levene_stat_rows",
                                 lambda blocks: evaluated[p_values].extend(np.hstack(blocks)) or real(blocks))
             fetched.clear()
-            outcomes[p_values] = batched(BOOTSTRAP_LEVENE, sizes, 0.1, b=100, p_values=p_values)(stacked, Streams())
+            outcomes[p_values] = self._test(BOOTSTRAP_LEVENE, sizes, 0.1, b=100, p_values=p_values)(stacked, Streams())
             assert fetched == list(range(40))  # each row once, in order
         full, decided = outcomes[True], outcomes[False]
         assert decided.p_value is None and full.p_value is not None
@@ -445,11 +476,11 @@ class TestBatched:
     def test_bad_arguments_rejected(self, methods, alpha, b, message):
         for method in methods:
             with pytest.raises(ValueError, match=message):
-                batched(method, self.SIZES, alpha, b)
+                batched((method,), self.SIZES, alpha, b)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match=r"unknown test 'nope'; choose from \['levene'"):
-            batched("nope", self.SIZES, 0.05)
+            batched(("nope",), self.SIZES, 0.05)
 
     def test_one_dataset_calls_reject_a_boolean_alpha(self):
         data = self._datasets()[0]

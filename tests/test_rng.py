@@ -5,7 +5,7 @@ import pytest
 
 import equivar.rng
 from equivar import derive_seed, stream
-from equivar.rng import mt19937_keys, rekey
+from equivar.rng import KeyedGenerator, mt19937_keys, pool_keys, rekey
 
 # First ten uniforms of stream(7, 3), recorded from a reference run.  These
 # pin the generator choice and the seed-mixing scheme across machines and
@@ -51,10 +51,12 @@ def test_derive_seed_deterministic_and_distinct():
     assert len(set(seeds)) == 10
 
 
+def _keyed():
+    return KeyedGenerator(np.random.Generator(np.random.MT19937(0)))
+
+
 def _rekeyed(key):
-    rng = np.random.Generator(np.random.MT19937(0))
-    rekey(rng, key)
-    return rng
+    return rekey(_keyed(), key)
 
 
 class TestMT19937Keys:
@@ -84,10 +86,9 @@ class TestMT19937Keys:
 
     def test_rekeying_after_use_restarts_the_stream(self):
         key = mt19937_keys(7, [(3,)])[0]
-        rng = _rekeyed(key)
-        rng.standard_normal(1001)
-        rekey(rng, key)
-        np.testing.assert_array_equal(rng.random(10), GOLDEN_7_3)
+        keyed = _keyed()
+        rekey(keyed, key).standard_normal(1001)
+        np.testing.assert_array_equal(rekey(keyed, key).random(10), GOLDEN_7_3)
 
 
 class TestRekey:
@@ -95,10 +96,9 @@ class TestRekey:
 
     def test_state_reads_back_as_the_key_at_pos_623(self):
         key = mt19937_keys(11, [(4, 2)])[0]
-        rng = _rekeyed(key)
-        rng.random(3)
-        rekey(rng, key)
-        state = rng.bit_generator.state
+        keyed = _keyed()
+        rekey(keyed, key).random(3)
+        state = rekey(keyed, key).bit_generator.state
         assert state["bit_generator"] == "MT19937"
         assert list(state["state"]) == ["key", "pos"]
         np.testing.assert_array_equal(state["state"]["key"], key)
@@ -117,10 +117,11 @@ class TestRekey:
     )
     def test_draws_equal_stream_after_earlier_draws(self, draw):
         keys = mt19937_keys(13, [(r, 1) for r in range(3)])
-        rng = np.random.Generator(np.random.MT19937(0))
+        keyed = _keyed()
+        rng = keyed.generator
         for r, key in enumerate(keys):
             draw(rng)  # a used generator, left mid-key
-            rekey(rng, key)
+            assert rekey(keyed, key) is rng
             ref = stream(13, r, 1)
             for _ in range(2):
                 np.testing.assert_array_equal(draw(rng), draw(ref))
@@ -129,7 +130,7 @@ class TestRekey:
     def test_other_bit_generators_refused_untouched(self, bit_generator):
         rng = np.random.Generator(bit_generator(5))
         with pytest.raises(TypeError, match="MT19937"):
-            rekey(rng, mt19937_keys(1, [(0,)])[0])
+            KeyedGenerator(rng)
         np.testing.assert_array_equal(rng.random(10), np.random.Generator(bit_generator(5)).random(10))
 
     def test_a_layout_that_does_not_read_back_raises(self, monkeypatch):
@@ -139,4 +140,61 @@ class TestRekey:
         monkeypatch.setattr(equivar.rng, "_MT19937State", PosFirst)
         monkeypatch.setattr(equivar.rng, "_layout_checked", False)
         with pytest.raises(RuntimeError, match="layout"):
-            rekey(np.random.Generator(np.random.MT19937(0)), mt19937_keys(1, [(0,)])[0])
+            rekey(_keyed(), mt19937_keys(1, [(0,)])[0])
+
+
+class TestPoolKeys:
+    """``pool_keys`` expands a finished ``SeedSequence`` pool into the key ``MT19937`` seeds with."""
+
+    ENTROPY = [0, 2**32, 2**128 + 5, [7, 2**32 - 1, 0, 12]]
+
+    @pytest.mark.parametrize("pool_size", [4, 8])
+    @pytest.mark.parametrize("entropy", ENTROPY, ids=["0", "2**32", "2**128+5", "words"])
+    def test_spawned_children_keys_equal_mt19937s(self, entropy, pool_size):
+        # spawn keys of depth 1, 2 and 3: children, grandchildren and great-grandchildren
+        level = [np.random.SeedSequence(entropy, pool_size=pool_size)]
+        for depth in (1, 2, 3):
+            level = [child for parent in level[:2] for child in parent.spawn(3)]
+            assert all(len(child.spawn_key) == depth for child in level)
+            keys = pool_keys([child.pool for child in level])
+            assert keys.shape == (len(level), 624) and keys.dtype == np.uint32
+            for child, key in zip(level, keys):
+                np.testing.assert_array_equal(key, np.random.MT19937(child).state["state"]["key"])
+
+    def test_mt19937_keys_end_with_pool_keys(self):
+        paths = [(r, 1) for r in range(3)]
+        pools = [np.random.SeedSequence(99, spawn_key=path).pool for path in paths]
+        np.testing.assert_array_equal(mt19937_keys(99, paths), pool_keys(pools))
+
+
+class TestSpawned:
+    """``spawned(rng, n)`` draws what ``rng.spawn(n)`` draws, from this thread's pool, and spawns as it does."""
+
+    @staticmethod
+    def _draws(rngs):
+        return [np.concatenate([g.random(5), g.integers(0, 100, 7), g.standard_normal(3)]) for g in rngs]
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**64 + 3])
+    def test_children_and_counter_match_spawn(self, seed):
+        ours, ref = stream(seed), stream(seed)
+        for _ in range(2):  # children 0-1, then 2-3
+            np.testing.assert_array_equal(self._draws(equivar.rng.spawned(ours, 2)), self._draws(ref.spawn(2)))
+        assert ours.bit_generator.seed_seq.n_children_spawned == 4
+        np.testing.assert_array_equal(ours.random(4), ref.random(4))  # the parent stream is untouched
+
+    def test_builds_no_generator_once_the_pool_is_wide_enough(self, monkeypatch):
+        equivar.rng.generator_pool(2)
+        monkeypatch.setattr(equivar.rng, "_generator", lambda: pytest.fail("built a generator"))
+        rngs = equivar.rng.spawned(stream(1), 2)
+        assert [id(g) for g in rngs] == [id(k.generator) for k in equivar.rng.generator_pool(2)]
+
+    @pytest.mark.parametrize(
+        "rng",
+        [
+            lambda: np.random.Generator(np.random.PCG64(4)),
+            lambda: np.random.Generator(np.random.MT19937(np.random.SeedSequence(4, pool_size=8))),
+        ],
+        ids=["pcg64", "pool_size_8"],
+    )
+    def test_matches_spawn_for_other_bit_generators_and_pool_sizes(self, rng):
+        np.testing.assert_array_equal(self._draws(equivar.rng.spawned(rng(), 2)), self._draws(rng().spawn(2)))

@@ -7,7 +7,9 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import equivar.descriptive
 import equivar.homogeneity
+import equivar.rng
 import equivar.simulation
 from equivar import (
     ALL_METHODS,
@@ -23,6 +25,7 @@ from equivar import (
     box_test,
     levene,
     robustness,
+    run_all,
     run_cell,
     run_grid,
     sample_standardized,
@@ -325,6 +328,53 @@ class TestCurtailedBootstrapLevene:
         assert self._resamples_evaluated(cfg, monkeypatch) == cfg.replications * cfg.bootstrap_b
 
 
+class TestSharedObservedStatistics:
+    """Each observed statistic that several tests use runs once per ``run_all`` call and once per tally chunk."""
+
+    @staticmethod
+    def _observed_calls(run, observed, monkeypatch) -> dict[str, int]:
+        """Calls of ``moment_rows`` and the Levene statistic, during ``run()``, on the arrays that ``observed()`` lists.
+
+        Resamples are drawn into fresh arrays, so a call on observed data is
+        one whose first block shares memory with an observed group.
+        """
+        calls = {"moment_rows": [], "levene": []}
+
+        def spy(name, real):
+            return lambda blocks, *args, **kwargs: calls[name].append(blocks[0]) or real(blocks, *args, **kwargs)
+
+        for module in (equivar.homogeneity, equivar.descriptive):
+            monkeypatch.setattr(module, "moment_rows", spy("moment_rows", equivar.descriptive.moment_rows))
+        monkeypatch.setattr(equivar.homogeneity, "_levene_stat_rows",
+                            spy("levene", equivar.homogeneity._levene_stat_rows))
+        run()
+        return {name: sum(any(np.shares_memory(block, g) for g in observed()) for block in blocks)
+                for name, blocks in calls.items()}
+
+    @pytest.mark.parametrize("groups", [[[0.1, -0.3, 0.5, 1.2, -0.9], [0.4, 0.0, -0.2, 0.8]],
+                                        [np.arange(12.0), np.arange(10.0) ** 2, np.sin(np.arange(11.0))]],
+                                 ids=["smoothed", "unsmoothed"])
+    def test_once_per_run_all_call(self, groups, monkeypatch):
+        data = GroupedSample(groups)
+        run = lambda: run_all(data, 0.05, BootstrapConfig.from_seed(3, b=50))  # noqa: E731
+        assert self._observed_calls(run, lambda: data.groups, monkeypatch) == {"moment_rows": 1, "levene": 1}
+
+    def test_once_per_tally_chunk(self, monkeypatch):
+        cfg = _cfg(sizes=(3, 3), variances=(1.0, 2.0), replications=230, bootstrap_b=20)  # chunks of 105, 105, 20
+        chunks = []
+        real = equivar.simulation.batched
+
+        def recording(*args, **kwargs):
+            test = real(*args, **kwargs)
+            return lambda groups, rngs: chunks.append(groups) or test(groups, rngs)
+
+        monkeypatch.setattr(equivar.simulation, "batched", recording)
+        observed = lambda: [g for groups in chunks for g in groups]  # noqa: E731
+        run = lambda: equivar.simulation._tally(cfg, range(cfg.replications))  # noqa: E731
+        assert self._observed_calls(run, observed, monkeypatch) == {"moment_rows": 3, "levene": 3}
+        assert len({id(groups) for groups in chunks}) == 3
+
+
 class TestResampleBatches:
     """A chunk is tested at once and resampled in batches; neither width may change a result."""
 
@@ -347,17 +397,16 @@ class TestResampleBatches:
     def _pool_widths(cfg, monkeypatch) -> list[int]:
         sim = equivar.simulation
         widths = []
-        real = sim._pool
-        monkeypatch.setattr(sim, "_pool", lambda width: widths.append(width) or real(width))
+        real = sim.generator_pool
+        monkeypatch.setattr(sim, "generator_pool", lambda width: widths.append(width) or real(width))
         sim._tally(cfg, range(cfg.replications))
         return widths
 
     @staticmethod
     def _generators_built(run, monkeypatch) -> int:
-        sim = equivar.simulation
         built = []
-        real = sim._generator
-        monkeypatch.setattr(sim, "_generator", lambda: built.append(1) or real())
+        real = equivar.rng._generator
+        monkeypatch.setattr(equivar.rng, "_generator", lambda: built.append(1) or real())
         run()
         return len(built)
 
@@ -369,7 +418,7 @@ class TestResampleBatches:
         assert widths == [min(width, equivar.simulation._CHUNK_ROWS, cfg.replications)]
         if cfg.sizes == (40,) * 4:
             assert widths == [2]
-        pool = equivar.simulation._pool(widths[0])
+        pool = equivar.rng.generator_pool(widths[0])
         assert len({id(rng) for rng in pool}) == len(pool) == widths[0]
 
     @pytest.mark.parametrize(
@@ -420,7 +469,7 @@ class TestResampleBatches:
                 rekeyed[thread] = []
                 both_running.wait()  # neither range starts until the other one's thread has
             rekeyed[thread].append(rng)  # holds the generator, so its id stays its own
-            real(rng, key)
+            return real(rng, key)
 
         monkeypatch.setattr(sim, "rekey", spy)
         assert pickle.dumps(run_grid([cfg], threads=2)) == expected
@@ -431,7 +480,7 @@ class TestResampleBatches:
     def test_fetched_streams_are_the_keyed_streams(self):
         seed, slot, pool = 12, 2, 2
         keys = equivar.simulation.mt19937_keys(seed, [(r, slot) for r in range(6)])
-        rekeyed = equivar.simulation._Rekeyed([equivar.simulation._generator() for _ in range(pool)], keys)
+        rekeyed = equivar.simulation._Rekeyed([equivar.rng._generator() for _ in range(pool)], keys)
 
         def draws(rng):
             return rng.integers(0, 1000, 7), rng.uniform(-0.5, 0.5, 5), rng.standard_normal(3)
