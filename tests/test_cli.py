@@ -437,16 +437,19 @@ class TestCriticalCommand:
         assert digest == "01dfc84cd3f0c7f1004b0895cac2dbce02297aff4d5e290258948f42caa32ca1"
 
     @pytest.mark.parametrize(
-        "sizes, expected",
+        "sizes, draws, expected",
         [
-            ("5,10,15", "af78cff9f52316b363485a15f4d2e44b424c6c7614f2235ab8dd29b5be586d85"),
-            ("20,20,20,20", "9bc7f310e68d29d506c993875256e191b203b7e4f731de13b0e4b3f9c84d8d03"),
+            ("5,10,15", "200000", "af78cff9f52316b363485a15f4d2e44b424c6c7614f2235ab8dd29b5be586d85"),
+            ("20,20,20,20", "200000", "9bc7f310e68d29d506c993875256e191b203b7e4f731de13b0e4b3f9c84d8d03"),
+            ("5,6,7,8,9,10,11,12,13", "20000", "8e9ac54d9da02db2f393cd2c8b205300f4be4f46d8cb107efee64899e170e21e"),
+            (",".join(["4"] * 17), "20000", "248edde51c4aaebfe884dfb628e2b4faf5eb520219b08ccdd6fb24f420d90472"),
         ],
-        ids=["unequal shapes", "four equal shapes"],
+        ids=["unequal shapes", "four equal shapes", "nine groups", "seventeen groups"],
     )
-    def test_gate_output_is_pinned_for_more_groups(self, capsys, sizes, expected):
-        # the same contract for unequal shapes (broadcast gamma draws) and for four groups
-        assert main(["critical", "--sizes", sizes, "--draws", "200000", "--seed", "1"]) == 0
+    def test_gate_output_is_pinned_for_more_groups(self, capsys, sizes, draws, expected):
+        # the same contract for unequal shapes (broadcast gamma draws), for four groups, and for rows
+        # summed in numpy's 8-value pairwise order (nine groups) and by numpy itself (seventeen)
+        assert main(["critical", "--sizes", sizes, "--draws", draws, "--seed", "1"]) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == expected
 

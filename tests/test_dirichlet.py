@@ -46,7 +46,7 @@ def numpy_box(params, alpha, draws, rng):
     return mean, sd, c, np.searchsorted(row_max, c, side="right") / draws
 
 
-# k = 9 rows are summed pairwise by numpy; shorter ones by whole columns
+# row sums: k = 9 repeat numpy's pairwise order by whole columns, k = 17 go to numpy's own sum, shorter rows add columns in turn
 SHAPES = [
     (4.5, 4.5),
     (2.0, 7.0),
@@ -56,7 +56,21 @@ SHAPES = [
     (0.5, 2.0, 2.0, 9.5),
     (3.0,) * 9,
     tuple(0.5 + i for i in range(9)),
+    (3.0,) * 17,
 ]
+
+# Memory layouts of a (6, rows, k) batch; numpy sums a vector pairwise when its k values are adjacent, else in turn
+LAYOUTS = {
+    "1-D": lambda x: x[0, 0],
+    "2-D": lambda x: x[0],
+    "3-D": lambda x: x,
+    "2-D Fortran": lambda x: np.asfortranarray(x[0]),
+    "3-D Fortran": lambda x: np.asfortranarray(x),
+    "strided": lambda x: x[::2, ::-1],
+    "axes swapped": lambda x: x.transpose(1, 0, 2),
+    "last axis inner": lambda x: np.asfortranarray(x.transpose(2, 0, 1)).transpose(1, 2, 0),
+    "last axis between": lambda x: np.asfortranarray(x.transpose(0, 2, 1)).transpose(0, 2, 1),
+}
 
 
 class TestNumpyBits:
@@ -74,26 +88,20 @@ class TestNumpyBits:
         assert_same_bits(box.sd, sd)
         assert (box.half_width, box.coverage) == (c, coverage)
 
-    @pytest.mark.parametrize("k", [2, 3, 4, 9])
-    @pytest.mark.parametrize(
-        "layout",
-        [
-            lambda x: x[0, 0],
-            lambda x: x[0],
-            lambda x: x,
-            lambda x: np.asfortranarray(x[0]),
-            lambda x: np.asfortranarray(x),
-            lambda x: x[::2, ::-1],
-            lambda x: x.transpose(1, 0, 2),
-            lambda x: np.asfortranarray(x.transpose(2, 0, 1)).transpose(1, 2, 0),
-        ],
-        ids=["1-D", "2-D", "3-D", "2-D Fortran", "3-D Fortran", "strided", "axes swapped", "last axis inner"],
-    )
+    @pytest.mark.parametrize("k", [2, 3, 4, 9, 12])
+    @pytest.mark.parametrize("layout", LAYOUTS.values(), ids=LAYOUTS.keys())
     def test_log_contrast(self, k, layout):
         x = layout(np.exp(stream(72).normal(size=(6, 40, k))))
         before = x.copy()
         assert_same_bits(log_contrast(x), numpy_log_contrast(x))
         assert_same_bits(x, before)
+
+    # from 1000 rows, row sums of 8 to 15 values go by whole columns
+    @pytest.mark.parametrize("k", [9, 12])
+    @pytest.mark.parametrize("layout", LAYOUTS.values(), ids=LAYOUTS.keys())
+    def test_log_contrast_many_rows(self, k, layout):
+        x = layout(np.exp(stream(72).normal(size=(6, 1000, k))))
+        assert_same_bits(log_contrast(x), numpy_log_contrast(x))
 
 
 class TestDirichletParams:
@@ -167,6 +175,14 @@ class TestSampleDirichlet:
         with pytest.raises(NumericError, match=r"underflowed to 0 at shapes \(0\.001, 0\.001\)"):
             sample_dirichlet(params, stream(0), 2000)
         with pytest.raises(NumericError, match="underflowed"):
+            calibrate_box(params, 0.05, 2000, stream(0))
+
+    def test_underflowed_component_fails_calibration_naming_the_shapes(self):
+        # at shapes 1e-3 and 5 the first gamma variate of 962 of these 2000 rows underflows to 0: the rows
+        # normalize, but their log contrasts are undefined
+        params = DirichletParams((1e-3, 5.0))
+        assert np.count_nonzero(sample_dirichlet(params, stream(0), 2000) == 0.0) == 962
+        with pytest.raises(NumericError, match=r"^962 Dirichlet components underflowed to 0 at shapes \(0\.001, 5\.0\)"):
             calibrate_box(params, 0.05, 2000, stream(0))
 
 
