@@ -125,12 +125,14 @@ def row_sum(x) -> np.ndarray:
     the remaining values left to right, then the total added to 0.0.  An
     array takes the columns below 8 values or under the shape rule, and
     numpy's own sum otherwise; 16 or more columns are stacked for numpy.
+    A Fortran-ordered array, whose columns numpy adds in turn, goes to
+    numpy's own sum.
     """
     if isinstance(x, list):
         if len(x) >= _ONE_PASS_BELOW:
             return np.stack(x, axis=1).sum(axis=1)
         cols = x
-    elif x.shape[1] < _PAIRWISE_FROM or by_columns(*x.shape):
+    elif (x.shape[1] < _PAIRWISE_FROM or by_columns(*x.shape)) and not np.isfortran(x):
         cols = [x[:, j] for j in range(x.shape[1])]
     else:
         return x.sum(axis=1)
@@ -148,6 +150,20 @@ def row_sum(x) -> np.ndarray:
         total += c
     total += 0.0
     return total
+
+
+def running_sum(x, out=None):
+    """The sums along the last axis of ``x``, each value added in turn and the total to 0.0.
+
+    ``out``, of x's shape, is optional scratch for the running sums.  numpy
+    reduces an axis that is not innermost in memory, such as
+    ``mean(axis=0)`` of a C-ordered batch or the middle axis of an (R, b, k)
+    stack, one whole slice after another into its result, so each value of
+    the result is a left to right sum; a pairwise ``sum`` along the last
+    axis differs.  Adding 0.0 turns an all -0.0 sum into +0.0, as numpy's
+    zero start does.
+    """
+    return np.add.accumulate(x, axis=-1, out=out)[..., -1] + 0.0
 
 
 def centred(x, centre: np.ndarray):

@@ -44,6 +44,7 @@ import numpy as np
 from .bootstrap import SMOOTH_FACTOR, first_count, search_critical
 from .descriptive import (
     GroupedSample, centred, column_reduce, in_place, log_variance_rows, log_variance_t, moment_rows, row_sum,
+    running_sum,
 )
 from .errors import DegenerateDataError, NumericError, is_int, is_real
 from .rng import spawned, stream
@@ -438,14 +439,13 @@ def _redraw_degenerate(t: np.ndarray, groups, rngs) -> np.ndarray:
 
 
 def _column_mean(x: np.ndarray) -> np.ndarray:
-    """``mean(axis=1)`` of an (R, b) array, bit for bit: the b values of a row added in turn to 0.0, then / b.
+    """``mean(axis=1)`` of an (R, b) column of an (R, b, k) stack, bit for bit, as ``t.mean(axis=1)`` gives it.
 
-    This is the order in which ``t.mean(axis=1)`` sums the middle axis of
-    an (R, b, k) stack, whose inner loop of k values runs once per
-    resample; a column ``x.sum(axis=1)`` is pairwise and differs.
-    Adding 0.0 turns an all -0.0 row's sum into +0.0, as numpy's does.
+    The stack's middle axis is not innermost in memory, so numpy sums it
+    in ``running_sum``'s order; a column ``x.sum(axis=1)`` is pairwise and
+    differs.
     """
-    return (np.add.accumulate(x, axis=1)[:, -1] + 0.0) / x.shape[1]
+    return running_sum(x) / x.shape[1]
 
 
 def _box_outcomes(obs: _Observed, alpha: float, rngs, b: int, pivot_variant: bool) -> Outcomes:

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -415,6 +416,22 @@ class TestCriticalCommand:
     def test_invalid_sizes_exit_2(self, capsys):
         assert main(["critical", "--sizes", "10,1"]) == 2
         assert main(["critical", "--sizes", "10,x"]) == 2
+        capsys.readouterr()
+        # refused before its shape (n - 1) / 2 overflows the float conversion
+        assert main(["critical", "--sizes", f"{10**400},5", "--draws", "1000"]) == 2
+        assert capsys.readouterr() == ("", f"error: group size {10**400} is beyond the float range\n")
+
+    def test_overflowed_gamma_totals_exit_3(self, capsys):
+        # sizes of 10**308 give shapes of 5e307, whose gamma variates sum past the float maximum
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["critical", "--sizes", ",".join([str(10**308)] * 4), "--draws", "1000"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "numeric failure: the gamma variates of a Dirichlet row overflowed their float sum "
+            "at shapes (5e+307, 5e+307, 5e+307, 5e+307)\n"
+        )
 
     @pytest.mark.parametrize(
         "alpha, message",

@@ -9,7 +9,9 @@ from equivar import (
     log_variance_contrasts,
     stream,
 )
-from equivar.descriptive import _COLUMNS_FROM_ROWS, by_columns, column_reduce, log_variance_rows, moment_rows, row_sum
+from equivar.descriptive import (
+    _COLUMNS_FROM_ROWS, by_columns, column_reduce, log_variance_rows, moment_rows, row_sum, running_sum,
+)
 from equivar.homogeneity import _column_mean, _levene_stat_rows, _row_medians
 
 # A fixed two-group dataset reused by the oracle comparisons here and in the
@@ -267,11 +269,13 @@ class TestRowReductions:
     @pytest.mark.parametrize("r", _ROW_COUNTS)
     @pytest.mark.parametrize("n", range(1, 18))
     def test_row_sum_is_numpys_row_sum(self, n, r):
-        for x in _layouts(_awkward_rows(n, r)):
+        rows = _awkward_rows(n, r)
+        # numpy adds the columns of a Fortran-ordered array in turn, not in its C-order pairwise order
+        for x in _layouts(rows) + [np.asfortranarray(rows)]:
             with np.errstate(over="ignore", invalid="ignore"):
                 assert _same_bits(row_sum(x), x.sum(axis=1))
                 assert _same_bits(row_sum(x) / n, x.mean(axis=1))
-                assert _same_bits(row_sum([x[:, j].copy() for j in range(n)]), x.sum(axis=1))
+                assert _same_bits(row_sum([x[:, j].copy() for j in range(n)]), rows.sum(axis=1))
 
     @pytest.mark.parametrize("r", _ROW_COUNTS)
     @pytest.mark.parametrize("n", range(1, 13))
@@ -356,7 +360,7 @@ class TestKernelBits:
 
 
 class TestColumnMean:
-    """The box test's centre of one group column is ``t.mean(axis=1)`` of the (R, b, k) stack, bit for bit."""
+    """``_column_mean`` and ``running_sum`` row by row give ``t.mean(axis=1)`` of an (R, b, k) stack bit for bit."""
 
     @pytest.mark.parametrize("k", [2, 4, 6])
     @pytest.mark.parametrize("b", [1, 7, 500, 2000])
@@ -367,5 +371,8 @@ class TestColumnMean:
         t[:, :, 0] = -0.0           # sums to +0.0 from numpy's zero start
         t[:, : b // 2 + 1, 1] = -0.0  # a run of -0.0, then other values
         expected = t.mean(axis=1)
+        scratch = np.empty(b)
         for i in range(k):
             assert _same_bits(_column_mean(t[:, :, i]), expected[:, i])
+            # one row at a time into scratch, as calibrate_box sums its coordinate rows
+            assert _same_bits(np.array([running_sum(row, scratch) for row in t[:, :, i]]) / b, expected[:, i])

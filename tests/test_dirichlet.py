@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -77,7 +78,9 @@ class TestNumpyBits:
     @pytest.mark.parametrize("nu", SHAPES)
     def test_sample_dirichlet(self, nu):
         params = DirichletParams(nu)
-        assert_same_bits(sample_dirichlet(params, stream(70), size=3001), numpy_dirichlet(params, stream(70), 3001))
+        x = sample_dirichlet(params, stream(70), size=3001)
+        assert_same_bits(x, numpy_dirichlet(params, stream(70), 3001))
+        assert x.flags.c_contiguous
 
     @pytest.mark.parametrize("nu", SHAPES)
     def test_calibrate_box(self, nu):
@@ -129,9 +132,10 @@ class TestDirichletParams:
             (lambda: DirichletParams(3.0), "shape parameters must be a sequence of finite real numbers"),
             (lambda: DirichletParams("12"), "shape parameters must be a sequence of finite real numbers"),
             (lambda: DirichletParams((1.0,)), "need at least two shape parameters"),
+            (lambda: DirichletParams.from_group_sizes([10**400, 5]), r"group size 10{400} is beyond the float range"),
         ],
         ids=["size 5.7", "size True", "size '5'", "shape nan", "shape inf", "shape True", "scalar", "string",
-             "one shape"],
+             "one shape", "size 10**400"],
     )
     def test_malformed_input_rejected_at_construction(self, make, message):
         with pytest.raises(ValueError, match=message):
@@ -184,6 +188,19 @@ class TestSampleDirichlet:
         assert np.count_nonzero(sample_dirichlet(params, stream(0), 2000) == 0.0) == 962
         with pytest.raises(NumericError, match=r"^962 Dirichlet components underflowed to 0 at shapes \(0\.001, 5\.0\)"):
             calibrate_box(params, 0.05, 2000, stream(0))
+
+
+    def test_overflowed_total_raises_naming_the_shapes(self):
+        # at shapes 1e308 each gamma variate is about 1e308, so every pair sums past the float maximum
+        params = DirichletParams((1e308, 1e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for draw in (
+                lambda: sample_dirichlet(params, stream(0), 1000),
+                lambda: calibrate_box(params, 0.05, 1000, stream(0)),
+            ):
+                with pytest.raises(NumericError, match=r"overflowed their float sum at shapes \(1e\+308, 1e\+308\)"):
+                    draw()
 
 
 class TestLogContrast:
