@@ -56,6 +56,17 @@ _COLUMNS_FROM_ROWS = 1000
 _MIN_SPREAD, _MAX_SPREAD = 1e-72, 1e72
 
 
+def _real_values(name, group) -> np.ndarray:
+    """Group ``name`` as a flat float array; a value that is not a real number raises a DegenerateDataError."""
+    try:
+        values = np.asarray(group)
+        if values.dtype.kind != "c":  # astype would drop the imaginary parts
+            return values.astype(float, copy=False).ravel()
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DegenerateDataError(f"group {name!r} holds a value that is not a real number in float range")
+
+
 class GroupedSample:
     """Two or more groups of real observations: one dataset, as the one-dataset tests take it.
 
@@ -71,7 +82,7 @@ class GroupedSample:
 
     def __init__(self, groups):
         named = list(groups.items() if isinstance(groups, Mapping) else enumerate(groups))
-        gs = tuple(np.asarray(g, dtype=float).ravel() for _, g in named)
+        gs = tuple(_real_values(name, g) for name, g in named)
         if len(gs) < 2:
             raise DegenerateDataError(f"need at least two groups, got {len(gs)}")
         for (name, _), g in zip(named, gs):

@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 
+from .errors import is_int
+
 __all__ = ["Distribution", "sample_standardized"]
 
 _GUMBEL_SCALE = math.pi / math.sqrt(6.0)
@@ -52,8 +54,8 @@ def sample_standardized(kind: Distribution, n: int, rng: np.random.Generator) ->
     value (Gumbel) distribution by the inverse CDF -ln(-ln U); both are
     exact constructions.
     """
-    if n < 1:
-        raise ValueError(f"need at least one draw, got n={n}")
+    if not is_int(n) or n < 1:
+        raise ValueError(f"need a whole number of draws, at least one, got n={n!r}")
     kind = Distribution(kind)
     if kind is Distribution.UNIFORM:
         return (rng.random(n) - 0.5) * _UNIFORM_SCALE

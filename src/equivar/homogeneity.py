@@ -118,11 +118,20 @@ class TestResult:
 
 @dataclass
 class BootstrapConfig:
-    """Shared knobs for the two bootstrap tests."""
+    """Shared knobs for the two bootstrap tests.
+
+    Construction checks ``rng`` and ``pivot_variant``; the tests check ``b``.
+    """
 
     rng: np.random.Generator
     b: int = 500                 # bootstrap replicates
     pivot_variant: bool = False  # center box-test replicates at the observed t
+
+    def __post_init__(self):
+        if not isinstance(self.rng, np.random.Generator):
+            raise ValueError(f"rng must be a numpy.random.Generator, got {self.rng!r}")
+        if not isinstance(self.pivot_variant, (bool, np.bool_)):
+            raise ValueError(f"pivot_variant must be a bool, got {self.pivot_variant!r}")
 
     @classmethod
     def from_seed(cls, seed: int, b: int = 500, pivot_variant: bool = False) -> "BootstrapConfig":
@@ -134,7 +143,7 @@ class Outcomes:
     """One test applied to each dataset of a batch; row r belongs to dataset r.
 
     ``p_value`` is None for every test but bootstrap Levene, and for that
-    one too when ``batched`` built it with ``p_values=False``.
+    one too when ``batched`` ran it with ``p_values=False``.
     """
 
     method: str
@@ -250,8 +259,9 @@ class _Observed:
         return {int(r): DegenerateDataError(message) for r in np.flatnonzero(self.levene[2])}
 
 
-def _levene_outcomes(obs: _Observed, alpha: float, critical: float) -> Outcomes:
+def _levene_outcomes(obs: _Observed, alpha: float) -> Outcomes:
     stat = obs.levene[0]
+    critical = 0.0 if alpha >= 1.0 else f_quantile(1.0 - alpha, *_levene_df(obs.sizes))
     return Outcomes(
         LEVENE, alpha, stat, _decide(alpha, stat > critical), obs.levene_errors(),
         critical_value=np.full(len(stat), critical), df=_levene_df(obs.sizes),
@@ -264,12 +274,13 @@ def levene(data: GroupedSample, alpha: float = 0.05) -> TestResult:
     Scale variables are |observation - group median|; their one-way ANOVA
     F ratio is compared with the F(k, n - k - 1) quantile at 1 - alpha.
     """
-    return batched((LEVENE,), data.sizes, alpha)(data.rows, {})[LEVENE].result()
+    return batched((LEVENE,), data.rows, {}, alpha)[LEVENE].result()
 
 
-def _shoemaker_outcomes(obs: _Observed, alpha: float, critical: float) -> Outcomes:
+def _shoemaker_outcomes(obs: _Observed, alpha: float) -> Outcomes:
     contrasts, var_log_s2, errors = log_variance_rows(obs.groups, use_harmonic=True, moments=obs.moments)
     stat = row_sum(contrasts.contrast**2 / var_log_s2)
+    critical = 0.0 if alpha >= 1.0 else chi2_quantile(1.0 - alpha, len(obs.sizes) - 1)
     return Outcomes(
         SHOEMAKER, alpha, stat, _decide(alpha, stat > critical), errors,
         critical_value=np.full(len(stat), critical), df=(len(obs.sizes) - 1,),
@@ -283,7 +294,7 @@ def shoemaker(data: GroupedSample, alpha: float = 0.05) -> TestResult:
     var(ln s_i^2) estimated from the pooled kurtosis ratio and the harmonic
     mean group size, and is compared with the chi-square(k) quantile.
     """
-    return batched((SHOEMAKER,), data.sizes, alpha)(data.rows, {})[SHOEMAKER].result()
+    return batched((SHOEMAKER,), data.rows, {}, alpha)[SHOEMAKER].result()
 
 
 def _jitter_scale(moments) -> np.ndarray:
@@ -342,15 +353,15 @@ def _curtailment(alpha: float, b: int, sizes) -> tuple[int, int, float]:
     """(c, m, gate) of the decision-only bootstrap Levene; ``batched`` sets out their use.
 
     c = ``first_count(b, alpha)``, the smallest count with c / b >= alpha,
-    m = max(1, b // 5), and gate the F(k, n - k - 1) quantile at 1 - c / m,
-    or -inf when c >= m.
+    m = max(1, b // 5), and gate the F(k, n - k - 1) quantile at 1 - c / m
+    for groups of ``sizes``, the batch's own, or -inf when c >= m.
     """
     c = first_count(b, alpha)
     m = max(1, b // 5)
     return c, m, f_quantile(1.0 - c / m, *_levene_df(sizes)) if c < m else -math.inf
 
 
-def _bootstrap_levene_outcomes(obs: _Observed, alpha: float, rngs, b: int, curtail=None) -> Outcomes:
+def _bootstrap_levene_outcomes(obs: _Observed, alpha: float, rngs, b: int, p_values: bool) -> Outcomes:
     stat, medians, _ = obs.levene
     errors = obs.levene_errors()
     pools = np.concatenate([g - m[:, None] for g, m in zip(obs.groups, medians)], axis=1)
@@ -361,7 +372,7 @@ def _bootstrap_levene_outcomes(obs: _Observed, alpha: float, rngs, b: int, curta
     # without smoothing jitter a row's draws are its indices alone, which split into two calls
     split = min(sizes) >= 10
     q = None if split else _jitter_scale(obs.moments)
-    c, m, gate = curtail or (b, b, -math.inf)
+    c, m, gate = (b, b, -math.inf) if p_values else _curtailment(alpha, b, sizes)
     count = np.full(len(stat), np.nan)
     for rows in _resample_batches(len(stat), errors, sizes, b):
         streams = [rngs[r] for r in rows]
@@ -387,7 +398,7 @@ def _bootstrap_levene_outcomes(obs: _Observed, alpha: float, rngs, b: int, curta
     p = count / b
     return Outcomes(
         BOOTSTRAP_LEVENE, alpha, stat, _decide(alpha, p < alpha), errors,
-        p_value=None if curtail else p, df=_levene_df(sizes),
+        p_value=p if p_values else None, df=_levene_df(sizes),
     )
 
 
@@ -401,8 +412,8 @@ def bootstrap_levene(data: GroupedSample, alpha: float, cfg: BootstrapConfig) ->
     scale q, the pooled standard deviation about group means.  The p-value
     is the fraction of rounds whose statistic exceeds the observed one.
     """
-    run = batched((BOOTSTRAP_LEVENE,), data.sizes, alpha, cfg.b)
-    return run(data.rows, {BOOTSTRAP_LEVENE: [cfg.rng]})[BOOTSTRAP_LEVENE].result()
+    rngs = {BOOTSTRAP_LEVENE: [cfg.rng]}
+    return batched((BOOTSTRAP_LEVENE,), data.rows, rngs, alpha, cfg.b)[BOOTSTRAP_LEVENE].result()
 
 
 def _resample_rows(groups, rng: np.random.Generator, outs) -> list[np.ndarray]:
@@ -491,32 +502,32 @@ def box_test(data: GroupedSample, alpha: float, cfg: BootstrapConfig) -> TestRes
     When every group has two, each replicate equals the observed t up to
     rounding, the half-width is rounding noise and the test rejects.
     """
-    run = batched((BOX,), data.sizes, alpha, cfg.b, cfg.pivot_variant)
-    return run(data.rows, {BOX: [cfg.rng]})[BOX].result()
+    return batched((BOX,), data.rows, {BOX: [cfg.rng]}, alpha, cfg.b, cfg.pivot_variant)[BOX].result()
 
 
-def batched(methods, sizes, alpha: float, b: int = 500, pivot_variant: bool = False, p_values: bool = True):
-    """The tests ``methods``, a tuple of names, at level ``alpha``, as one function (groups, rngs) -> {method: Outcomes}.
+def batched(methods, groups, rngs, alpha: float, b: int = 500, pivot_variant: bool = False, p_values: bool = True):
+    """The tests ``methods``, a tuple of names, at level ``alpha`` on a batch of datasets, as {method: Outcomes}.
 
     ``groups[i]`` is the (R, n_i) array of group i over R datasets, one
-    dataset per row, with n_i = ``sizes[i]``; the result maps each of
-    ``methods``, in order, to its outcomes.  The tests run one after
-    another.  The F and chi-square critical values depend on nothing
-    else, so they are computed here, once.  The observed statistics that
-    several tests use are computed once per call, and only when a selected
-    test uses them: the Levene statistics and their group medians (Levene,
-    and bootstrap Levene's residual pools), and ``moment_rows`` (Shoemaker,
-    the box test, and bootstrap Levene's jitter scale when a group is
-    smoothed).  The bootstrap tests take ``b`` resamples per dataset,
-    dataset r drawing from ``rngs[method][r]``; ``rngs`` needs no entry
-    for the other tests.  ``pivot_variant`` is the box-test option of
-    ``BootstrapConfig``.
+    dataset per row; the result maps each of ``methods``, in order, to its
+    outcomes.  The tests run one after another, and each reads the group
+    sizes n_i off ``groups``: Levene's F(k, n - k - 1) and Shoemaker's
+    chi-square(k) critical values and degrees of freedom, and bootstrap
+    Levene's early-round gate, follow the batch.  The observed statistics
+    that several tests use are computed once per call, and only when a
+    selected test uses them: the Levene statistics and their group medians
+    (Levene, and bootstrap Levene's residual pools), and ``moment_rows``
+    (Shoemaker, the box test, and bootstrap Levene's jitter scale when a
+    group is smoothed).  The bootstrap tests take ``b`` resamples per
+    dataset, dataset r drawing from ``rngs[method][r]``; ``rngs`` needs no
+    entry for the other tests.  ``pivot_variant`` is the box-test option
+    of ``BootstrapConfig``.
 
     A bootstrap test computes its observed statistics over all R rows,
     then resamples the rows that have one in batches: the rows r with
-    equal ``r // resample_width(sizes, b)``.  It fetches ``rngs[method][r]``
-    once, just before that batch's draws, and in increasing r, so each
-    entry of ``rngs`` may be any sequence whose item r is row r's generator
+    equal ``r // resample_width(sizes, b)``, where ``sizes`` are the n_i.
+    It fetches ``rngs[method][r]`` once, just before that batch's draws,
+    and in increasing r, so each entry of ``rngs`` may be any sequence whose item r is row r's generator
     when fetched; the rows of one batch may not share a generator object,
     as the box redraws from all of them after the batch's first draws, and
     bootstrap Levene with ``p_values=False`` may draw from all of them
@@ -552,27 +563,18 @@ def batched(methods, sizes, alpha: float, b: int = 500, pivot_variant: bool = Fa
             raise ValueError(f"bootstrap replicate count b must be an integer, got {b!r}")
         if b < 1:
             raise ValueError(f"bootstrap replicate count b must be >= 1, got {b}")
-    tests = {method: _test(method, sizes, alpha, b, pivot_variant, p_values) for method in methods}
-
-    def run(groups, rngs) -> dict[str, Outcomes]:
-        obs = _Observed(groups)
-        return {method: test(obs, rngs) for method, test in tests.items()}
-
-    return run
-
-
-def _test(method: str, sizes, alpha: float, b: int, pivot_variant: bool, p_values: bool):
-    """Test ``method``, with its arguments checked by ``batched``, as a function (_Observed, rngs) -> Outcomes."""
-    if method == LEVENE:
-        crit = 0.0 if alpha >= 1.0 else f_quantile(1.0 - alpha, *_levene_df(sizes))
-        return lambda obs, rngs: _levene_outcomes(obs, alpha, crit)
-    if method == SHOEMAKER:
-        crit = 0.0 if alpha >= 1.0 else chi2_quantile(1.0 - alpha, len(sizes) - 1)
-        return lambda obs, rngs: _shoemaker_outcomes(obs, alpha, crit)
-    if method == BOOTSTRAP_LEVENE:
-        curtail = None if p_values else _curtailment(alpha, b, sizes)
-        return lambda obs, rngs: _bootstrap_levene_outcomes(obs, alpha, rngs[method], b, curtail)
-    return lambda obs, rngs: _box_outcomes(obs, alpha, rngs[method], b, pivot_variant)
+    obs = _Observed(groups)
+    outcomes = {}
+    for method in methods:
+        if method == LEVENE:
+            outcomes[method] = _levene_outcomes(obs, alpha)
+        elif method == SHOEMAKER:
+            outcomes[method] = _shoemaker_outcomes(obs, alpha)
+        elif method == BOOTSTRAP_LEVENE:
+            outcomes[method] = _bootstrap_levene_outcomes(obs, alpha, rngs[method], b, p_values)
+        else:
+            outcomes[method] = _box_outcomes(obs, alpha, rngs[method], b, pivot_variant)
+    return outcomes
 
 
 def run_all(
@@ -591,7 +593,7 @@ def run_all(
     returned error mapping instead of aborting the rest.
     """
     rngs = {method: [rng] for method, rng in zip((BOOTSTRAP_LEVENE, BOX), spawned(cfg.rng, 2))}
-    outcomes = batched(ALL_METHODS, data.sizes, alpha, cfg.b, cfg.pivot_variant)(data.rows, rngs)
+    outcomes = batched(ALL_METHODS, data.rows, rngs, alpha, cfg.b, cfg.pivot_variant)
     results: list[TestResult] = []
     errors: dict[str, str] = {}
     for method, outcome in outcomes.items():

@@ -29,6 +29,8 @@ import threading
 
 import numpy as np
 
+from .errors import is_int
+
 __all__ = ["stream", "derive_seed"]
 
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx) and its default pool of 4 words
@@ -46,16 +48,26 @@ def stream(master_seed: int, *path: int) -> np.random.Generator:
     The same arguments always yield the same draw sequence; distinct paths
     yield streams that are independent for practical purposes.  Path
     components are folded into the generator state by numpy's
-    ``SeedSequence`` hash mixer rather than by jump-ahead.
+    ``SeedSequence`` hash mixer rather than by jump-ahead.  The seed and
+    every path word must be nonnegative integers; booleans are not.
     """
+    _check_words(master_seed=master_seed, **{f"path[{i}]": word for i, word in enumerate(path)})
     seq = np.random.SeedSequence(master_seed, spawn_key=tuple(path))
     return np.random.Generator(np.random.MT19937(seq))
 
 
 def derive_seed(master_seed: int, index: int) -> int:
-    """Derive a child seed deterministically, e.g. one per simulation cell."""
+    """Derive a child seed deterministically, e.g. one per simulation cell; both arguments are nonnegative integers."""
+    _check_words(master_seed=master_seed, index=index)
     seq = np.random.SeedSequence(master_seed, spawn_key=(index,))
     return int(seq.generate_state(1, np.uint64)[0])
+
+
+def _check_words(**words) -> None:
+    """Raise a ValueError naming the first of ``words`` that is not a nonnegative integer (``errors.is_int``)."""
+    for name, value in words.items():
+        if not is_int(value) or value < 0:
+            raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
 
 
 # generate_state's word i is ((pool[i % pool size] ^ c_i) * c_{i+1}) ^ its top half, c_i = INIT_B * MULT_B**i

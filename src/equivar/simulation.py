@@ -169,24 +169,22 @@ def _tally(cfg: ExperimentConfig, reps: range) -> tuple[dict[str, int], dict[str
 
     This is the one unit of work: ``run_cell`` tallies the range of all
     replications, and ``run_grid`` maps it over (cell, range) tasks on a
-    worker pool.  The range builds its own tests, and so computes its F
-    and chi-square quantiles once.  Its generators are a prefix of the
-    calling thread's pool (``generator_pool``), so concurrent calls on other
-    threads share none, and each is re-keyed before every use, so no state
-    carries over from an earlier call.  Only decisions are counted, so
-    bootstrap Levene is built with ``p_values=False`` and stops a
-    replication's resampling once its decision is settled.  A chunk of up
-    to ``_CHUNK_ROWS`` replications is drawn, scaled, keyed and checked at
-    once, and the tests are called once on it, together, so the observed
-    statistics that several of them use are computed once per chunk.
-    The pool serves every slot: a chunk's data draws end before any test
-    is called, and the tests run one after another.  Each slot sees the
+    worker pool.  Its generators are a prefix of the calling thread's
+    pool (``generator_pool``), so concurrent calls on other threads share
+    none, and each is re-keyed before every use, so no state carries over
+    from an earlier call.  Only decisions are counted, so bootstrap Levene
+    runs with ``p_values=False`` and stops a replication's resampling once
+    its decision is settled.  A chunk of up to ``_CHUNK_ROWS`` replications
+    is drawn, scaled, keyed and checked at once, and ``batched`` is called
+    once on it with all the tests, so the observed statistics that
+    several of them use are computed once per chunk.  The pool serves
+    every slot: a chunk's data draws end before any test is called, and
+    the tests run one after another.  Each slot sees the
     pool as a ``_Rekeyed`` view of its keys.  A bootstrap test fetches a
     row's stream once, just before that row's batch draws, and the rows of
     one batch, a window of ``resample_width`` rows, map to distinct
     generators, as the pool is that wide at most.
     """
-    tests = batched(cfg.tests, cfg.sizes, cfg.alpha, cfg.bootstrap_b, p_values=False)
     rejects = dict.fromkeys(cfg.tests, 0)
     errors = dict.fromkeys(cfg.tests, 0)
     scales = [math.sqrt(v) for v in cfg.variances]
@@ -208,7 +206,7 @@ def _tally(cfg: ExperimentConfig, reps: range) -> tuple[dict[str, int], dict[str
             j, i = np.argwhere(~finite)[0]
             raise DegenerateDataError(f"replication {chunk[j]}: group {i} contains non-finite values")
         rngs = {t: streams[slot] for t, slot in _BOOTSTRAP_SLOTS.items() if slot in streams}
-        for t, outcomes in tests(groups, rngs).items():
+        for t, outcomes in batched(cfg.tests, groups, rngs, cfg.alpha, cfg.bootstrap_b, p_values=False).items():
             rejects[t] += outcomes.rejections
             errors[t] += len(outcomes.errors)
     return rejects, errors

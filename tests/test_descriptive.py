@@ -75,6 +75,16 @@ class TestGroupedSample:
         with pytest.raises(DegenerateDataError, match="group 'c' contains non-finite"):
             GroupedSample({"b": [1.0, 2.0], "c": [1.0, np.inf]})
 
+    @pytest.mark.parametrize("groups, name", [
+        ({"a": [1, 2], "b": [3, "x"]}, "'b'"),
+        ([[1.0, 2.0], [3.0, 2j]], "1"),
+        ([np.array([1.0, 2.0 + 1e-9j]), [1.0, 2.0]], "0"),
+        ([[1, 2], [3, 10**400]], "1"),
+    ], ids=["string", "complex", "complex_array", "int_beyond_float"])
+    def test_rejects_a_value_that_is_not_a_real_number(self, groups, name):
+        with pytest.raises(DegenerateDataError, match=f"group {name} holds a value that is not a real number"):
+            GroupedSample(groups)
+
     def test_counts(self):
         d = GroupedSample([[1, 2, 3], [4, 5], [6, 7, 8, 9]])
         assert d.sizes == (3, 2, 4)

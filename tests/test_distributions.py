@@ -74,6 +74,12 @@ def test_empty_sample_rejected():
         sample_standardized(Distribution.NORMAL, 0, stream(0, 0))
 
 
+@pytest.mark.parametrize("n", [2.5, 5.0, True, "5"])
+def test_non_integer_size_rejected(n):
+    with pytest.raises(ValueError, match=f"at least one, got n={n!r}"):
+        sample_standardized(Distribution.NORMAL, n, stream(0, 0))
+
+
 def test_string_kind_accepted():
     x = sample_standardized("laplace", 5, stream(1, 1))
     assert x.shape == (5,)

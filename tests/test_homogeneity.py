@@ -21,7 +21,8 @@ from equivar import (
     stream,
 )
 from equivar.descriptive import log_variance_rows, moment_rows
-from equivar.homogeneity import BOOTSTRAP_LEVENE, BOX, _jitter_scale, _row_medians, batched
+from equivar.homogeneity import BOOTSTRAP_LEVENE, BOX, LEVENE, SHOEMAKER, _jitter_scale, _row_medians, batched
+from equivar.special import chi2_quantile, f_quantile
 
 FIXED_A = [0.1, -0.3, 0.5, 1.2, -0.9]
 FIXED_B = [0.4, 0.0, -0.2, 0.8, -1.1]
@@ -173,8 +174,11 @@ class TestBootstrapLevene:
         assert res.reject == (res.p_value < res.alpha)
 
 
-class _ConstantIndexRng:
+class _ConstantIndexRng(np.random.Generator):
     """Stand-in generator whose resampling indices always pick element 0."""
+
+    def __init__(self):
+        super().__init__(np.random.MT19937(0))
 
     def integers(self, low, high, size=None):
         return np.zeros(size, dtype=np.int64)
@@ -367,8 +371,7 @@ class TestBatched:
     @staticmethod
     def _test(method, *args, **kwargs):
         """``method`` alone in ``batched``, as a function (groups, row streams) -> Outcomes."""
-        run = batched((method,), *args, **kwargs)
-        return lambda groups, rngs: run(groups, {method: rngs})[method]
+        return lambda groups, rngs: batched((method,), groups, {method: rngs}, *args, **kwargs)[method]
 
     def _datasets(self):
         rng = stream(360)
@@ -380,7 +383,7 @@ class TestBatched:
     @pytest.mark.parametrize("method", ALL_METHODS)
     def test_rows_match_one_dataset_calls(self, method):
         datasets = self._datasets()
-        test = self._test(method, self.SIZES, 0.1, b=40)
+        test = self._test(method, 0.1, b=40)
         stacked = [np.stack(column) for column in zip(*(d.groups for d in datasets))]
         batch = test(stacked, [stream(361, r) for r in range(len(datasets))])
         assert batch.errors  # the degenerate rows reach every method
@@ -395,7 +398,7 @@ class TestBatched:
         for r in (1, 4):
             datasets[r][0] = np.full(self.SIZES[0], 2.5)
         datasets = [GroupedSample(g) for g in datasets]
-        test = self._test(method, self.SIZES, 0.1, b=40)
+        test = self._test(method, 0.1, b=40)
         stacked = [np.stack(column) for column in zip(*(d.groups for d in datasets))]
         fetched = []
 
@@ -428,7 +431,7 @@ class TestBatched:
             monkeypatch.setattr(equivar.homogeneity, "_levene_stat_rows",
                                 lambda blocks: evaluated[p_values].extend(np.hstack(blocks)) or real(blocks))
             fetched.clear()
-            outcomes[p_values] = self._test(BOOTSTRAP_LEVENE, sizes, 0.1, b=100, p_values=p_values)(stacked, Streams())
+            outcomes[p_values] = self._test(BOOTSTRAP_LEVENE, 0.1, b=100, p_values=p_values)(stacked, Streams())
             assert fetched == list(range(40))  # each row once, in order
         full, decided = outcomes[True], outcomes[False]
         assert decided.p_value is None and full.p_value is not None
@@ -474,13 +477,24 @@ class TestBatched:
         ids=["alpha_true", "alpha_str", "alpha_nan", "alpha_zero", "alpha_above_1", "b_float", "b_true", "b_str", "b_zero"],
     )
     def test_bad_arguments_rejected(self, methods, alpha, b, message):
+        data = self._datasets()[0]
         for method in methods:
             with pytest.raises(ValueError, match=message):
-                batched((method,), self.SIZES, alpha, b)
+                batched((method,), data.rows, {}, alpha, b)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match=r"unknown test 'nope'; choose from \['levene'"):
-            batched(("nope",), self.SIZES, 0.05)
+            batched(("nope",), self._datasets()[0].rows, {}, 0.05)
+
+    @pytest.mark.parametrize("sizes", [(4, 8), (5, 5, 5)])
+    def test_critical_values_follow_the_batch(self, sizes):
+        rng = stream(367)
+        groups = [rng.normal(size=(3, n)) for n in sizes]
+        k, n = len(sizes) - 1, sum(sizes)
+        out = batched((LEVENE, SHOEMAKER), groups, {}, 0.05)
+        assert out[LEVENE].df == (k, n - k - 1) and out[SHOEMAKER].df == (k,)
+        np.testing.assert_array_equal(out[LEVENE].critical_value, np.full(3, f_quantile(0.95, k, n - k - 1)))
+        np.testing.assert_array_equal(out[SHOEMAKER].critical_value, np.full(3, chi2_quantile(0.95, k)))
 
     def test_one_dataset_calls_reject_a_boolean_alpha(self):
         data = self._datasets()[0]
@@ -489,3 +503,11 @@ class TestBatched:
             with pytest.raises(ValueError, match="alpha must be a finite real number"):
                 call()
 
+    def test_bootstrap_config_rejects_a_pivot_variant_that_is_not_a_bool(self):
+        with pytest.raises(ValueError, match="pivot_variant must be a bool, got 'no'"):
+            BootstrapConfig.from_seed(3, b=50, pivot_variant="no")
+        assert BootstrapConfig.from_seed(3, pivot_variant=np.bool_(True)).pivot_variant
+
+    def test_bootstrap_config_rejects_an_rng_that_is_not_a_generator(self):
+        with pytest.raises(ValueError, match="rng must be a numpy.random.Generator, got RandomState"):
+            BootstrapConfig(rng=np.random.RandomState(1))

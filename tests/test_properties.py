@@ -1,0 +1,88 @@
+"""Property checks of the bit-exact batching contract, on batches that hypothesis draws.
+
+A batch of R stacked datasets gives, row by row and bit for bit, what R
+one-dataset calls give, and one call of all four tests gives what the
+four single-test calls give.  The resample cap is patched so that
+resample batches of every width from 1 to R occur.
+"""
+
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import equivar.homogeneity
+from equivar import ALL_METHODS, GroupedSample
+from equivar.homogeneity import BOOTSTRAP_LEVENE, BOX, batched
+
+PROPERTY = settings(derandomize=True, max_examples=100, deadline=None, database=None)
+
+
+@st.composite
+def batches(draw):
+    """(groups, alpha, b, width): R stacked datasets, a level, a resample count and a resample batch width.
+
+    Each dataset has 2-4 groups of 2-12 values, R runs from 1 to 6, and
+    the width from 1 to R.  Rounding makes ties, and constant groups make
+    rows that some tests cannot run on.
+    """
+    sizes = draw(st.lists(st.integers(2, 12), min_size=2, max_size=4))
+    count = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spreads = draw(st.lists(st.sampled_from([0.25, 1.0, 4.0]), min_size=len(sizes), max_size=len(sizes)))
+    groups = [s * rng.normal(size=(count, n)) for n, s in zip(sizes, spreads)]
+    decimals = draw(st.sampled_from([None, 1, 0]))
+    if decimals is not None:
+        groups = [np.round(g, decimals) for g in groups]
+    cells = st.tuples(st.integers(0, count - 1), st.integers(0, len(sizes) - 1))
+    for r, i in draw(st.lists(cells, max_size=3)):
+        groups[i][r] = groups[i][r, 0]
+    alpha = draw(st.one_of(st.just(1.0), st.floats(0.01, 0.5)))
+    return groups, alpha, draw(st.integers(1, 60)), draw(st.integers(1, count))
+
+
+def _streams(method: str, rows) -> list[np.random.Generator]:
+    """The generators of ``rows`` for ``method``: row r's draws are the same on every call."""
+    return [np.random.default_rng([ALL_METHODS.index(method), r]) for r in rows]
+
+
+def _row(outcomes, r: int) -> tuple:
+    """Everything ``outcomes`` gives for row r, its floats as bytes."""
+    error = outcomes.errors.get(r)
+    return (
+        outcomes.method, outcomes.alpha, outcomes.df,
+        outcomes.statistic[r].tobytes(), bool(outcomes.reject[r]),
+        None if outcomes.critical_value is None else outcomes.critical_value[r].tobytes(),
+        None if outcomes.p_value is None else outcomes.p_value[r].tobytes(),
+        None if error is None else (type(error), str(error)),
+    )
+
+
+def _rows(outcomes) -> list[tuple]:
+    return [_row(outcomes, r) for r in range(len(outcomes.statistic))]
+
+
+@PROPERTY
+@given(batches(), st.booleans())
+def test_a_batch_is_its_datasets_and_its_tests(batch, pivot_variant):
+    groups, alpha, b, width = batch
+    count = len(groups[0])
+    datasets = [GroupedSample([g[r] for g in groups]) for r in range(count)]
+    with mock.patch.object(equivar.homogeneity, "_RESAMPLE_ELEMENTS", width * b * sum(g.shape[1] for g in groups)):
+        assert equivar.homogeneity.resample_width([g.shape[1] for g in groups], b) == width
+        for p_values in (True, False):
+            def run(methods, rows, streams):
+                return batched(methods, rows, streams, alpha, b, pivot_variant, p_values)
+
+            singles = {}
+            for method in ALL_METHODS:
+                singles[method] = run((method,), groups, {method: _streams(method, range(count))})[method]
+                ones = [
+                    run((method,), data.rows, {method: _streams(method, [r])})[method]
+                    for r, data in enumerate(datasets)
+                ]
+                assert _rows(singles[method]) == [_row(one, 0) for one in ones]
+            together = run(ALL_METHODS, groups, {m: _streams(m, range(count)) for m in (BOOTSTRAP_LEVENE, BOX)})
+            assert list(together) == list(ALL_METHODS)
+            assert {m: _rows(out) for m, out in together.items()} == {m: _rows(out) for m, out in singles.items()}

@@ -364,9 +364,9 @@ class TestSharedObservedStatistics:
         chunks = []
         real = equivar.simulation.batched
 
-        def recording(*args, **kwargs):
-            test = real(*args, **kwargs)
-            return lambda groups, rngs: chunks.append(groups) or test(groups, rngs)
+        def recording(methods, groups, *args, **kwargs):
+            chunks.append(groups)
+            return real(methods, groups, *args, **kwargs)
 
         monkeypatch.setattr(equivar.simulation, "batched", recording)
         observed = lambda: [g for groups in chunks for g in groups]  # noqa: E731
