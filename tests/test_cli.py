@@ -342,6 +342,27 @@ class TestSimulateCommand:
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == "db5ac861ec793669a2c3191d2afb2de05d4ec399dc55770e41475417e80351fe"
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize(
+        "cell, expected",
+        [
+            ({"distribution": "exponential", "sizes": [5, 6, 7, 8, 9, 10, 11, 12, 13], "variances": [1] * 9,
+              "replications": 150, "bootstrap_b": 200, "seed": 12},
+             "054b84608e8038d1ca5fa9d038d251c74f2aad6f1d6e9ad227f4097a6c9ba855"),
+            ({"distribution": "laplace", "sizes": [4] * 17, "variances": [1] * 16 + [2],
+              "replications": 120, "bootstrap_b": 100, "seed": 13},
+             "ce6c214ecb1570625ae0f5ef8ac9084380b8f7de985c8da828163ea58bf9db2e"),
+        ],
+        ids=["9_groups", "17_groups"],
+    )
+    def test_many_group_output_is_pinned(self, tmp_path, cell, expected, threads):
+        # sums across 8 to 15 groups take numpy's pairwise order, and across 16 or more numpy's own sum;
+        # both hold at every thread count
+        grid, out = tmp_path / "cell.json", tmp_path / "cell.csv"
+        grid.write_text(json.dumps(cell))
+        assert main(["simulate", str(grid), "--out", str(out), "--threads", threads]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
+
     @pytest.mark.parametrize(
         "grid, message",
         [

@@ -12,7 +12,7 @@ from equivar import (
 from equivar.descriptive import (
     _COLUMNS_FROM_ROWS, by_columns, column_reduce, log_variance_rows, moment_rows, row_sum, running_sum,
 )
-from equivar.homogeneity import _column_mean, _levene_stat_rows, _row_medians
+from equivar.homogeneity import SHOEMAKER, _column_mean, _levene_stat_rows, _row_medians, batched
 
 # A fixed two-group dataset reused by the oracle comparisons here and in the
 # test-statistic checks.
@@ -349,11 +349,15 @@ def _reference_levene(blocks):
     return out
 
 
+# from 8 groups a sum across the groups takes numpy's pairwise order, from 16 numpy's own sum
+_MANY_GROUPS = [(5, 6, 7, 8, 9, 10, 11, 12, 13), (4,) * 17]
+
+
 class TestKernelBits:
     """The row kernels give their plain numpy formulas bit for bit, by rows and by columns."""
 
     @pytest.mark.parametrize("r", [13, _COLUMNS_FROM_ROWS - 1, _COLUMNS_FROM_ROWS, 2600])
-    @pytest.mark.parametrize("sizes", [(2, 3), (5, 5), (7, 15), (8, 9, 16), (10, 15, 12), (4, 40)])
+    @pytest.mark.parametrize("sizes", [(2, 3), (5, 5), (7, 15), (8, 9, 16), (10, 15, 12), (4, 40)] + _MANY_GROUPS)
     def test_kernels_match_plain_numpy(self, sizes, r):
         bounds = np.cumsum((0,) + sizes)
         for x in _layouts(_awkward_rows(int(bounds[-1]), r)):
@@ -367,6 +371,17 @@ class TestKernelBits:
                     for a, b in zip(ours, _reference_contrasts(groups, use_harmonic)):
                         assert _same_bits(a, b)
                 assert _same_bits(_levene_stat_rows(groups)[0], _reference_levene(groups))
+
+    @pytest.mark.parametrize("r", [105, 1200])
+    @pytest.mark.parametrize("sizes", _MANY_GROUPS)
+    def test_shoemaker_sums_the_groups_in_numpys_order(self, sizes, r):
+        bounds = np.cumsum((0,) + sizes)
+        x = _awkward_rows(int(bounds[-1]), r)
+        groups = [np.ascontiguousarray(x[:, lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+        with np.errstate(all="ignore"):
+            stat = batched((SHOEMAKER,), groups, {}, 0.05)[SHOEMAKER].statistic
+            var_log_s2, contrast, _, _ = _reference_contrasts(groups, True)
+            assert _same_bits(stat, (contrast**2 / var_log_s2).sum(axis=1))
 
 
 class TestColumnMean:
