@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .descriptive import column_reduce
 from .errors import is_real
 
 __all__ = [
@@ -82,7 +81,7 @@ def search_critical(centered, alpha: float) -> CriticalSearch:
         raise ValueError("centered statistics contain non-finite values")
     b = rows.shape[-2]
     magnitude = np.abs(rows)
-    row_max = np.sort(column_reduce(np.maximum, magnitude), axis=-1)
+    row_max = np.sort(magnitude.max(axis=-1), axis=-1)
     if alpha >= 1.0:
         c_star = magnitude.min(axis=(-2, -1))
     else:

@@ -9,13 +9,19 @@ each row, and ``log_variance_rows`` the per-group var(ln s_i^2)
 estimates and the standardized log-variance contrasts built from them,
 which feed the kurtosis-adjusted log-variance test and the box-type
 bootstrap test (``log_variance_t`` gives the contrasts' t ratios alone,
-for bootstrap resamples).  A stack of many short rows (``by_columns``)
-is computed one whole column at a time, in numpy's own order of
-operations, so the bits do not depend on the stack's shape.
+for bootstrap resamples).  Every per-group statistic is held as group
+rows, a C-ordered (groups, R) array with one contiguous row per group,
+and a sum across the groups is ``row_sum`` over the list of those rows,
+in numpy's order for a C-ordered (R, groups) array.  The per-value
+kernels, the group moments here and the Levene deviations, run a stack
+of many short rows (``by_columns``) one whole column at a time, in
+numpy's own order of operations, so the bits do not depend on the
+stack's shape.
 """
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -57,12 +63,19 @@ _MIN_SPREAD, _MAX_SPREAD = 1e-72, 1e72
 
 
 def _real_values(name, group) -> np.ndarray:
-    """Group ``name`` as a flat float array; a value that is not a real number raises a DegenerateDataError."""
+    """Group ``name`` as a flat float array; a value that is not a real number raises a DegenerateDataError.
+
+    A numpy array of integer or float dtype is taken as it is; any other
+    sequence only if each item is a real number (``numbers.Real``, not a
+    bool), so booleans, strings, bytes and None are refused, not coerced.
+    """
+    if isinstance(group, np.ndarray) and group.dtype.kind in "iuf":
+        return group.astype(float, copy=False).ravel()
     try:
-        values = np.asarray(group)
-        if values.dtype.kind != "c":  # astype would drop the imaginary parts
-            return values.astype(float, copy=False).ravel()
-    except (TypeError, ValueError, OverflowError):
+        items = list(group)
+        if all(issubclass(t, numbers.Real) and not issubclass(t, bool) for t in set(map(type, items))):
+            return np.asarray(items, dtype=float)
+    except (TypeError, OverflowError):  # not a sequence; an int beyond the float range
         pass
     raise DegenerateDataError(f"group {name!r} holds a value that is not a real number in float range")
 
@@ -127,7 +140,9 @@ def by_columns(rows: int, n: int) -> bool:
 def row_sum(x) -> np.ndarray:
     """``x.sum(axis=1)`` of an (R, n) array, bit for bit, in whole-column adds when rows are short.
 
-    ``x`` may also be the list of the n columns, each (R,).  numpy
+    ``x`` may also be a list of n (R,) arrays: the columns of an array,
+    or the group rows of a per-group statistic, summed across the groups
+    as numpy sums the C-ordered (R, n) array they make.  numpy
     reduces a short row on its own, one call per row, which dominates the
     cost on rows of a few values.  Below 8 values its order is a left to
     right sum from 0.0 (not from the first value: an all -0.0 row sums to
@@ -198,34 +213,26 @@ def in_place(ufunc: np.ufunc, x):
     return x
 
 
-def column_reduce(ufunc: np.ufunc, x: np.ndarray) -> np.ndarray:
-    """``ufunc.reduce(x, axis=-1)`` for ``np.maximum`` or ``np.logical_and``, by whole columns of the last axis.
-
-    Both are exact in any order, and one reduction over the columns spares
-    numpy's row-by-row reduction of short rows.
-    """
-    return ufunc.reduce([x[..., j] for j in range(x.shape[-1])])
-
-
 def moment_rows(groups) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sample variances and pooled central moments of datasets stacked row-wise.
 
     ``groups[i]`` is an (R, n_i) array holding group i of R datasets; one
-    dataset is the case R = 1.  Returns the sample variances s2, shape
-    (R, groups), with divisor n_i - 1, and the fourth and second central
-    moments about the group means, mu4 and sigma2, shape (R,), pooled over
-    groups with divisor n.  Every sum runs along a row in the same order
-    whatever R is (``row_sum``), so a row's values do not depend on the
-    other rows.  A group's deviations are squared, and squared again, in
-    place, by columns under the shape rule (``centred``).
+    dataset is the case R = 1.  Returns the sample variances s2 as group
+    rows, shape (groups, R), with divisor n_i - 1, and the fourth and
+    second central moments about the group means, mu4 and sigma2, shape
+    (R,), pooled over groups with divisor n.  Every sum runs along a
+    dataset's values in the same order whatever R is (``row_sum``), so a
+    dataset's values do not depend on the other rows.  A group's
+    deviations are squared, and squared again, in place, by columns under
+    the shape rule (``centred``).
     """
     n = sum(g.shape[1] for g in groups)
-    s2 = np.empty((groups[0].shape[0], len(groups)))
+    s2 = np.empty((len(groups), groups[0].shape[0]))
     ss2 = ss4 = 0.0
     for i, g in enumerate(groups):
         dev = centred(g, row_sum(g) / g.shape[1])
         within = row_sum(in_place(np.multiply, dev))
-        s2[:, i] = within / (g.shape[1] - 1)
+        s2[i] = within / (g.shape[1] - 1)
         ss2 = ss2 + within
         ss4 = ss4 + row_sum(in_place(np.multiply, dev))
     return s2, ss4 / n, ss2 / n
@@ -234,32 +241,23 @@ def moment_rows(groups) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _contrast_rows(groups, use_harmonic: bool, moments=None):
     """Moments, kurtosis ratios, sizes m, var(ln s_i^2) and contrasts of each row; see ``log_variance_rows``.
 
-    Under the shape rule each group's var(ln s_i^2), contrast, se and t
-    are computed as (R,) columns, written into the (R, groups) results,
-    with no broadcast of a per-row vector.
+    Each per-group result is computed as group rows, (groups, R): the
+    (R,) kurtosis ratios broadcast along each group's row, and the mean
+    log variance and the summed var(ln s_i^2) are ``row_sum`` over the
+    list of group rows.
     """
     s2, mu4, sigma2 = moment_rows(groups) if moments is None else moments
     m = np.asarray([g.shape[1] for g in groups], dtype=float)
     if use_harmonic:
         m = np.full(len(m), len(m) / float((1.0 / m).sum()))
-    count = len(groups)
+    k = len(groups)
     with np.errstate(divide="ignore", invalid="ignore"):  # undefined rows
         kurt = mu4 / (sigma2 * sigma2)
         log_s2 = np.log(s2)
-        if by_columns(*s2.shape):
-            var_log_s2, contrast, se, t = (np.empty_like(s2) for _ in range(4))
-            for i, (a, b) in enumerate(zip((m - 3.0) / m, m - 1.0)):
-                np.divide(kurt - a, b, out=var_log_s2[:, i])
-            centre, spread = row_sum(log_s2) / count, row_sum(var_log_s2) / count**2
-            for i in range(count):
-                np.subtract(log_s2[:, i], centre, out=contrast[:, i])
-                np.sqrt((1.0 - 2.0 / count) * var_log_s2[:, i] + spread, out=se[:, i])
-                np.divide(contrast[:, i], se[:, i], out=t[:, i])
-        else:
-            var_log_s2 = (kurt[:, None] - (m - 3.0) / m) / (m - 1.0)
-            contrast = log_s2 - (row_sum(log_s2) / count)[:, None]
-            se = np.sqrt((1.0 - 2.0 / count) * var_log_s2 + row_sum(var_log_s2)[:, None] / count**2)
-            t = contrast / se
+        var_log_s2 = (kurt - ((m - 3.0) / m)[:, None]) / (m - 1.0)[:, None]
+        contrast = log_s2 - row_sum(list(log_s2)) / k
+        se = np.sqrt((1.0 - 2.0 / k) * var_log_s2 + row_sum(list(var_log_s2)) / k**2)
+        t = contrast / se
     return s2, kurt, m, var_log_s2, LogVarianceContrasts(contrast, se, t)
 
 
@@ -276,21 +274,21 @@ def log_variance_rows(groups, use_harmonic: bool = False, moments=None):
     convention of the kurtosis-adjusted chi-square test, making the
     estimate identical across groups) and the group's own size otherwise.
     Returns (contrasts, var_log_s2, errors): ``contrasts`` and the
-    estimates ``var_log_s2`` hold (R, groups) arrays; ``errors`` maps each
-    row on which the contrasts are undefined to the exception a
+    estimates ``var_log_s2`` hold group rows, (groups, R) arrays; ``errors``
+    maps each row on which the contrasts are undefined to the exception a
     one-dataset call raises.  ``moments`` is ``moment_rows(groups)``,
     when the caller has it already.
     """
     s2, kurt, m, var_log_s2, contrasts = _contrast_rows(groups, use_harmonic, moments)
     # the first zero-variance group of each undefined row, without a per-row loop
     zero = s2 <= 0.0
-    undefined = zero.any(axis=1)
+    undefined = zero.any(axis=0)
     rows = np.flatnonzero(undefined)
     errors: dict[int, Exception] = {
         r: DegenerateDataError(f"group {i} has zero sample variance; log variance undefined")
-        for r, i in zip(rows.tolist(), zero[rows].argmax(axis=1).tolist())
+        for r, i in zip(rows.tolist(), zero[:, rows].argmax(axis=0).tolist())
     }
-    for r in np.flatnonzero(~undefined & ~(var_log_s2 > 0.0).all(axis=1)):
+    for r in np.flatnonzero(~undefined & ~(var_log_s2 > 0.0).all(axis=0)):
         # kurt >= 1 by Cauchy-Schwarz while the pooled moments are exact, as
         # the scale bounds ensure for observed data; a resample of such data
         # can still lose its fourth powers to underflow (mu4 = 0)
@@ -311,4 +309,4 @@ def log_variance_contrasts(data: GroupedSample) -> LogVarianceContrasts:
     rows, _, errors = log_variance_rows(data.rows)
     if errors:
         raise errors[0]
-    return LogVarianceContrasts(rows.contrast[0], rows.se[0], rows.t[0])
+    return LogVarianceContrasts(rows.contrast[:, 0], rows.se[:, 0], rows.t[:, 0])

@@ -43,8 +43,7 @@ import numpy as np
 
 from .bootstrap import SMOOTH_FACTOR, first_count, search_critical
 from .descriptive import (
-    GroupedSample, centred, column_reduce, in_place, log_variance_rows, log_variance_t, moment_rows, row_sum,
-    running_sum,
+    GroupedSample, centred, in_place, log_variance_rows, log_variance_t, moment_rows, row_sum, running_sum,
 )
 from .errors import DegenerateDataError, NumericError, is_int, is_real
 from .rng import spawned, stream
@@ -279,7 +278,7 @@ def levene(data: GroupedSample, alpha: float = 0.05) -> TestResult:
 
 def _shoemaker_outcomes(obs: _Observed, alpha: float) -> Outcomes:
     contrasts, var_log_s2, errors = log_variance_rows(obs.groups, use_harmonic=True, moments=obs.moments)
-    stat = row_sum(contrasts.contrast**2 / var_log_s2)
+    stat = row_sum(list(contrasts.contrast**2 / var_log_s2))
     critical = 0.0 if alpha >= 1.0 else chi2_quantile(1.0 - alpha, len(obs.sizes) - 1)
     return Outcomes(
         SHOEMAKER, alpha, stat, _decide(alpha, stat > critical), errors,
@@ -426,17 +425,19 @@ def _resample_rows(groups, rng: np.random.Generator, outs) -> list[np.ndarray]:
 
 
 def _redraw_degenerate(t: np.ndarray, groups, rngs) -> np.ndarray:
-    """Replace the non-finite rows of bootstrap t rows, in place, by t rows of fresh resamples.
+    """Replace the non-finite t vectors of bootstrap resamples, in place, by those of fresh resamples.
 
-    ``t`` is (R, b, k), dataset j's resamples of ``[g[j] for g in groups]``
-    drawn from ``rngs[j]``.  Each round draws fresh resamples for every
-    row still non-finite, each dataset from its own generator in row
-    order, and evaluates them in one ``log_variance_t`` call.  Returns the
-    datasets that still have such a row after ``_MAX_REDRAWS`` rounds.
+    ``t`` is (k, R, b), group rows: ``t[:, j]`` holds the t vectors of
+    dataset j's b resamples of ``[g[j] for g in groups]``, drawn from
+    ``rngs[j]``.  Each round draws fresh resamples for every resample
+    whose t vector is still non-finite, each dataset from its own
+    generator in order, and evaluates them in one ``log_variance_t``
+    call.  Returns the datasets that still have such a resample after
+    ``_MAX_REDRAWS`` rounds.
     """
-    b = t.shape[1]
-    flat = t.reshape(-1, t.shape[2])  # a view: writes go through into t
-    bad = np.flatnonzero(~column_reduce(np.logical_and, np.isfinite(flat)))
+    b = t.shape[2]
+    flat = t.reshape(t.shape[0], -1)  # a view: writes go through into t
+    bad = np.flatnonzero(~np.logical_and.reduce(np.isfinite(flat)))
     for _ in range(_MAX_REDRAWS):
         if not bad.size:
             break
@@ -444,44 +445,41 @@ def _redraw_degenerate(t: np.ndarray, groups, rngs) -> np.ndarray:
         owners, starts, counts = np.unique(bad // b, return_index=True, return_counts=True)
         for j, lo, count in zip(owners, starts, counts):
             _resample_rows([g[j] for g in groups], rngs[j], [f[lo:lo + count] for f in fresh])
-        flat[bad] = t_fresh = log_variance_t(fresh)
-        bad = bad[~column_reduce(np.logical_and, np.isfinite(t_fresh))]
+        flat[:, bad] = t_fresh = log_variance_t(fresh)
+        bad = bad[~np.logical_and.reduce(np.isfinite(t_fresh))]
     return np.unique(bad // b)
 
 
-def _column_mean(x: np.ndarray) -> np.ndarray:
-    """``mean(axis=1)`` of an (R, b) column of an (R, b, k) stack, bit for bit, as ``t.mean(axis=1)`` gives it.
-
-    The stack's middle axis is not innermost in memory, so numpy sums it
-    in ``running_sum``'s order; a column ``x.sum(axis=1)`` is pairwise and
-    differs.
-    """
-    return running_sum(x) / x.shape[1]
-
-
 def _box_outcomes(obs: _Observed, alpha: float, rngs, b: int, pivot_variant: bool) -> Outcomes:
+    """The box test on a batch; see ``box_test`` and ``batched``.
+
+    The observed t vectors are group rows, (k, R), and each resample
+    batch's t vectors a (k, R, b) stack: redrawn, centred along its
+    contiguous rows and searched through its (R, b, k) view.  The
+    outcomes' statistic is the (R, k) transpose of the observed group rows.
+    """
     groups = obs.groups
     contrasts, _, errors = log_variance_rows(groups, moments=obs.moments)
-    observed = contrasts.t
-    c_star = np.full(len(observed), np.nan)
-    for rows in _resample_batches(len(observed), errors, obs.sizes, b):
+    observed = contrasts.t  # group rows, (k, R)
+    c_star = np.full(observed.shape[1], np.nan)
+    for rows in _resample_batches(observed.shape[1], errors, obs.sizes, b):
         batch, streams = [g[rows] for g in groups], [rngs[r] for r in rows]
         samples = [np.empty((len(rows) * b, g.shape[1])) for g in batch]
         for j, rng in enumerate(streams):
             _resample_rows([g[j] for g in batch], rng, [s[j * b:(j + 1) * b] for s in samples])
-        t = log_variance_t(samples).reshape(len(rows), b, -1)
+        t = log_variance_t(samples).reshape(-1, len(rows), b)
         for j in _redraw_degenerate(t, batch, streams):
             errors[rows[j]] = NumericError(f"a bootstrap replicate stayed degenerate after {_MAX_REDRAWS} redraws")
-        keep = [j for j, r in enumerate(rows) if r not in errors]  # a failed redraw leaves non-finite t rows
+        keep = [j for j, r in enumerate(rows) if r not in errors]  # a failed redraw leaves non-finite t vectors
         if keep:
-            t = t[keep]
+            t = t[:, keep]
             kept = [rows[j] for j in keep]
-            for i in range(t.shape[2]):  # group by group: an (R, 1, k) broadcast loops once per resample
-                centre = observed[kept, i] if pivot_variant else _column_mean(t[:, :, i])
-                t[:, :, i] -= centre[:, None]
-            c_star[kept] = search_critical(t, alpha).c_star
-    t_max = np.abs(observed).max(axis=1)
-    return Outcomes(BOX, alpha, observed, _decide(alpha, t_max > c_star), errors, critical_value=c_star)
+            # each (group, dataset) row of b resamples summed left to right, as numpy sums an axis
+            # that is not innermost in memory: the bits of t.mean(axis=1) in an (R, b, k) layout
+            t -= (observed[:, kept] if pivot_variant else running_sum(t) / b)[:, :, None]
+            c_star[kept] = search_critical(np.moveaxis(t, 0, -1), alpha).c_star
+    t_max = np.abs(observed).max(axis=0)
+    return Outcomes(BOX, alpha, observed.T, _decide(alpha, t_max > c_star), errors, critical_value=c_star)
 
 
 def box_test(data: GroupedSample, alpha: float, cfg: BootstrapConfig) -> TestResult:
@@ -555,6 +553,8 @@ def batched(methods, groups, rngs, alpha: float, b: int = 500, pivot_variant: bo
         raise ValueError(f"alpha must be a finite real number, got {alpha!r}")
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    if 1.0 - alpha == 1.0:  # the F and chi-square quantiles need a level below 1
+        raise ValueError(f"alpha must leave 1 - alpha below 1.0 in floating point, got {alpha}")
     for method in methods:
         if method not in ALL_METHODS:
             raise ValueError(f"unknown test {method!r}; choose from {list(ALL_METHODS)}")

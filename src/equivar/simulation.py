@@ -98,6 +98,8 @@ class ExperimentConfig:
             raise ValueError(f"variances must be positive, from 1e-100 to 1e100, got {self.variances}")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
+        if 1.0 - self.alpha == 1.0:  # the F and chi-square quantiles need a level below 1
+            raise ValueError(f"alpha must leave 1 - alpha below 1.0 in floating point, got {self.alpha}")
         if self.replications < 1:
             raise ValueError("need at least one replication")
         if self.replications > 2**32:  # a stream path word is 32 bits: r < 2**32

@@ -140,7 +140,7 @@ def _box_rows(data, seed, b):
     samples = _within(data, BootstrapConfig.from_seed(seed, b).rng, b)
     rows, _, errors = log_variance_rows(samples)
     assert errors == {}  # no resample is degenerate, so box_test redraws none
-    return rows.t
+    return np.ascontiguousarray(rows.t.T)  # (b, k), C-ordered as the reference means take it
 
 
 class TestCenter:

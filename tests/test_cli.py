@@ -150,6 +150,12 @@ class TestTestCommand:
             assert f"note: {name} not computed: " in captured.err
         assert captured.err.endswith("error: no test could run on this data\n")
 
+    def test_alpha_whose_level_rounds_to_one_exits_2(self, data_csv, capsys):
+        assert main(["test", data_csv, "--alpha", "1e-17"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: alpha must leave 1 - alpha below 1.0 in floating point, got 1e-17\n"
+
     def test_utf8_bom_before_header_accepted(self, tmp_path, capsys):
         path = tmp_path / "bom.csv"
         path.write_bytes(b"\xef\xbb\xbf" + GOOD_CSV.encode("utf-8"))
@@ -281,6 +287,7 @@ class TestSimulateCommand:
             ({"variances": [1, 1e101]}, "variances must be positive, from 1e-100 to 1e100"),
             ({"replications": 2**32 + 1}, "replications must be at most 2**32"),
             ({"tests": ["box", "box"]}, "duplicate tests: box"),
+            ({"alpha": 1e-17}, "alpha must leave 1 - alpha below 1.0 in floating point, got 1e-17"),
         ],
     )
     def test_malformed_config_exits_2_naming_the_experiment(self, tmp_path, capsys, overrides, message):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,10 +10,8 @@ from equivar import (
     log_variance_contrasts,
     stream,
 )
-from equivar.descriptive import (
-    _COLUMNS_FROM_ROWS, by_columns, column_reduce, log_variance_rows, moment_rows, row_sum, running_sum,
-)
-from equivar.homogeneity import SHOEMAKER, _column_mean, _levene_stat_rows, _row_medians, batched
+from equivar.descriptive import _COLUMNS_FROM_ROWS, by_columns, log_variance_rows, moment_rows, row_sum, running_sum
+from equivar.homogeneity import SHOEMAKER, _levene_stat_rows, _row_medians, batched
 
 # A fixed two-group dataset reused by the oracle comparisons here and in the
 # test-statistic checks.
@@ -80,10 +79,21 @@ class TestGroupedSample:
         ([[1.0, 2.0], [3.0, 2j]], "1"),
         ([np.array([1.0, 2.0 + 1e-9j]), [1.0, 2.0]], "0"),
         ([[1, 2], [3, 10**400]], "1"),
-    ], ids=["string", "complex", "complex_array", "int_beyond_float"])
+        ([[True, False, True], [1.0, 2.0, 3.0]], "0"),
+        ([np.array([True, False, True]), [1.0, 2.0, 3.0]], "0"),
+        ([["1.5", "2", "3"], [1.0, 2.0, 3.0]], "0"),
+        ([[1.0, 2.0], [b"1", b"2"]], "1"),
+        ([[None, 1.0], [1.0, 2.0]], "0"),
+    ], ids=["string", "complex", "complex_array", "int_beyond_float", "bool", "bool_array", "numeric_string",
+            "bytes", "none"])
     def test_rejects_a_value_that_is_not_a_real_number(self, groups, name):
         with pytest.raises(DegenerateDataError, match=f"group {name} holds a value that is not a real number"):
             GroupedSample(groups)
+
+    def test_accepts_real_numbers_of_any_numeric_type(self):
+        d = GroupedSample([np.array([1, 2, 3], dtype=np.int32), [np.float32(0.5), 2, Fraction(3, 2)], range(4)])
+        np.testing.assert_array_equal(d.groups[1], [0.5, 2.0, 1.5])
+        assert [g.dtype for g in d.groups] == [np.float64] * 3
 
     def test_counts(self):
         d = GroupedSample([[1, 2, 3], [4, 5], [6, 7, 8, 9]])
@@ -104,7 +114,7 @@ class TestGroupedSample:
 
 
 def _s2(data):
-    return moment_rows(data.rows)[0][0]
+    return moment_rows(data.rows)[0][:, 0]
 
 
 def _moments(groups, use_harmonic=False):
@@ -112,7 +122,7 @@ def _moments(groups, use_harmonic=False):
     rows = GroupedSample(groups).rows
     _, mu4, sigma2 = moment_rows(rows)
     _, var_log, errors = log_variance_rows(rows, use_harmonic)
-    return mu4[0], sigma2[0], var_log[0], errors
+    return mu4[0], sigma2[0], var_log[:, 0], errors
 
 
 class TestSummarize:
@@ -120,7 +130,7 @@ class TestSummarize:
 
     def test_textbook_variances(self):
         s2, _, sigma2 = moment_rows(GroupedSample([[1, 2, 3], [2, 4, 6]]).rows)
-        np.testing.assert_allclose(s2, [[1.0, 4.0]])
+        np.testing.assert_allclose(s2.T, [[1.0, 4.0]])
         assert sigma2[0] * 6 == pytest.approx(2 * 1.0 + 2 * 4.0)
 
     def test_even_n_median_is_midpoint(self):
@@ -290,11 +300,13 @@ class TestRowReductions:
     @pytest.mark.parametrize("r", _ROW_COUNTS)
     @pytest.mark.parametrize("n", range(1, 13))
     def test_column_reductions_are_numpys(self, n, r):
+        # the box test's reductions over group rows: n rows of r values, the columns of x
         for x in _layouts(_awkward_rows(n, r)):
-            assert _same_bits(column_reduce(np.maximum, x), x.max(axis=-1))
-            assert _same_bits(column_reduce(np.maximum, x[None]), x[None].max(axis=-1))  # an (R, B, k) stack
-            finite = np.isfinite(x)
-            assert np.array_equal(column_reduce(np.logical_and, finite), finite.all(axis=1))
+            rows = np.ascontiguousarray(x.T)
+            assert _same_bits(np.moveaxis(rows, 0, -1).max(axis=-1), x.max(axis=-1))
+            stack = np.moveaxis(rows[:, None], 0, -1)  # the (R, B, k) view of a (k, R, B) stack
+            assert _same_bits(stack.max(axis=-1), x[None].max(axis=-1))
+            assert np.array_equal(np.logical_and.reduce(np.isfinite(rows)), np.isfinite(x).all(axis=1))
 
 
 def _reference_moments(groups):
@@ -363,13 +375,14 @@ class TestKernelBits:
         for x in _layouts(_awkward_rows(int(bounds[-1]), r)):
             groups = [x[:, lo:hi] for lo, hi in zip(bounds, bounds[1:])]
             with np.errstate(all="ignore"):
-                for ours, theirs in zip(moment_rows(groups), _reference_moments(groups)):
+                s2, mu4, sigma2 = moment_rows(groups)
+                for ours, theirs in zip((s2.T, mu4, sigma2), _reference_moments(groups)):
                     assert _same_bits(ours, theirs)
                 for use_harmonic in (False, True):
                     contrasts, var_log_s2, _ = log_variance_rows(groups, use_harmonic)
                     ours = (var_log_s2, contrasts.contrast, contrasts.se, contrasts.t)
                     for a, b in zip(ours, _reference_contrasts(groups, use_harmonic)):
-                        assert _same_bits(a, b)
+                        assert _same_bits(a.T, b)
                 assert _same_bits(_levene_stat_rows(groups)[0], _reference_levene(groups))
 
     @pytest.mark.parametrize("r", [105, 1200])
@@ -385,7 +398,7 @@ class TestKernelBits:
 
 
 class TestColumnMean:
-    """``_column_mean`` and ``running_sum`` row by row give ``t.mean(axis=1)`` of an (R, b, k) stack bit for bit."""
+    """``running_sum`` over group rows and row by row gives ``t.mean(axis=1)`` of an (R, b, k) stack bit for bit."""
 
     @pytest.mark.parametrize("k", [2, 4, 6])
     @pytest.mark.parametrize("b", [1, 7, 500, 2000])
@@ -397,7 +410,8 @@ class TestColumnMean:
         t[:, : b // 2 + 1, 1] = -0.0  # a run of -0.0, then other values
         expected = t.mean(axis=1)
         scratch = np.empty(b)
+        rows = np.ascontiguousarray(np.moveaxis(t, -1, 0))  # (k, R, b), as the box test centres its resamples
         for i in range(k):
-            assert _same_bits(_column_mean(t[:, :, i]), expected[:, i])
+            assert _same_bits(running_sum(rows[i]) / b, expected[:, i])
             # one row at a time into scratch, as calibrate_box sums its coordinate rows
             assert _same_bits(np.array([running_sum(row, scratch) for row in t[:, :, i]]) / b, expected[:, i])

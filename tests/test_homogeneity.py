@@ -191,7 +191,7 @@ class TestBoxTest:
         boots = [GroupedSample([rng.choice(g, g.size) for g in data.groups]) for rng in rngs]
         rows, _, errors = log_variance_rows([np.stack(column) for column in zip(*(b.groups for b in boots))])
         assert errors == {}
-        for t, boot in zip(rows.t, boots):
+        for t, boot in zip(rows.t.T, boots):
             np.testing.assert_array_equal(t, log_variance_contrasts(boot).t)
 
     def test_statistic_is_observed_t_vector(self):
@@ -469,12 +469,16 @@ class TestBatched:
             (ALL_METHODS, math.nan, 40, "alpha must be a finite real number"),
             (ALL_METHODS, 0.0, 40, r"alpha must lie in \(0, 1\]"),
             (ALL_METHODS, 1.5, 40, r"alpha must lie in \(0, 1\]"),
+            (ALL_METHODS, 1e-17, 40, "alpha must leave 1 - alpha below 1.0 in floating point, got 1e-17"),
             (("bootstrap_levene", "box"), 0.1, 2.5, "b must be an integer, got 2.5"),
             (("bootstrap_levene", "box"), 0.1, True, "b must be an integer, got True"),
             (("bootstrap_levene", "box"), 0.1, "5", "b must be an integer, got '5'"),
             (("bootstrap_levene", "box"), 0.1, 0, "b must be >= 1"),
         ],
-        ids=["alpha_true", "alpha_str", "alpha_nan", "alpha_zero", "alpha_above_1", "b_float", "b_true", "b_str", "b_zero"],
+        ids=[
+            "alpha_true", "alpha_str", "alpha_nan", "alpha_zero", "alpha_above_1", "alpha_level_rounds_to_1",
+            "b_float", "b_true", "b_str", "b_zero",
+        ],
     )
     def test_bad_arguments_rejected(self, methods, alpha, b, message):
         data = self._datasets()[0]

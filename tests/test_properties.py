@@ -3,7 +3,9 @@
 A batch of R stacked datasets gives, row by row and bit for bit, what R
 one-dataset calls give, and one call of all four tests gives what the
 four single-test calls give.  The resample cap is patched so that
-resample batches of every width from 1 to R occur.
+resample batches of every width from 1 to R occur.  The row kernels give
+their plain numpy formulas bit for bit on stacks of both sides of the
+shape rule.
 """
 
 from unittest import mock
@@ -14,7 +16,9 @@ from hypothesis import strategies as st
 
 import equivar.homogeneity
 from equivar import ALL_METHODS, GroupedSample
-from equivar.homogeneity import BOOTSTRAP_LEVENE, BOX, batched
+from equivar.descriptive import _COLUMNS_FROM_ROWS, log_variance_rows, moment_rows, row_sum, running_sum
+from equivar.homogeneity import BOOTSTRAP_LEVENE, BOX, _levene_stat_rows, _row_medians, batched
+from test_descriptive import _reference_contrasts, _reference_levene, _reference_moments, _same_bits
 
 PROPERTY = settings(derandomize=True, max_examples=100, deadline=None, database=None)
 
@@ -86,3 +90,55 @@ def test_a_batch_is_its_datasets_and_its_tests(batch, pivot_variant):
             together = run(ALL_METHODS, groups, {m: _streams(m, range(count)) for m in (BOOTSTRAP_LEVENE, BOX)})
             assert list(together) == list(ALL_METHODS)
             assert {m: _rows(out) for m, out in together.items()} == {m: _rows(out) for m, out in singles.items()}
+
+
+@st.composite
+def stacks(draw):
+    """A stack of R datasets as C-ordered (R, n_i) groups: 2-17 groups of 2-16 values, R from 1 to 1100.
+
+    R falls on either side of the kernels' shape rule.  Each group takes a
+    scale from 1e-70 to 1e70; rounding makes ties, and some values, or
+    whole rows of a group, are +0.0 or -0.0.
+    """
+    sizes = draw(st.lists(st.integers(2, 16), min_size=2, max_size=17))
+    count = draw(st.one_of(st.integers(1, 40), st.integers(_COLUMNS_FROM_ROWS - 100, _COLUMNS_FROM_ROWS + 100)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scales = draw(st.lists(st.sampled_from([1e-70, 1e-35, 1.0, 1e35, 1e70]), min_size=len(sizes), max_size=len(sizes)))
+    decimals = draw(st.sampled_from([None, 1, 0]))
+    zeros = draw(st.sampled_from([0.0, 0.1, 0.5]))
+    groups = []
+    for n, scale in zip(sizes, scales):
+        g = rng.standard_normal((count, n))
+        if decimals is not None:
+            g = np.round(g, decimals)
+        g[rng.random((count, n)) < zeros] = 0.0
+        g[rng.random(count) < zeros / 2] = 0.0  # whole rows of zeros: a zero variance
+        g = g * scale
+        g[(g == 0.0) & (rng.random((count, n)) < 0.5)] = -0.0
+        groups.append(g)
+    return groups
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(stacks())
+def test_row_kernels_are_their_plain_numpy_formulas(groups):
+    with np.errstate(all="ignore"):
+        for g in groups:
+            assert _same_bits(row_sum(g), g.sum(axis=1))
+            assert _same_bits(row_sum(list(g.T)), g.sum(axis=1))
+            # numpy sums the middle axis of an (R, n, 2) stack one whole slice after another
+            assert _same_bits(running_sum(g), np.stack([g, g], axis=2).sum(axis=1)[:, 0])
+            # np.median takes the mean of the central pair, which makes an all -0.0 pair +0.0; the
+            # midpoint keeps -0.0, which no statistic sees: the Levene deviations are absolute values
+            assert np.array_equal(_row_medians(g), np.median(g, axis=1))
+        s2 = _reference_moments(groups)[0]
+        assert _same_bits(row_sum(list(s2.T)), s2.sum(axis=1))  # a sum across the groups
+        ours = moment_rows(groups)
+        for a, b in zip((ours[0].T,) + ours[1:], _reference_moments(groups)):
+            assert _same_bits(a, b)
+        for use_harmonic in (False, True):
+            contrasts, var_log_s2, _ = log_variance_rows(groups, use_harmonic)
+            ours = (var_log_s2, contrasts.contrast, contrasts.se, contrasts.t)
+            for a, b in zip(ours, _reference_contrasts(groups, use_harmonic)):
+                assert _same_bits(a.T, b)
+        assert _same_bits(_levene_stat_rows(groups)[0], _reference_levene(groups))

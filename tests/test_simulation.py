@@ -73,6 +73,13 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="alpha"):
             _cfg(alpha=0.0)
 
+    def test_alpha_whose_level_rounds_to_one_rejected(self):
+        # 1 - 2**-54 rounds to 1.0, and the F and chi-square quantiles need a level below 1
+        assert _cfg(alpha=2.0**-53).alpha == 2.0**-53
+        for alpha in (2.0**-54, 1e-17, 5e-324):
+            with pytest.raises(ValueError, match=f"alpha must leave 1 - alpha below 1.0 in floating point, got {alpha}"):
+                _cfg(alpha=alpha)
+
     @pytest.mark.parametrize(
         "overrides, message",
         [
