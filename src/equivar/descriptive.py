@@ -9,14 +9,19 @@ each row, and ``log_variance_rows`` the per-group var(ln s_i^2)
 estimates and the standardized log-variance contrasts built from them,
 which feed the kurtosis-adjusted log-variance test and the box-type
 bootstrap test (``log_variance_t`` gives the contrasts' t ratios alone,
-for bootstrap resamples).  Every per-group statistic is held as group
-rows, a C-ordered (groups, R) array with one contiguous row per group,
-and a sum across the groups is ``row_sum`` over the list of those rows,
-in numpy's order for a C-ordered (R, groups) array.  The per-value
+for bootstrap resamples).  ``moment_rows`` is one reduction per group
+(``group_moments``) and one combine step (``pooled_moments``), so a
+caller can reduce each group as it is drawn, in slices of rows, and
+combine the (R,) summaries after.  Every per-group statistic is held as
+group rows, a C-ordered (groups, R) array with one contiguous row per
+group, and a sum across the groups is ``row_sum`` over the list of those
+rows, in numpy's order for a C-ordered (R, groups) array.  The per-value
 kernels, the group moments here and the Levene deviations, run a stack
 of many short rows (``by_columns``) one whole column at a time, in
 numpy's own order of operations, so the bits do not depend on the
-stack's shape.
+stack's shape, and a row gives the same bits in a slice of any size.
+``slice_rows`` bounds every large array the package draws: resample
+batches, slices and ``critical``'s chunks of gamma variates.
 """
 
 from __future__ import annotations
@@ -56,6 +61,22 @@ _PAIRWISE_FROM, _ONE_PASS_BELOW = 8, 16
 # A one-dataset test's stack of b = 500 resamples stays with the rows.
 _COLUMNS_FROM_ROWS = 1000
 
+# Cap on the values in one drawn array: 5 * 2**15 float64 values, 1.25 MiB.
+# ``slice_rows`` applies it to every large draw: a bootstrap test's batch of
+# datasets x b x n resamples (at least one dataset); a slice of rows of one
+# group's box resamples, or of bootstrap Levene's pooled resamples, when one
+# dataset's are more; and a chunk of ``critical``'s gamma variates.  Sliced,
+# run_all on two groups of 20 000 at b = 500 traces a 4.3 MiB peak, against
+# 381.8 MiB drawn whole.  Each batch pays a fixed cost per kernel call, and
+# on threads retakes the GIL after each one.
+# Measured on a 2-core Xeon against 2**16: a laplace 4x40 cell at B=500
+# (80 000 values a dataset) stacks two datasets, not one, and runs about 15%
+# faster on 2 threads; the 36-cell null grid runs about 5% faster; peak RSS
+# rises 4-7%.  2**17 leaves that cell at one dataset.  2**18 ran the null grid
+# about 2% slower than 2**17 or this cap, and raised the traced peak of a
+# 105-replication tally from 3.0-4.9 MB to 4.9-7.5 MB.
+_RESAMPLE_ELEMENTS = 5 * 2**15
+
 # Bounds on the largest |x - mean| of a group.  Fourth powers of the
 # deviations then stay within 1e-288..1e288, far inside the normal float
 # range, so pooled moments neither overflow nor lose digits to underflow.
@@ -63,20 +84,29 @@ _MIN_SPREAD, _MAX_SPREAD = 1e-72, 1e72
 
 
 def _real_values(name, group) -> np.ndarray:
-    """Group ``name`` as a flat float array; a value that is not a real number raises a DegenerateDataError.
+    """Group ``name`` as a float array; a group that is not a flat sequence of real numbers raises a DegenerateDataError.
 
-    A numpy array of integer or float dtype is taken as it is; any other
-    sequence only if each item is a real number (``numbers.Real``, not a
-    bool), so booleans, strings, bytes and None are refused, not coerced.
+    A one-dimensional numpy array of integer or float dtype is taken as it
+    is; any other sequence only if each item is a real number
+    (``numbers.Real``, not a bool), so booleans, strings, bytes and None
+    are refused, not coerced.  A group that is not one-dimensional, an
+    array of two or more dimensions or a sequence holding sequences or
+    arrays, is refused, not flattened.
     """
+    if isinstance(group, np.ndarray) and group.ndim != 1:
+        raise DegenerateDataError(f"group {name!r} is not one-dimensional: an array of shape {group.shape}")
     if isinstance(group, np.ndarray) and group.dtype.kind in "iuf":
         return group.astype(float, copy=False).ravel()
     try:
         items = list(group)
-        if all(issubclass(t, numbers.Real) and not issubclass(t, bool) for t in set(map(type, items))):
+        types = set(map(type, items))
+        if all(issubclass(t, numbers.Real) and not issubclass(t, bool) for t in types):
             return np.asarray(items, dtype=float)
     except (TypeError, OverflowError):  # not a sequence; an int beyond the float range
         pass
+    else:
+        if any(issubclass(t, (list, tuple, np.ndarray)) for t in types):
+            raise DegenerateDataError(f"group {name!r} is not one-dimensional: it holds a sequence")
     raise DegenerateDataError(f"group {name!r} holds a value that is not a real number in float range")
 
 
@@ -137,6 +167,43 @@ def by_columns(rows: int, n: int) -> bool:
     return n < _ONE_PASS_BELOW and rows >= _COLUMNS_FROM_ROWS
 
 
+def slice_rows(values_per_row: int) -> int:
+    """Rows per drawn array: as many rows of ``values_per_row`` values as fit in ``_RESAMPLE_ELEMENTS``, at least one."""
+    return max(1, _RESAMPLE_ELEMENTS // values_per_row)
+
+
+def slices(stop: int, step: int, start: int = 0) -> list[slice]:
+    """The slices of at most ``step`` indices that cover ``range(start, stop)`` in order."""
+    return [slice(lo, min(lo + step, stop)) for lo in range(start, stop, step)]
+
+
+_row_sum_checked = False
+
+
+def _check_row_sum() -> None:
+    """Compare ``row_sum`` with numpy's ``x.sum(axis=1)`` on a fixed probe, once per process.
+
+    The probe has 1 to 17 columns of values of mixed signs and magnitudes,
+    at 1 and at 1000 rows, as arrays and as lists of columns, so it takes
+    every branch.  A mismatch means that this numpy sums rows in another
+    order than ``row_sum`` repeats, and raises a ``RuntimeError`` naming
+    numpy's version.
+    """
+    global _row_sum_checked
+    cells = np.arange(1000.0 * 17).reshape(1000, 17)
+    probe = np.sin(cells * 0.7) * 10.0 ** (cells % 13 - 6)
+    for rows in (1, 1000):
+        for n in range(1, 18):
+            x = np.ascontiguousarray(probe[:rows, :n])
+            expected = x.sum(axis=1).tobytes()
+            if _row_sum(x).tobytes() != expected or _row_sum(list(x.T.copy())).tobytes() != expected:
+                raise RuntimeError(
+                    f"row_sum does not repeat numpy {np.__version__}'s row sums ({rows} rows of {n} values); "
+                    "numpy changed its summation order"
+                )
+    _row_sum_checked = True
+
+
 def row_sum(x) -> np.ndarray:
     """``x.sum(axis=1)`` of an (R, n) array, bit for bit, in whole-column adds when rows are short.
 
@@ -152,8 +219,16 @@ def row_sum(x) -> np.ndarray:
     array takes the columns below 8 values or under the shape rule, and
     numpy's own sum otherwise; 16 or more columns are stacked for numpy.
     A Fortran-ordered array, whose columns numpy adds in turn, goes to
-    numpy's own sum.
+    numpy's own sum.  The first call in a process checks these orders
+    against numpy's (``_check_row_sum``).
     """
+    if not _row_sum_checked:
+        _check_row_sum()
+    return _row_sum(x)
+
+
+def _row_sum(x) -> np.ndarray:
+    """``row_sum`` without the check of the first call."""
     if isinstance(x, list):
         if len(x) >= _ONE_PASS_BELOW:
             return np.stack(x, axis=1).sum(axis=1)
@@ -213,6 +288,28 @@ def in_place(ufunc: np.ufunc, x):
     return x
 
 
+def group_moments(x) -> tuple[np.ndarray, np.ndarray]:
+    """One group's part of ``moment_rows``: per row of x, (R, n), the within sum of squares and the sum of fourth powers.
+
+    The deviations are from each row's mean, squared, and squared again,
+    in place, by columns under the shape rule (``centred``).
+    """
+    dev = centred(x, row_sum(x) / x.shape[1])
+    within = row_sum(in_place(np.multiply, dev))
+    return within, row_sum(in_place(np.multiply, dev))
+
+
+def pooled_moments(sizes, parts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``moment_rows`` of groups of ``sizes`` from each group's ``group_moments``, ``parts``, in group order."""
+    s2 = np.empty((len(sizes), len(parts[0][0])))
+    ss2 = ss4 = 0.0
+    for i, (size, (within, fourth)) in enumerate(zip(sizes, parts)):
+        s2[i] = within / (size - 1)
+        ss2 = ss2 + within
+        ss4 = ss4 + fourth
+    return s2, ss4 / sum(sizes), ss2 / sum(sizes)
+
+
 def moment_rows(groups) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sample variances and pooled central moments of datasets stacked row-wise.
 
@@ -222,35 +319,26 @@ def moment_rows(groups) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     second central moments about the group means, mu4 and sigma2, shape
     (R,), pooled over groups with divisor n.  Every sum runs along a
     dataset's values in the same order whatever R is (``row_sum``), so a
-    dataset's values do not depend on the other rows.  A group's
-    deviations are squared, and squared again, in place, by columns under
-    the shape rule (``centred``).
+    dataset's values do not depend on the other rows: ``pooled_moments``
+    of the ``group_moments`` of any slices of rows, joined, gives the same
+    bits.
     """
-    n = sum(g.shape[1] for g in groups)
-    s2 = np.empty((len(groups), groups[0].shape[0]))
-    ss2 = ss4 = 0.0
-    for i, g in enumerate(groups):
-        dev = centred(g, row_sum(g) / g.shape[1])
-        within = row_sum(in_place(np.multiply, dev))
-        s2[i] = within / (g.shape[1] - 1)
-        ss2 = ss2 + within
-        ss4 = ss4 + row_sum(in_place(np.multiply, dev))
-    return s2, ss4 / n, ss2 / n
+    return pooled_moments([g.shape[1] for g in groups], [group_moments(g) for g in groups])
 
 
-def _contrast_rows(groups, use_harmonic: bool, moments=None):
-    """Moments, kurtosis ratios, sizes m, var(ln s_i^2) and contrasts of each row; see ``log_variance_rows``.
+def _contrast_rows(sizes, use_harmonic: bool, moments):
+    """Kurtosis ratios, sizes m, var(ln s_i^2) and contrasts of each row from its moments; see ``log_variance_rows``.
 
     Each per-group result is computed as group rows, (groups, R): the
     (R,) kurtosis ratios broadcast along each group's row, and the mean
     log variance and the summed var(ln s_i^2) are ``row_sum`` over the
     list of group rows.
     """
-    s2, mu4, sigma2 = moment_rows(groups) if moments is None else moments
-    m = np.asarray([g.shape[1] for g in groups], dtype=float)
+    s2, mu4, sigma2 = moments
+    m = np.asarray(sizes, dtype=float)
     if use_harmonic:
         m = np.full(len(m), len(m) / float((1.0 / m).sum()))
-    k = len(groups)
+    k = len(sizes)
     with np.errstate(divide="ignore", invalid="ignore"):  # undefined rows
         kurt = mu4 / (sigma2 * sigma2)
         log_s2 = np.log(s2)
@@ -258,12 +346,16 @@ def _contrast_rows(groups, use_harmonic: bool, moments=None):
         contrast = log_s2 - row_sum(list(log_s2)) / k
         se = np.sqrt((1.0 - 2.0 / k) * var_log_s2 + row_sum(list(var_log_s2)) / k**2)
         t = contrast / se
-    return s2, kurt, m, var_log_s2, LogVarianceContrasts(contrast, se, t)
+    return kurt, m, var_log_s2, LogVarianceContrasts(contrast, se, t)
 
 
-def log_variance_t(groups) -> np.ndarray:
-    """``log_variance_rows(groups)[0].t`` without the error mapping: an undefined row has a non-finite entry."""
-    return _contrast_rows(groups, False)[-1].t
+def log_variance_t(sizes, moments) -> np.ndarray:
+    """The contrasts' t ratios, as group rows, from ``moments``, the ``moment_rows`` of groups of ``sizes``.
+
+    They are ``log_variance_rows(groups)[0].t`` without the error mapping:
+    an undefined row has a non-finite entry.
+    """
+    return _contrast_rows(sizes, False, moments)[-1].t
 
 
 def log_variance_rows(groups, use_harmonic: bool = False, moments=None):
@@ -279,7 +371,9 @@ def log_variance_rows(groups, use_harmonic: bool = False, moments=None):
     one-dataset call raises.  ``moments`` is ``moment_rows(groups)``,
     when the caller has it already.
     """
-    s2, kurt, m, var_log_s2, contrasts = _contrast_rows(groups, use_harmonic, moments)
+    moments = moment_rows(groups) if moments is None else moments
+    kurt, m, var_log_s2, contrasts = _contrast_rows([g.shape[1] for g in groups], use_harmonic, moments)
+    s2 = moments[0]
     # the first zero-variance group of each undefined row, without a per-row loop
     zero = s2 <= 0.0
     undefined = zero.any(axis=0)

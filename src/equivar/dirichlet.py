@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bootstrap import box_rank
-from .descriptive import row_sum, running_sum
+from .descriptive import row_sum, running_sum, slice_rows, slices
 from .errors import NumericError, checked_tuple, is_int, is_real
 
 __all__ = [
@@ -74,23 +74,35 @@ def _gamma_rows(nu: tuple[float, ...], rng: np.random.Generator, size: int) -> n
 def _dirichlet_rows(nu: tuple[float, ...], rng: np.random.Generator, size: int) -> np.ndarray:
     """``size`` Dirichlet vectors as a (groups, size) array, one contiguous row per coordinate.
 
-    The ``_gamma_rows`` draws are copied once into coordinate rows and
-    divided by their totals, ``row_sum`` over the list of those rows: the
-    order in which numpy adds the values of each row of the C-ordered
-    draws, so the vectors are ``g / g.sum(axis=1, keepdims=True)`` bit for
-    bit.  A vector whose gamma variates all underflowed to 0, which shapes
-    far below 1 make common, or whose total overflowed, which shapes near
-    the float maximum do, raises ``NumericError`` naming the shapes.
+    The vectors come in chunks of at most ``slice_rows(groups)``, in
+    stream order (``_dirichlet_chunk``), so they are
+    ``g / g.sum(axis=1, keepdims=True)`` of the whole ``_gamma_rows``
+    draws bit for bit, and no whole-length copy of the draws is held.
     """
-    rows = np.ascontiguousarray(_gamma_rows(nu, rng, size).T)
+    rows = np.empty((len(nu), size))
+    for part in slices(size, slice_rows(len(nu))):
+        _dirichlet_chunk(nu, rng, rows[:, part])
+    return rows
+
+
+def _dirichlet_chunk(nu: tuple[float, ...], rng: np.random.Generator, out: np.ndarray) -> None:
+    """Draw ``out.shape[1]`` Dirichlet vectors into the columns of ``out``, (groups, count).
+
+    The ``_gamma_rows`` draws are divided by their totals, ``row_sum`` of
+    their rows, the order in which numpy adds the values of each row of
+    the C-ordered draws, straight into ``out``.  A vector whose gamma
+    variates all underflowed to 0, which shapes far below 1 make common,
+    or whose total overflowed, which shapes near the float maximum do,
+    raises ``NumericError`` naming the shapes.
+    """
+    g = _gamma_rows(nu, rng, out.shape[1])
     with np.errstate(over="ignore"):  # an infinite total is reported below
-        total = row_sum(list(rows))
+        total = row_sum(g)
     if total.max() == math.inf:
         raise NumericError(f"the gamma variates of a Dirichlet row overflowed their float sum at shapes {nu}")
     if total.min() == 0.0:
         raise NumericError(f"every gamma variate of a Dirichlet row underflowed to 0 at shapes {nu}")
-    rows /= total
-    return rows
+    np.divide(g.T, total, out=out)
 
 
 def sample_dirichlet(params: DirichletParams, rng: np.random.Generator, size: int):
@@ -160,6 +172,12 @@ def calibrate_box(
         raise ValueError(f"alpha must be a finite real number, got {alpha!r}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    rank = box_rank(draws, alpha)
+    if rank == draws - 1:  # the largest draw, whose coverage is 1 whatever alpha is
+        raise ValueError(
+            f"alpha {alpha} is too small for {draws} draws: the box would be the largest draw, "
+            "covering every draw; use more draws or a larger alpha"
+        )
     nu = params.nu
     rows = _dirichlet_rows(nu, rng, draws)
     if rows.min() == 0.0:
@@ -182,7 +200,6 @@ def calibrate_box(
     # into the scratch row: a fresh (draws,) array here raised the peak RSS of repeated calls by about 1 MB
     row_max = np.maximum.reduce(np.abs(rows, out=rows), axis=0, out=buf)
     row_max.sort()
-    rank = box_rank(draws, alpha)
     c = float(row_max[rank])
     coverage = float(np.searchsorted(row_max, c, side="right") / draws)
     # Quantile standard error from the spacing of nearby order statistics.

@@ -21,9 +21,17 @@ sizes (``batched``): a batch is a list whose entry i is the (R, n_i)
 array of group i over the R datasets, the statistics come from row
 kernels over it, and a bootstrap test resamples it in windows of
 ``resample_width`` datasets, drawing each dataset's resamples from that
-dataset's own generator before one kernel evaluates the window (two
-when bootstrap Levene decides without p-values; see ``batched``).  One
-call runs the selected tests on a batch and computes each observed
+dataset's own generator.  A window's resamples are reduced group by
+group: a per-group reduction (``group_moments`` for the box test,
+``_levene_group`` for bootstrap Levene) and one combine step
+(``pooled_moments``, ``_levene_combine``), the same two steps that the
+observed statistics take.  Where one dataset's resamples are more than
+the cap (``descriptive.slice_rows``), they are drawn in slices of rows
+and each slice is reduced as it lands, so no drawn array exceeds the
+cap but the smoothed blocks of bootstrap Levene, kept whole until
+their jitter.  Bootstrap Levene without p-values may evaluate a window
+in two rounds (see ``batched``).  One call runs the selected tests on a
+batch and computes each observed
 statistic that several of them use once.  The functions above pass their
 dataset as the batch of one (``GroupedSample.rows``), ``run_all`` passes
 it to all four tests at once, and the Monte Carlo harness draws chunks of
@@ -43,7 +51,8 @@ import numpy as np
 
 from .bootstrap import SMOOTH_FACTOR, first_count, search_critical
 from .descriptive import (
-    GroupedSample, centred, in_place, log_variance_rows, log_variance_t, moment_rows, row_sum, running_sum,
+    GroupedSample, centred, group_moments, in_place, log_variance_rows, log_variance_t, moment_rows, pooled_moments,
+    row_sum, running_sum, slice_rows, slices,
 )
 from .errors import DegenerateDataError, NumericError, is_int, is_real
 from .rng import spawned, stream
@@ -74,17 +83,6 @@ ALL_METHODS = (LEVENE, SHOEMAKER, BOOTSTRAP_LEVENE, BOX)
 
 _MAX_REDRAWS = 100
 _EPS = np.finfo(float).eps
-
-# Cap on the values in one stacked resample array, datasets x b x n: 5 * 2**15
-# float64 values, 1.25 MiB; a batch is at least one dataset.  Each batch pays a
-# fixed cost per kernel call, and on threads retakes the GIL after each one.
-# Measured on a 2-core Xeon against 2**16: a laplace 4x40 cell at B=500 (80 000
-# values a dataset) stacks two datasets, not one, and runs about 15% faster on
-# 2 threads; the 36-cell null grid runs about 5% faster; peak RSS rises 4-7%.
-# 2**17 leaves that cell at one dataset.  2**18 ran the null grid about 2%
-# slower than 2**17 or this cap, and raised the traced peak of a 105-replication
-# tally from 3.0-4.9 MB to 4.9-7.5 MB.
-_RESAMPLE_ELEMENTS = 5 * 2**15
 
 
 @dataclass
@@ -200,35 +198,54 @@ def _row_medians(x: np.ndarray) -> np.ndarray:
     return (s[:, h - 1] + s[:, h]) / 2.0
 
 
-def _levene_stat_rows(blocks) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Levene/Brown-Forsythe F ratios with median centering, one per row; blocks[i] is (R, n_i).
+def _levene_group(block) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One group's part of the Levene statistic: per row of ``block``, (R, n_i), three (R,) arrays.
 
-    Returns the statistics, the group medians (the (R,) medians of each
-    block) and the rows that are degenerate: zero
-    within-group variation with nonzero between variation.  Those map to
-    +inf and rows with zero between variation to 0, so that resampled
-    statistics compare with an observed one in every case.  Within-group
-    variation at rounding level, at most eps * n * (grand mean)^2, counts
-    as zero: in a two-point group both deviations from the median are
-    equal, but their computed values can differ in the last bit.  The
-    absolute and squared deviations are taken in place, by columns under
-    the shape rule (``centred``).
+    They are the row's median, the sum of its absolute deviations from
+    the median, and the sum of squares of those deviations about their
+    mean.  The absolute and squared deviations are taken in place, by
+    columns under the shape rule (``centred``).
     """
-    k, df2 = _levene_df([bl.shape[1] for bl in blocks])
+    median = _row_medians(block)
+    e = in_place(np.absolute, centred(block, median))
+    total = row_sum(e)
+    return median, total, row_sum(in_place(np.multiply, centred(e, total / block.shape[1])))
+
+
+def _levene_combine(sizes, parts) -> tuple[np.ndarray, np.ndarray]:
+    """Levene/Brown-Forsythe F ratios, one per row, and the degenerate rows, from ``parts``, each group's ``_levene_group``.
+
+    A row is degenerate when it has zero within-group variation with
+    nonzero between variation.  Those map to +inf and rows with zero
+    between variation to 0, so that resampled statistics compare with an
+    observed one in every case.  Within-group variation at rounding
+    level, at most eps * n * (grand mean)^2, counts as zero: in a
+    two-point group both deviations from the median are equal, but their
+    computed values can differ in the last bit.  Each row is combined on
+    its own, so parts of any slices of rows, joined, give the same bits.
+    """
+    k, df2 = _levene_df(sizes)
     n = df2 + k + 1
-    medians = [_row_medians(bl) for bl in blocks]
-    e = [in_place(np.absolute, centred(bl, med)) for bl, med in zip(blocks, medians)]
-    sums = [row_sum(x) for x in e]
-    means = [total / bl.shape[1] for total, bl in zip(sums, blocks)]
-    grand = sum(sums) / n
-    ssb = row_sum([bl.shape[1] * (m - grand) ** 2 for m, bl in zip(means, blocks)])
-    ssw = sum(row_sum(in_place(np.multiply, centred(x, m))) for x, m in zip(e, means))
+    grand = sum(total for _, total, _ in parts) / n
+    ssb = row_sum([size * (total / size - grand) ** 2 for size, (_, total, _) in zip(sizes, parts)])
+    ssw = sum(within for _, _, within in parts)
     out = np.zeros_like(ssb)
     ok = ssw > _EPS * n * grand * grand
     out[ok] = (ssb[ok] / k) / (ssw[ok] / df2)
     degenerate = ~ok & (ssb > 0.0)
     out[degenerate] = np.inf
-    return out, medians, degenerate
+    return out, degenerate
+
+
+def _levene_stat_rows(blocks) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    """Levene/Brown-Forsythe F ratios with median centering, one per row; blocks[i] is (R, n_i).
+
+    Returns the statistics, the group medians (the (R,) medians of each
+    block) and the degenerate rows (``_levene_combine``).
+    """
+    parts = [_levene_group(bl) for bl in blocks]
+    stat, degenerate = _levene_combine([bl.shape[1] for bl in blocks], parts)
+    return stat, [median for median, _, _ in parts], degenerate
 
 
 class _Observed:
@@ -301,27 +318,29 @@ def _jitter_scale(moments) -> np.ndarray:
     return np.sqrt(moments[2])
 
 
-def _pooled_resamples(pools: np.ndarray, q: np.ndarray, sizes, rngs, out: np.ndarray) -> None:
-    """Fill ``out``, shape (R, b, n), with bootstrap-Levene resamples: ``out[j]`` from pool j and ``rngs[j]``.
+def _pooled_draws(pools: np.ndarray, rows, rngs, out: np.ndarray) -> None:
+    """Fill ``out``, (len(rows), count, n), with bootstrap-Levene resample rows: ``out[j]`` from pool and stream ``rows[j]``.
 
-    Each row of ``out[j]`` draws n residuals with replacement from
-    ``pools[j]``; the groups take contiguous blocks of the row, and blocks
-    for groups smaller than 10 are smoothed with variance-preserving
-    uniform jitter of scale ``q[j]``.  Generator j draws the indices, then
-    each smoothed block's uniforms, as ``uniform(-0.5, 0.5)`` would: that
-    is ``-0.5 + U`` on the same doubles U.  Only the draws run per dataset;
-    the jitter arithmetic, ``((u * q) + block) * SMOOTH_FACTOR`` in that
-    order, runs once for all R.
+    Each row draws n residuals with replacement from ``pools[rows[j]]``,
+    from ``rngs[rows[j]]``; the groups take contiguous blocks of the row.
     """
-    bounds = np.cumsum((0,) + tuple(sizes))
-    smoothed = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi - lo < 10]
-    jitter = [np.empty(out.shape[:2] + (hi - lo,)) for lo, hi in smoothed]
+    for j, r in enumerate(rows):
+        _resample_rows([pools[r]], rngs[r], [out[j]])
+
+
+def _jitter(blocks, q: np.ndarray, rngs) -> None:
+    """Smooth ``blocks``, each (R, b, n_i), in place: dataset j's values plus uniform jitter of scale ``q[j]``.
+
+    Generator j draws each block's uniforms in turn, as
+    ``uniform(-0.5, 0.5)`` would: that is ``-0.5 + U`` on the same doubles
+    U.  Only the draws run per dataset; the variance-preserving arithmetic,
+    ``((u * q) + block) * SMOOTH_FACTOR`` in that order, runs once for all R.
+    """
+    jitter = [np.empty(block.shape) for block in blocks]
     for j, rng in enumerate(rngs):
-        _resample_rows([pools[j]], rng, [out[j]])
         for u in jitter:
             rng.random(out=u[j])
-    for (lo, hi), u in zip(smoothed, jitter):
-        block = out[:, :, lo:hi]
+    for u, block in zip(jitter, blocks):
         u -= 0.5
         u *= q[:, None, None]
         u += block
@@ -330,8 +349,8 @@ def _pooled_resamples(pools: np.ndarray, q: np.ndarray, sizes, rngs, out: np.nda
 
 
 def resample_width(sizes, b: int) -> int:
-    """Datasets per resample batch: as many as keep b resamples of each within ``_RESAMPLE_ELEMENTS`` values."""
-    return max(1, _RESAMPLE_ELEMENTS // (b * sum(sizes)))
+    """Datasets per resample batch: as many as keep b resamples of each within the cap (``slice_rows``)."""
+    return slice_rows(b * sum(sizes))
 
 
 def _resample_batches(count: int, errors, sizes, b: int) -> list[list[int]]:
@@ -341,10 +360,13 @@ def _resample_batches(count: int, errors, sizes, b: int) -> list[list[int]]:
     return [list(batch) for _, batch in groupby(rows, key=lambda r: r // width)]
 
 
-def _exceedances(draws: np.ndarray, observed: np.ndarray, bounds) -> np.ndarray:
-    """Per dataset, how many of its resamples in ``draws``, (R, w, n), have a Levene statistic above ``observed``, (R,)."""
-    flat = draws.reshape(-1, draws.shape[2])  # a copy only when draws is a strided view
-    boot = _levene_stat_rows([flat[:, lo:hi] for lo, hi in zip(bounds, bounds[1:])])[0]
+def _exceedances(sizes, parts, observed: np.ndarray) -> np.ndarray:
+    """Per dataset, how many of its resamples have a Levene statistic above ``observed``, (R,).
+
+    ``parts`` are the groups' ``_levene_group`` of R datasets' resamples,
+    each dataset's rows in turn.
+    """
+    boot = _levene_combine(sizes, parts)[0]
     return (boot.reshape(len(observed), -1) > observed[:, None]).sum(axis=1)
 
 
@@ -360,6 +382,64 @@ def _curtailment(alpha: float, b: int, sizes) -> tuple[int, int, float]:
     return c, m, f_quantile(1.0 - c / m, *_levene_df(sizes)) if c < m else -math.inf
 
 
+def _levene_counts(pools, q, sizes, rngs, observed, b: int, curtailment) -> np.ndarray:
+    """Per dataset of a resample batch, how many of its resampled Levene statistics exceed ``observed``, (R,).
+
+    Dataset j resamples ``pools[j]`` from ``rngs[j]``; ``q`` is the
+    jitter scale, None when no group is smoothed, and ``curtailment`` the
+    (c, m, gate) of ``_curtailment``, (b, b, -inf) for full counts.  The
+    resample rows are drawn in slices of at most ``slice_rows(n)`` rows,
+    all b in one slice when they fit.  When a dataset is below the gate,
+    the first m resamples of every dataset are counted in an early round,
+    and the datasets that reach c stop there.  Without smoothed groups
+    each round draws its own rows, and each slice is evaluated as it
+    lands.  With smoothed groups every stream draws all b rows of indices
+    before its jitter: when they fit in one slice, every block is kept
+    until its round; otherwise only the smoothed blocks, under 10 values
+    a row, are kept, and the others are reduced to their ``_levene_group``
+    parts as each slice lands.
+    """
+    c, m, gate = curtailment
+    bounds = np.cumsum((0,) + tuple(sizes)).tolist()
+    blocks = list(zip(bounds, bounds[1:]))
+    step = min(b, slice_rows(bounds[-1]))
+    hits = np.zeros(len(observed), dtype=int)
+    rows = np.arange(len(observed))
+    if q is not None:
+        draws = np.empty((rows.size, step, bounds[-1]))
+        views = [draws[:, :, lo:hi] for lo, hi in blocks]
+        kept = views if step == b else [np.empty((rows.size, b, size)) if size < 10 else None for size in sizes]
+        landed = [None if whole is not None else np.empty((3, rows.size, b)) for whole in kept]
+        for part in slices(b, step):
+            count = part.stop - part.start
+            _pooled_draws(pools, rows, rngs, draws[:, :count])
+            if step < b:
+                for view, whole, reduced in zip(views, kept, landed):
+                    if whole is not None:
+                        whole[:, part] = view[:, :count]
+                    else:
+                        parts = _levene_group(view[:, :count].reshape(-1, view.shape[2]))
+                        reduced[:, :, part] = np.reshape(parts, (3, rows.size, count))
+        _jitter([whole for whole, size in zip(kept, sizes) if size < 10], q, rngs)
+    for lo, hi in [(0, m), (m, b)] if (observed < gate).any() else [(0, b)]:
+        if q is None:
+            for part in slices(hi, step, lo):
+                draws = np.empty((rows.size, part.stop - part.start, bounds[-1]))
+                _pooled_draws(pools, rows, rngs, draws)
+                flat = draws.reshape(-1, bounds[-1])
+                parts = [_levene_group(flat[:, start:stop]) for start, stop in blocks]
+                hits[rows] += _exceedances(sizes, parts, observed[rows])
+        else:
+            live = slice(None) if rows.size == len(observed) else rows
+            parts = [_levene_group(whole[live, lo:hi].reshape(-1, whole.shape[2])) if whole is not None
+                     else reduced[:, live, lo:hi].reshape(3, -1) for whole, reduced in zip(kept, landed)]
+            hits[rows] += _exceedances(sizes, parts, observed[rows])
+        rows = rows[hits[rows] < c]  # a row with c exceedances accepts, whatever its other resamples give
+        if not rows.size:
+            break
+    return hits
+
+
 def _bootstrap_levene_outcomes(obs: _Observed, alpha: float, rngs, b: int, p_values: bool) -> Outcomes:
     stat, medians, _ = obs.levene
     errors = obs.levene_errors()
@@ -367,33 +447,13 @@ def _bootstrap_levene_outcomes(obs: _Observed, alpha: float, rngs, b: int, p_val
     for r in np.flatnonzero(np.all(pools == 0.0, axis=1)):
         errors.setdefault(int(r), DegenerateDataError("residual pool is identically zero"))
     sizes = obs.sizes
-    bounds = np.cumsum((0,) + sizes)
-    # without smoothing jitter a row's draws are its indices alone, which split into two calls
-    split = min(sizes) >= 10
-    q = None if split else _jitter_scale(obs.moments)
-    c, m, gate = (b, b, -math.inf) if p_values else _curtailment(alpha, b, sizes)
+    q = None if min(sizes) >= 10 else _jitter_scale(obs.moments)
+    curtailment = (b, b, -math.inf) if p_values else _curtailment(alpha, b, sizes)
     count = np.full(len(stat), np.nan)
     for rows in _resample_batches(len(stat), errors, sizes, b):
-        streams = [rngs[r] for r in rows]
-        observed = stat[rows]
-        early = observed < gate
-        draws = np.empty((len(rows), b, pools.shape[1]))
-        if split:
-            for j, r in enumerate(rows):
-                _resample_rows([pools[r]], streams[j], [draws[j, :m if early[j] else b]])
-        else:
-            _pooled_resamples(pools[rows], q[rows], sizes, streams, draws)
-        if early.any():
-            hits = _exceedances(draws[:, :m], observed, bounds)
-            go_on = np.flatnonzero(hits < c)  # a row with c exceedances accepts, whatever its other resamples give
-            if split:
-                for j in go_on[early[go_on]]:
-                    _resample_rows([pools[rows[j]]], streams[j], [draws[j, m:]])
-            if go_on.size:
-                hits[go_on] += _exceedances(draws[go_on, m:], observed[go_on], bounds)
-        else:
-            hits = _exceedances(draws, observed, bounds)
-        count[rows] = hits
+        count[rows] = _levene_counts(
+            pools[rows], None if q is None else q[rows], sizes, [rngs[r] for r in rows], stat[rows], b, curtailment,
+        )
     p = count / b
     return Outcomes(
         BOOTSTRAP_LEVENE, alpha, stat, _decide(alpha, p < alpha), errors,
@@ -424,6 +484,30 @@ def _resample_rows(groups, rng: np.random.Generator, outs) -> list[np.ndarray]:
     return [g.take(rng.integers(0, g.size, size=out.shape), out=out, mode="clip") for g, out in zip(groups, outs)]
 
 
+def _box_t(groups, rngs, b: int) -> np.ndarray:
+    """The t vectors of b resamples of each dataset of a batch, as a (k, R, b) stack of group rows.
+
+    Dataset j resamples ``[g[j] for g in groups]`` from ``rngs[j]``, each
+    group in turn, as ``_resample_rows`` draws them in one call.  A group
+    is drawn in slices of at most ``slice_rows(n_i)`` resample rows, all
+    b of all R datasets in one slice when they fit, and each slice is
+    reduced to its ``group_moments`` as it lands; ``pooled_moments``
+    combines the groups.
+    """
+    sizes = [g.shape[1] for g in groups]
+    parts = []
+    for g, size in zip(groups, sizes):
+        landed = []
+        for part in slices(b, slice_rows(size)):
+            samples = np.empty((len(rngs), part.stop - part.start, size))
+            for j, rng in enumerate(rngs):
+                _resample_rows([g[j]], rng, [samples[j]])
+            landed.append(group_moments(samples.reshape(-1, size)))
+        # more than one slice only for one dataset, whose rows then join in slice order
+        parts.append(landed[0] if len(landed) == 1 else [np.concatenate(sums) for sums in zip(*landed)])
+    return log_variance_t(sizes, pooled_moments(sizes, parts)).reshape(-1, len(rngs), b)
+
+
 def _redraw_degenerate(t: np.ndarray, groups, rngs) -> np.ndarray:
     """Replace the non-finite t vectors of bootstrap resamples, in place, by those of fresh resamples.
 
@@ -445,7 +529,7 @@ def _redraw_degenerate(t: np.ndarray, groups, rngs) -> np.ndarray:
         owners, starts, counts = np.unique(bad // b, return_index=True, return_counts=True)
         for j, lo, count in zip(owners, starts, counts):
             _resample_rows([g[j] for g in groups], rngs[j], [f[lo:lo + count] for f in fresh])
-        flat[:, bad] = t_fresh = log_variance_t(fresh)
+        flat[:, bad] = t_fresh = log_variance_t([g.shape[1] for g in groups], moment_rows(fresh))
         bad = bad[~np.logical_and.reduce(np.isfinite(t_fresh))]
     return np.unique(bad // b)
 
@@ -464,10 +548,7 @@ def _box_outcomes(obs: _Observed, alpha: float, rngs, b: int, pivot_variant: boo
     c_star = np.full(observed.shape[1], np.nan)
     for rows in _resample_batches(observed.shape[1], errors, obs.sizes, b):
         batch, streams = [g[rows] for g in groups], [rngs[r] for r in rows]
-        samples = [np.empty((len(rows) * b, g.shape[1])) for g in batch]
-        for j, rng in enumerate(streams):
-            _resample_rows([g[j] for g in batch], rng, [s[j * b:(j + 1) * b] for s in samples])
-        t = log_variance_t(samples).reshape(-1, len(rows), b)
+        t = _box_t(batch, streams, b)
         for j in _redraw_degenerate(t, batch, streams):
             errors[rows[j]] = NumericError(f"a bootstrap replicate stayed degenerate after {_MAX_REDRAWS} redraws")
         keep = [j for j, r in enumerate(rows) if r not in errors]  # a failed redraw leaves non-finite t vectors

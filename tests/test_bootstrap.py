@@ -12,7 +12,7 @@ from equivar import (
 )
 from equivar.bootstrap import box_rank, first_count
 from equivar.descriptive import log_variance_rows
-from equivar.homogeneity import _pooled_resamples, _resample_rows
+from equivar.homogeneity import _jitter, _pooled_draws, _resample_rows
 
 
 def brute_force_search(rows, alpha):
@@ -31,11 +31,22 @@ def _within(data, rng, count):
     return _resample_rows(data.groups, rng, [np.empty((count, n)) for n in data.sizes])
 
 
+def _pooled_batch(pools, q, sizes, rngs, b):
+    """The ``b`` bootstrap-Levene resamples of each dataset of a batch, (R, b, n), drawn as bootstrap Levene draws them.
+
+    Every row is drawn whole, then the smoothed blocks, of groups under
+    10, are jittered.
+    """
+    bounds = np.cumsum((0,) + tuple(sizes))
+    out = np.empty((len(pools), b, bounds[-1]))
+    _pooled_draws(pools, range(len(pools)), rngs, out)
+    _jitter([out[:, :, lo:hi] for lo, hi in zip(bounds, bounds[1:]) if hi - lo < 10], q, rngs)
+    return out
+
+
 def _pooled(pool, q, sizes, rng, b):
     """One dataset's ``b`` bootstrap-Levene resamples, drawn as a batch of one."""
-    out = np.empty((1, b, sum(sizes)))
-    _pooled_resamples(np.asarray(pool, dtype=float)[None], np.array([q]), sizes, [rng], out)
-    return out[0]
+    return _pooled_batch(np.asarray(pool, dtype=float)[None], np.array([q]), sizes, [rng], b)[0]
 
 
 class TestResampleWithinGroups:
@@ -127,8 +138,7 @@ class TestBatchJitter:
         source = stream(seed, 99)
         pools = source.standard_normal((rows, sum(sizes))) * 10.0 ** source.integers(-3, 4, (rows, 1))
         q = np.zeros(rows) if q_zero else source.uniform(0.1, 5.0, rows)
-        out = np.empty((rows, b, sum(sizes)))
-        _pooled_resamples(pools, q, sizes, [stream(seed, r, 1) for r in range(rows)], out)
+        out = _pooled_batch(pools, q, sizes, [stream(seed, r, 1) for r in range(rows)], b)
         for r in range(rows):
             expected = _per_row_pooled(pools[r], q[r], sizes, stream(seed, r, 1), b)
             assert np.array_equal(out[r], expected)

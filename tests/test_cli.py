@@ -475,6 +475,16 @@ class TestCriticalCommand:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    def test_alpha_below_one_draw_exits_2(self, capsys):
+        # the box would be the largest draw, printed with "se 0.000000" and "coverage 1.000000"
+        assert main(["critical", "--sizes", "3,3", "--alpha", "1e-17", "--draws", "1000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: alpha 1e-17 is too small for 1000 draws: the box would be the largest draw, "
+            "covering every draw; use more draws or a larger alpha\n"
+        )
+
     def test_gate_output_is_pinned(self, capsys):
         # the reproducibility contract for the calibration: a fixed seed keeps this digest
         assert main(["critical", "--sizes", "10,10", "--draws", "200000", "--seed", "1"]) == 0

@@ -1,17 +1,26 @@
 import math
+import pickle
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import equivar.descriptive
 from equivar import (
     DegenerateDataError,
     GroupedSample,
     log_variance_contrasts,
     stream,
 )
-from equivar.descriptive import _COLUMNS_FROM_ROWS, by_columns, log_variance_rows, moment_rows, row_sum, running_sum
-from equivar.homogeneity import SHOEMAKER, _levene_stat_rows, _row_medians, batched
+from equivar.descriptive import (
+    _COLUMNS_FROM_ROWS, by_columns, group_moments, log_variance_rows, log_variance_t, moment_rows, pooled_moments,
+    row_sum, running_sum,
+)
+from equivar.homogeneity import (
+    BOOTSTRAP_LEVENE, BOX, SHOEMAKER, _curtailment, _levene_combine, _levene_group, _levene_stat_rows, _row_medians,
+    batched,
+)
 
 # A fixed two-group dataset reused by the oracle comparisons here and in the
 # test-statistic checks.
@@ -89,6 +98,20 @@ class TestGroupedSample:
     def test_rejects_a_value_that_is_not_a_real_number(self, groups, name):
         with pytest.raises(DegenerateDataError, match=f"group {name} holds a value that is not a real number"):
             GroupedSample(groups)
+
+    @pytest.mark.parametrize("group", [
+        np.array([[1.0, 2.0], [3.0, 4.0]]),
+        [[1.0, 2.0], [3.0, 4.0]],
+        np.array(2.5),
+        [np.array([1.0, 2.0]), np.array([3.0, 4.0])],
+        ([1.0], [2.0], [3.0]),
+    ], ids=["array_2d", "nested_list", "array_0d", "list_of_arrays", "tuple_of_lists"])
+    def test_rejects_a_group_that_is_not_one_dimensional(self, group):
+        # the same values are refused whether they come as an array or as nested sequences, not flattened
+        with pytest.raises(DegenerateDataError, match="group 0 is not one-dimensional"):
+            GroupedSample([group, [1.0, 2.0, 3.0]])
+        with pytest.raises(DegenerateDataError, match="group 'b' is not one-dimensional"):
+            GroupedSample({"a": [1.0, 2.0, 3.0], "b": group})
 
     def test_accepts_real_numbers_of_any_numeric_type(self):
         d = GroupedSample([np.array([1, 2, 3], dtype=np.int32), [np.float32(0.5), 2, Fraction(3, 2)], range(4)])
@@ -395,6 +418,100 @@ class TestKernelBits:
             stat = batched((SHOEMAKER,), groups, {}, 0.05)[SHOEMAKER].statistic
             var_log_s2, contrast, _, _ = _reference_contrasts(groups, True)
             assert _same_bits(stat, (contrast**2 / var_log_s2).sum(axis=1))
+
+
+def _sliced(reduce, group, cuts):
+    """``reduce`` of the slices ``group[lo:hi]`` between ``cuts``, each of its (R,) results joined across the slices."""
+    parts = [reduce(group[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+class TestSlicedKernels:
+    """Per-group reductions of slices of rows, joined and combined, give the whole-stack kernels bit for bit.
+
+    The slices fall on both sides of the shape rule: a row alone, a dozen
+    rows and stacks of 1000 and more.
+    """
+
+    @pytest.mark.parametrize("r", [13, _COLUMNS_FROM_ROWS + 300, 2600])
+    @pytest.mark.parametrize("sizes", [(2, 3), (7, 15), (8, 9, 16), (4, 40)] + _MANY_GROUPS)
+    def test_slices_match_the_whole_stack(self, sizes, r):
+        bounds = np.cumsum((0,) + sizes)
+        x = _awkward_rows(int(bounds[-1]), r)
+        groups = [np.ascontiguousarray(x[:, lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+        cuts = sorted({0, 1, min(r, 13), min(r, _COLUMNS_FROM_ROWS + 13), r})
+        assert any(by_columns(hi - lo, 2) for lo, hi in zip(cuts, cuts[1:])) == (r > _COLUMNS_FROM_ROWS)
+        with np.errstate(all="ignore"):
+            whole = moment_rows(groups)
+            moments = pooled_moments(sizes, [_sliced(group_moments, g, cuts) for g in groups])
+            for ours, theirs in zip(moments, whole):
+                assert _same_bits(ours, theirs)
+            assert _same_bits(log_variance_t(sizes, moments), log_variance_rows(groups)[0].t)
+            stat, medians, degenerate = _levene_stat_rows(groups)
+            parts = [_sliced(_levene_group, g, cuts) for g in groups]
+            assert _same_bits(_levene_combine(sizes, parts)[0], stat)
+            assert np.array_equal(_levene_combine(sizes, parts)[1], degenerate)
+            for (median, _, _), whole_median in zip(parts, medians):
+                assert _same_bits(median, whole_median)
+
+
+class TestSlicedResamples:
+    """Bootstrap resamples drawn and reduced in slices give the outcomes of whole draws, bit for bit.
+
+    The cap is patched down to slices of 7 pooled rows, which divide
+    neither b nor the early round's m, and to slices of one row.  The
+    mixes put smoothed groups (under 10) with unsmoothed ones, whose
+    blocks are reduced as their slices land; the observed statistics of
+    two of the four datasets fall below the early round's gate.
+    """
+
+    @pytest.mark.parametrize("sizes", [(12, 15), (4, 12), (3, 5), (5, 6, 7, 8, 9, 10, 11, 12, 13), (4,) * 16 + (12,)],
+                             ids=["unsmoothed", "mixed", "smoothed", "nine_groups", "seventeen_groups"])
+    def test_slices_match_whole_draws(self, sizes, monkeypatch):
+        rng = stream(81, len(sizes))
+        groups = [rng.normal(size=(4, n)) for n in sizes]
+        for g in groups:  # even spreads in the first two datasets, a wide last group in the other two
+            g[:2] = np.linspace(-1.0, 1.0, g.shape[1]) + 0.01 * g[:2]
+        groups[-1][2:] *= 4.0
+        b, alpha = 60, 0.1  # c = 6 exceedances of b, and an early round of m = 12 resamples
+        early = _levene_stat_rows(groups)[0] < _curtailment(alpha, b, sizes)[2]
+        assert early.tolist() == [True, True, False, False]
+        methods = (BOOTSTRAP_LEVENE, BOX)
+
+        def run(p_values):
+            rngs = {method: [stream(82, r, i) for r in range(4)] for i, method in enumerate(methods)}
+            return pickle.dumps(batched(methods, groups, rngs, alpha, b, p_values=p_values))
+
+        assert equivar.descriptive.slice_rows(sum(sizes)) >= 4 * b  # one batch, drawn whole
+        whole = [run(p_values) for p_values in (True, False)]
+        for cap in (7 * sum(sizes), 1):
+            monkeypatch.setattr(equivar.descriptive, "_RESAMPLE_ELEMENTS", cap)
+            assert [run(p_values) for p_values in (True, False)] == whole
+
+
+class TestRowSumCheck:
+    """The first ``row_sum`` call in a process compares its orders with numpy's own row sums."""
+
+    def test_the_first_call_checks(self, monkeypatch):
+        checks = []
+        real = equivar.descriptive._check_row_sum
+        monkeypatch.setattr(equivar.descriptive, "_row_sum_checked", False)
+        monkeypatch.setattr(equivar.descriptive, "_check_row_sum", lambda: checks.append(1) or real())
+        x = stream(80).normal(size=(3, 9))
+        assert _same_bits(row_sum(x), x.sum(axis=1))
+        assert _same_bits(row_sum(x), x.sum(axis=1))
+        assert checks == [1] and equivar.descriptive._row_sum_checked
+
+    def test_another_order_raises_naming_numpy(self, monkeypatch):
+        real = equivar.descriptive._row_sum
+
+        def reversed_order(x):
+            x = np.stack(x, axis=1) if isinstance(x, list) else x
+            return real(np.ascontiguousarray(x[:, ::-1]))
+
+        monkeypatch.setattr(equivar.descriptive, "_row_sum", reversed_order)
+        with pytest.raises(RuntimeError, match=f"numpy {re.escape(np.__version__)}'s row sums"):
+            equivar.descriptive._check_row_sum()
 
 
 class TestColumnMean:

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
+import equivar.descriptive
 from equivar import DirichletParams, NumericError, calibrate_box, log_contrast, sample_dirichlet, search_critical, stream
 from equivar.bootstrap import box_rank
+from equivar.descriptive import slice_rows
 
 
 def two_group_contrast_pdf(w, nu1, nu2):
@@ -81,6 +83,16 @@ class TestNumpyBits:
         x = sample_dirichlet(params, stream(70), size=3001)
         assert_same_bits(x, numpy_dirichlet(params, stream(70), 3001))
         assert x.flags.c_contiguous
+
+    @pytest.mark.parametrize("nu", [(4.5, 4.5), (2.0, 4.5, 7.0), (3.0,) * 9, (3.0,) * 17])
+    def test_sample_dirichlet_in_chunks(self, nu, monkeypatch):
+        # the gamma variates come in chunks of slice_rows(k) vectors; neither count below is a multiple of it
+        params = DirichletParams(nu)
+        size = 2 * slice_rows(len(nu)) + 5
+        assert_same_bits(sample_dirichlet(params, stream(73), size), numpy_dirichlet(params, stream(73), size))
+        monkeypatch.setattr(equivar.descriptive, "_RESAMPLE_ELEMENTS", 8 * len(nu) - 1)
+        assert slice_rows(len(nu)) == 7
+        assert_same_bits(sample_dirichlet(params, stream(74), 3001), numpy_dirichlet(params, stream(74), 3001))
 
     @pytest.mark.parametrize("nu", SHAPES)
     def test_calibrate_box(self, nu):
@@ -241,6 +253,15 @@ class TestCalibrateBox:
     def test_draws_must_be_an_integer(self, draws):
         with pytest.raises(ValueError, match="draws must be an integer"):
             calibrate_box(DirichletParams((1.0, 2.0)), 0.05, draws, stream(0))
+
+    @pytest.mark.parametrize("alpha, draws", [(1e-17, 1000), (9.99e-4, 1000), (4e-4, 2000)])
+    def test_alpha_whose_box_is_the_largest_draw_refused(self, alpha, draws):
+        # the box would be the last order statistic, with coverage 1 and a standard error of 0, whatever alpha is
+        assert box_rank(draws, alpha) == draws - 1
+        with pytest.raises(ValueError, match=f"alpha {alpha} is too small for {draws} draws"):
+            calibrate_box(DirichletParams((1.0, 2.0)), alpha, draws, stream(0))
+        assert box_rank(draws, 1.0 / draws) == draws - 2
+        assert calibrate_box(DirichletParams((1.0, 2.0)), 1.0 / draws, draws, stream(0)).coverage == (draws - 1) / draws
 
     @pytest.mark.parametrize("alpha", ["0.05", None, True, math.nan])
     def test_alpha_must_be_a_real_number(self, alpha):

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 import scipy.stats
 
+import equivar.descriptive
 import equivar.homogeneity
 from equivar import (
     ALL_METHODS,
@@ -266,6 +268,18 @@ class TestRunAll:
         box_res = results[-1]
         assert len(box_res.statistic) == len(data)
 
+    def test_large_groups_are_resampled_within_the_cap(self):
+        # b * n = 20 million values a test: drawn whole, bootstrap Levene's peak was 381.8 MiB
+        data = GroupedSample([stream(341, i).standard_normal(20_000) for i in range(2)])
+        tracemalloc.start()
+        try:
+            results, errors = run_all(data, 0.05, BootstrapConfig.from_seed(14, b=500))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert errors == {} and len(results) == 4
+        assert peak < 48 * 2**20
+
     def test_error_isolation_with_constant_group(self):
         data = GroupedSample([[5.0, 5.0, 5.0], [1.0, 2.0, 3.0]])
         results, errors = run_all(data, 0.05, BootstrapConfig.from_seed(13, b=40))
@@ -392,7 +406,7 @@ class TestBatched:
     @pytest.mark.parametrize("method", [BOOTSTRAP_LEVENE, BOX])
     def test_resample_batches_with_gaps(self, method, monkeypatch):
         # resample batches of 3 datasets, b * n = 400 values each; the box skips rows 1 and 4
-        monkeypatch.setattr(equivar.homogeneity, "_RESAMPLE_ELEMENTS", 3 * 400 + 399)
+        monkeypatch.setattr(equivar.descriptive, "_RESAMPLE_ELEMENTS", 3 * 400 + 399)
         rng = stream(362)
         datasets = [[rng.normal(size=n) for n in self.SIZES] for _ in range(12)]
         for r in (1, 4):
@@ -418,7 +432,7 @@ class TestBatched:
         # c = 10 of b = 100, an early round of m = 20 resamples gated at the F median; two resample batches
         rng = stream(364)
         stacked = [rng.normal(size=(40, n)) for n in sizes]
-        real = equivar.homogeneity._levene_stat_rows
+        real = equivar.homogeneity._levene_group
         fetched, evaluated = [], {True: [], False: []}
 
         class Streams:
@@ -428,8 +442,8 @@ class TestBatched:
 
         outcomes = {}
         for p_values in (True, False):
-            monkeypatch.setattr(equivar.homogeneity, "_levene_stat_rows",
-                                lambda blocks: evaluated[p_values].extend(np.hstack(blocks)) or real(blocks))
+            monkeypatch.setattr(equivar.homogeneity, "_levene_group",
+                                lambda block: evaluated[p_values].extend(map(np.ndarray.tobytes, block)) or real(block))
             fetched.clear()
             outcomes[p_values] = self._test(BOOTSTRAP_LEVENE, 0.1, b=100, p_values=p_values)(stacked, Streams())
             assert fetched == list(range(40))  # each row once, in order
@@ -438,10 +452,10 @@ class TestBatched:
         assert 0 < decided.rejections < 40
         np.testing.assert_array_equal(decided.reject, full.reject)
         np.testing.assert_array_equal(decided.statistic, full.statistic)
-        # the curtailed resamples are fewer, and every one of them is a resample the full path draws
-        drawn = {row.tobytes() for row in evaluated[True]}
+        # the curtailed resamples are fewer, and every group of them is a resampled group the full path draws
+        drawn = set(evaluated[True])
         assert len(evaluated[False]) < len(evaluated[True])
-        assert all(row.tobytes() in drawn for row in evaluated[False])
+        assert all(row in drawn for row in evaluated[False])
 
     @staticmethod
     def _assert_rows_match(test, datasets, batch, seed=361):

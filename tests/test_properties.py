@@ -5,7 +5,10 @@ one-dataset calls give, and one call of all four tests gives what the
 four single-test calls give.  The resample cap is patched so that
 resample batches of every width from 1 to R occur.  The row kernels give
 their plain numpy formulas bit for bit on stacks of both sides of the
-shape rule.
+shape rule.  A Monte Carlo cell gives what its replications give one at
+a time, with the cap patched so that resample batches and slices of
+every width occur, and a re-keyed generator draws what ``stream`` of its
+path draws.
 """
 
 from unittest import mock
@@ -14,11 +17,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import equivar.descriptive
 import equivar.homogeneity
-from equivar import ALL_METHODS, GroupedSample
+from equivar import ALL_METHODS, Distribution, ExperimentConfig, GroupedSample, run_cell, stream
 from equivar.descriptive import _COLUMNS_FROM_ROWS, log_variance_rows, moment_rows, row_sum, running_sum
 from equivar.homogeneity import BOOTSTRAP_LEVENE, BOX, _levene_stat_rows, _row_medians, batched
+from equivar.rng import KeyedGenerator, mt19937_keys, rekey
 from test_descriptive import _reference_contrasts, _reference_levene, _reference_moments, _same_bits
+from test_simulation import _reference_cell
 
 PROPERTY = settings(derandomize=True, max_examples=100, deadline=None, database=None)
 
@@ -73,7 +79,7 @@ def test_a_batch_is_its_datasets_and_its_tests(batch, pivot_variant):
     groups, alpha, b, width = batch
     count = len(groups[0])
     datasets = [GroupedSample([g[r] for g in groups]) for r in range(count)]
-    with mock.patch.object(equivar.homogeneity, "_RESAMPLE_ELEMENTS", width * b * sum(g.shape[1] for g in groups)):
+    with mock.patch.object(equivar.descriptive, "_RESAMPLE_ELEMENTS", width * b * sum(g.shape[1] for g in groups)):
         assert equivar.homogeneity.resample_width([g.shape[1] for g in groups], b) == width
         for p_values in (True, False):
             def run(methods, rows, streams):
@@ -142,3 +148,55 @@ def test_row_kernels_are_their_plain_numpy_formulas(groups):
             for a, b in zip(ours, _reference_contrasts(groups, use_harmonic)):
                 assert _same_bits(a.T, b)
         assert _same_bits(_levene_stat_rows(groups)[0], _reference_levene(groups))
+
+
+@st.composite
+def cells(draw):
+    """(cfg, cap): a small Monte Carlo cell and a resample cap.
+
+    The cell has 2-17 groups of 2-20 values, so smoothed and unsmoothed
+    groups mix, any nonempty subset of the tests, 1-230 replications (one
+    to three chunks) and a resample count that keeps replications x B x
+    groups within 6000.  The cap either splits one replication's b
+    resamples into slices of 1 to b rows or holds resample batches of 1
+    to R replications.
+    """
+    k = draw(st.integers(2, 17))
+    sizes = tuple(draw(st.lists(st.integers(2, 20), min_size=k, max_size=k)))
+    reps = draw(st.integers(1, 230))
+    b = draw(st.integers(1, max(1, min(40, 6000 // (reps * k)))))
+    cfg = ExperimentConfig(
+        distribution=draw(st.sampled_from(list(Distribution))),
+        sizes=sizes,
+        variances=tuple(draw(st.lists(st.sampled_from([1.0, 2.0, 5.0]), min_size=k, max_size=k))),
+        alpha=draw(st.sampled_from([0.05, 0.1, 0.3])),
+        replications=reps,
+        bootstrap_b=b,
+        master_seed=draw(st.integers(0, 2**64)),
+        tests=tuple(draw(st.lists(st.sampled_from(ALL_METHODS), min_size=1, max_size=4, unique=True))),
+    )
+    values = b * max(sizes)
+    return cfg, draw(st.one_of(st.integers(1, values), st.integers(values, reps * b * sum(sizes))))
+
+
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(cells())
+def test_a_cell_is_its_replications_at_any_cap(cell):
+    cfg, cap = cell
+    with mock.patch.object(equivar.descriptive, "_RESAMPLE_ELEMENTS", cap):
+        est, ref = run_cell(cfg), _reference_cell(cfg)
+    np.testing.assert_equal(est.rates, ref.rates)
+    np.testing.assert_equal(est.standard_errors, ref.standard_errors)
+    assert est.error_counts == ref.error_counts
+
+
+_KEYED = KeyedGenerator(np.random.Generator(np.random.MT19937(0)))
+
+
+@PROPERTY
+@given(st.integers(0, 2**128), st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3))
+def test_a_rekeyed_generator_draws_what_its_stream_draws(seed, path):
+    ours, theirs = rekey(_KEYED, mt19937_keys(seed, [path])[0]), stream(seed, *path)
+    assert np.array_equal(ours.integers(0, 2**32, size=700, dtype=np.uint32), theirs.integers(0, 2**32, size=700,
+                                                                                             dtype=np.uint32))
+    assert np.array_equal(ours.standard_normal(9), theirs.standard_normal(9))

@@ -317,10 +317,10 @@ class TestCurtailedBootstrapLevene:
 
     @staticmethod
     def _resamples_evaluated(cfg, monkeypatch) -> int:
-        real = equivar.homogeneity._levene_stat_rows
+        real = equivar.homogeneity._levene_combine
         rows = []
-        monkeypatch.setattr(equivar.homogeneity, "_levene_stat_rows",
-                            lambda blocks: rows.append(blocks[0].shape[0]) or real(blocks))
+        monkeypatch.setattr(equivar.homogeneity, "_levene_combine",
+                            lambda sizes, parts: rows.append(len(parts[0][1])) or real(sizes, parts))
         run_cell(cfg)
         return sum(rows) - cfg.replications  # less one observed statistic per replication
 
@@ -397,7 +397,7 @@ class TestResampleBatches:
     def test_results_do_not_depend_on_the_resample_cap(self, cfg, monkeypatch):
         expected = pickle.dumps(run_cell(cfg))
         for cap in (1, 2**10, 2**16, 2**18):
-            monkeypatch.setattr(equivar.homogeneity, "_RESAMPLE_ELEMENTS", cap)
+            monkeypatch.setattr(equivar.descriptive, "_RESAMPLE_ELEMENTS", cap)
             assert pickle.dumps(run_cell(cfg)) == expected
 
     @staticmethod
