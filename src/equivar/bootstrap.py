@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import is_real
+from .errors import level
 
 __all__ = [
     "SMOOTH_FACTOR",
@@ -68,15 +68,12 @@ def search_critical(centered, alpha: float) -> CriticalSearch:
     coverage reaches 1 - alpha.  A row lies inside the box exactly when
     its largest |entry| does, so for alpha < 1 that candidate is the m-th
     smallest row maximum, m - 1 = ``box_rank(B, alpha)``; at alpha = 1 it is
-    the smallest entry.
+    the smallest entry.  ``alpha`` passes the level rule (``errors.level``).
     """
     rows = np.asarray(centered, dtype=float)
     if rows.ndim not in (2, 3) or rows.size == 0:
         raise ValueError("need a nonempty B x groups matrix, or a stack of them, of centered statistics")
-    if not is_real(alpha):
-        raise ValueError(f"alpha must be a finite real number, got {alpha!r}")
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    alpha = level(alpha)
     if not np.all(np.isfinite(rows)):
         raise ValueError("centered statistics contain non-finite values")
     b = rows.shape[-2]

@@ -22,7 +22,7 @@ import numpy as np
 
 from .bootstrap import box_rank
 from .descriptive import row_sum, running_sum, slice_rows, slices
-from .errors import NumericError, checked_tuple, is_int, is_real
+from .errors import MAX_VALUES, NumericError, checked_tuple, count, is_real, level
 
 __all__ = [
     "DirichletParams",
@@ -49,12 +49,10 @@ class DirichletParams:
 
     @classmethod
     def from_group_sizes(cls, sizes) -> "DirichletParams":
-        """Shapes (n_i - 1) / 2 for normal groups of the given integer sizes."""
-        sizes = list(sizes)
-        if not all(is_int(s) for s in sizes):
-            raise ValueError(f"group sizes must be integers, got {sizes}")
-        if any(s < 2 for s in sizes):
-            raise ValueError(f"group sizes must be at least 2, got {sizes}")
+        """Shapes (n_i - 1) / 2 for normal groups of the given sizes, two or more integers of at least 2 each."""
+        sizes = [count(f"sizes[{i}]", s, 2) for i, s in enumerate(sizes)]
+        if len(sizes) < 2:
+            raise ValueError(f"need at least two group sizes, got {sizes}")
         beyond = [s for s in sizes if not is_real(s)]
         if beyond:
             raise ValueError(f"group size {beyond[0]} is beyond the float range")
@@ -108,13 +106,12 @@ def _dirichlet_chunk(nu: tuple[float, ...], rng: np.random.Generator, out: np.nd
 def sample_dirichlet(params: DirichletParams, rng: np.random.Generator, size: int):
     """Draw a C-ordered (size, groups) matrix of Dirichlet vectors by normalizing Gamma(nu_i, 1) variates.
 
-    ``size`` is an integer of at least 1.  The result is
+    ``size`` is an integer from 1 to ``MAX_VALUES // groups``.  The result is
     ``g / g.sum(axis=1, keepdims=True)`` bit for bit.  A row whose gamma
     variates all underflow to 0, or whose total overflows, raises
     ``NumericError``.
     """
-    if not is_int(size) or size < 1:
-        raise ValueError(f"size must be an integer of at least 1, got {size!r}")
+    size = count("size", size, 1, MAX_VALUES // len(params.nu))
     return np.ascontiguousarray(_dirichlet_rows(params.nu, rng, size).T)
 
 
@@ -162,21 +159,19 @@ def calibrate_box(
     standard deviation (numpy's ``mean(axis=0)`` and ``std(axis=0,
     ddof=1)`` bit for bit) and the row maxima all run along those rows.  A
     component that underflows to 0 raises ``NumericError``, naming the
-    shapes.  ``draws`` is an integer of at least 1000.
+    shapes.  ``draws`` passes the count rule (``errors.count``) from 1000
+    to ``MAX_VALUES // groups`` and ``alpha`` the level rule
+    (``errors.level``); an alpha whose box would be no draw (alpha = 1) or
+    the largest draw, covering every draw, is refused.
     """
-    if not is_int(draws):
-        raise ValueError(f"draws must be an integer, got {draws!r}")
-    if draws < 1000:
-        raise ValueError(f"need at least 1000 draws for calibration, got {draws}")
-    if not is_real(alpha):
-        raise ValueError(f"alpha must be a finite real number, got {alpha!r}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    draws = count("draws", draws, 1000, MAX_VALUES // len(params.nu))
+    alpha = level(alpha)
     rank = box_rank(draws, alpha)
-    if rank == draws - 1:  # the largest draw, whose coverage is 1 whatever alpha is
+    # alpha = 1 gives rank -1, no box; the largest draw covers every draw whatever alpha is
+    if not 0 <= rank < draws - 1:
         raise ValueError(
-            f"alpha {alpha} is too small for {draws} draws: the box would be the largest draw, "
-            "covering every draw; use more draws or a larger alpha"
+            f"alpha {alpha} leaves no box among {draws} draws: the box would cover every draw or none; "
+            "use an alpha below 1, and more draws for a smaller one"
         )
     nu = params.nu
     rows = _dirichlet_rows(nu, rng, draws)

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import is_int
+from .errors import count
 
 __all__ = ["Distribution", "sample_standardized"]
 
@@ -54,8 +54,7 @@ def sample_standardized(kind: Distribution, n: int, rng: np.random.Generator) ->
     value (Gumbel) distribution by the inverse CDF -ln(-ln U); both are
     exact constructions.
     """
-    if not is_int(n) or n < 1:
-        raise ValueError(f"need a whole number of draws, at least one, got n={n!r}")
+    n = count("n", n, 1)
     kind = Distribution(kind)
     if kind is Distribution.UNIFORM:
         return (rng.random(n) - 0.5) * _UNIFORM_SCALE

@@ -1,4 +1,4 @@
-"""Exception types, and the exact-type checks of numbers and sequences, shared across the package."""
+"""Exception types, and the checks of numbers and sequences shared across the package: the level and count rules."""
 
 import math
 import numbers
@@ -31,6 +31,33 @@ def is_real(value) -> bool:
         return math.isfinite(value)
     except OverflowError:  # an int beyond the float range
         return False
+
+
+# The ceiling on the values one piece of work may span, refused before anything is drawn: one dataset's
+# b resamples (b * sum(sizes)), a simulation chunk of data (min(105, replications) * sum(sizes)) and a
+# calibration's draws (draws * groups).  2**32 float64 values are 32 GiB, 200 times the most of any cell
+# of the tests, demos, bench or acceptance suite.
+MAX_VALUES = 2**32
+
+
+def level(alpha) -> float:
+    """``alpha`` as a float if it is a finite real in (0, 1] whose 1 - alpha is below 1.0, else a ValueError."""
+    if not is_real(alpha):
+        raise ValueError(f"alpha must be a finite real number, got {alpha!r}")
+    alpha = float(alpha)
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    if 1.0 - alpha == 1.0:  # the F and chi-square quantiles need a level below 1
+        raise ValueError(f"alpha must leave 1 - alpha below 1.0 in floating point, got {alpha}")
+    return alpha
+
+
+def count(name: str, value, least: int, most: int | None = None) -> int:
+    """``value`` as an int if it is an exact integer (``is_int``) in [least, most], else a ValueError naming it."""
+    if not is_int(value) or value < least or (most is not None and value > most):
+        upper = "" if most is None else f" and at most {most}"
+        raise ValueError(f"{name} must be an integer of at least {least}{upper}, got {value!r}")
+    return int(value)
 
 
 def checked_tuple(name: str, values, check, what: str) -> tuple:

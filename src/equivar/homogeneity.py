@@ -54,7 +54,7 @@ from .descriptive import (
     GroupedSample, centred, group_moments, in_place, log_variance_rows, log_variance_t, moment_rows, pooled_moments,
     row_sum, running_sum, slice_rows, slices,
 )
-from .errors import DegenerateDataError, NumericError, is_int, is_real
+from .errors import MAX_VALUES, DegenerateDataError, NumericError, count, level
 from .rng import spawned, stream
 from .special import chi2_quantile, f_quantile
 
@@ -600,7 +600,9 @@ def batched(methods, groups, rngs, alpha: float, b: int = 500, pivot_variant: bo
     group is smoothed).  The bootstrap tests take ``b`` resamples per
     dataset, dataset r drawing from ``rngs[method][r]``; ``rngs`` needs no
     entry for the other tests.  ``pivot_variant`` is the box-test option
-    of ``BootstrapConfig``.
+    of ``BootstrapConfig``.  Before anything is drawn, ``alpha`` passes
+    the level rule (``errors.level``) and, for a bootstrap test, ``b`` the
+    count rule (``errors.count``) from 1 to ``MAX_VALUES // sum(n_i)``.
 
     A bootstrap test computes its observed statistics over all R rows,
     then resamples the rows that have one in batches: the rows r with
@@ -630,20 +632,12 @@ def batched(methods, groups, rngs, alpha: float, b: int = 500, pivot_variant: bo
     jitter follows all b rows of indices in the stream, so every row
     draws in full up front.  The other tests ignore ``p_values``.
     """
-    if not is_real(alpha):
-        raise ValueError(f"alpha must be a finite real number, got {alpha!r}")
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    if 1.0 - alpha == 1.0:  # the F and chi-square quantiles need a level below 1
-        raise ValueError(f"alpha must leave 1 - alpha below 1.0 in floating point, got {alpha}")
+    alpha = level(alpha)
     for method in methods:
         if method not in ALL_METHODS:
             raise ValueError(f"unknown test {method!r}; choose from {list(ALL_METHODS)}")
     if BOOTSTRAP_LEVENE in methods or BOX in methods:
-        if not is_int(b):
-            raise ValueError(f"bootstrap replicate count b must be an integer, got {b!r}")
-        if b < 1:
-            raise ValueError(f"bootstrap replicate count b must be >= 1, got {b}")
+        b = count("bootstrap replicate count b", b, 1, MAX_VALUES // sum(g.shape[1] for g in groups))
     obs = _Observed(groups)
     outcomes = {}
     for method in methods:

@@ -29,7 +29,7 @@ import threading
 
 import numpy as np
 
-from .errors import is_int
+from .errors import count
 
 __all__ = ["stream", "derive_seed"]
 
@@ -64,10 +64,9 @@ def derive_seed(master_seed: int, index: int) -> int:
 
 
 def _check_words(**words) -> None:
-    """Raise a ValueError naming the first of ``words`` that is not a nonnegative integer (``errors.is_int``)."""
+    """Raise a ValueError naming the first of ``words`` that is not an integer of at least 0 (``errors.count``)."""
     for name, value in words.items():
-        if not is_int(value) or value < 0:
-            raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+        count(name, value, 0)
 
 
 # generate_state's word i is ((pool[i % pool size] ^ c_i) * c_{i+1}) ^ its top half, c_i = INIT_B * MULT_B**i

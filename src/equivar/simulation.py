@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .distributions import Distribution, sample_standardized
-from .errors import DegenerateDataError, checked_tuple, is_int, is_real
+from .errors import MAX_VALUES, DegenerateDataError, checked_tuple, count, is_int, is_real, level
 from .homogeneity import ALL_METHODS, BOOTSTRAP_LEVENE, BOX, batched, resample_width
 from .rng import derive_seed, generator_pool, mt19937_keys, rekey
 
@@ -49,10 +49,13 @@ TWO_GROUP_NULL_SIZES = ((5, 5), (10, 10), (15, 15), (5, 10), (7, 15), (10, 15))
 class ExperimentConfig:
     """One simulation cell: a distribution / sizes / variances combination.
 
-    Construction validates every field: sizes, replications, bootstrap_b
-    and master_seed must be integers, alpha and the variances finite real
-    numbers (booleans are neither), and tests a sequence of distinct test
-    names; the variances lie in [1e-100, 1e100].
+    Construction validates every field: alpha by the level rule
+    (``errors.level``); sizes (each at least 2), replications (1 to 2**32),
+    bootstrap_b (at least 1) and master_seed (at least 0) by the count rule
+    (``errors.count``), with min(105, replications) * sum(sizes) and
+    bootstrap_b * sum(sizes) at most ``errors.MAX_VALUES``; the variances
+    are finite real numbers in [1e-100, 1e100] (booleans are not), and
+    tests distinct test names.
     """
 
     distribution: Distribution
@@ -71,43 +74,28 @@ class ExperimentConfig:
             choices = [d.value for d in Distribution]
             raise ValueError(f"unknown distribution {self.distribution!r}; choose from {choices}") from None
         sizes = checked_tuple("sizes", self.sizes, is_int, "integers")
-        object.__setattr__(self, "sizes", tuple(int(s) for s in sizes))
         variances = checked_tuple("variances", self.variances, is_real, "finite real numbers")
         object.__setattr__(self, "variances", tuple(float(v) for v in variances))
         tests = checked_tuple("tests", self.tests, lambda t: isinstance(t, str), "test names")
         object.__setattr__(self, "tests", tests)
-        for name in ("replications", "bootstrap_b", "master_seed"):
-            value = getattr(self, name)
-            if not is_int(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if not is_real(self.alpha):
-            raise ValueError(f"alpha must be a finite real number, got {self.alpha!r}")
-        object.__setattr__(self, "alpha", float(self.alpha))
-        if len(self.sizes) != len(self.variances):
+        if len(sizes) != len(self.variances):
             raise ValueError(
-                f"sizes and variances must have equal length, got {len(self.sizes)} and {len(self.variances)}"
+                f"sizes and variances must have equal length, got {len(sizes)} and {len(self.variances)}"
             )
-        if len(self.sizes) < 2:
+        if len(sizes) < 2:
             raise ValueError("need at least two groups")
-        if any(s < 2 for s in self.sizes):
-            raise ValueError(f"every group size must be at least 2, got {self.sizes}")
+        object.__setattr__(self, "sizes", tuple(count(f"sizes[{i}]", s, 2) for i, s in enumerate(sizes)))
         # drawn groups then deviate from their means by far less than 1e72 and
         # far more than 1e-72, the bounds within which the moment kernels are exact
         if any(not 1e-100 <= v <= 1e100 for v in self.variances):
             raise ValueError(f"variances must be positive, from 1e-100 to 1e100, got {self.variances}")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if 1.0 - self.alpha == 1.0:  # the F and chi-square quantiles need a level below 1
-            raise ValueError(f"alpha must leave 1 - alpha below 1.0 in floating point, got {self.alpha}")
-        if self.replications < 1:
-            raise ValueError("need at least one replication")
-        if self.replications > 2**32:  # a stream path word is 32 bits: r < 2**32
-            raise ValueError(f"replications must be at most 2**32, got {self.replications}")
-        if self.bootstrap_b < 1:
-            raise ValueError("need at least one bootstrap replicate")
-        if self.master_seed < 0:
-            raise ValueError(f"master_seed must be nonnegative, got {self.master_seed}")
+        object.__setattr__(self, "alpha", level(self.alpha))
+        # a stream path word is 32 bits: r < 2**32
+        object.__setattr__(self, "replications", count("replications", self.replications, 1, 2**32))
+        total = sum(self.sizes)
+        count("sum(sizes)", total, 4, MAX_VALUES // min(_CHUNK_ROWS, self.replications))
+        object.__setattr__(self, "bootstrap_b", count("bootstrap_b", self.bootstrap_b, 1, MAX_VALUES // total))
+        object.__setattr__(self, "master_seed", count("master_seed", self.master_seed, 0))
         unknown = [t for t in self.tests if t not in ALL_METHODS]
         if unknown:
             raise ValueError(f"unknown tests: {unknown}; choose from {list(ALL_METHODS)}")
@@ -254,8 +242,7 @@ def run_grid(cells, threads: int = 1) -> list[CellEstimate]:
     Every cell is a pure function of its configuration and the counts
     are integers, so results are identical for any thread count.
     """
-    if not is_int(threads) or threads < 1:
-        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
+    threads = count("threads", threads, 1)
     cells = list(cells)
     if not cells:
         raise ValueError("empty grid")

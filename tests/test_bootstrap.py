@@ -275,6 +275,8 @@ class TestSearchCritical:
             (np.inf, "alpha must be a finite real number"),
             (0.0, r"alpha must lie in \(0, 1\]"),
             (1.01, r"alpha must lie in \(0, 1\]"),
+            # the box would be the largest row maximum, with coverage 1.0, whatever alpha is
+            (1e-17, "alpha must leave 1 - alpha below 1.0 in floating point, got 1e-17"),
         ],
     )
     def test_bad_alpha_rejected(self, alpha, message):

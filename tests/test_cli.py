@@ -10,6 +10,9 @@ import numpy as np
 import pytest
 
 import equivar.cli
+import equivar.dirichlet
+import equivar.homogeneity
+import equivar.simulation
 from equivar import BootstrapConfig, ExperimentConfig, GroupedSample, NumericError, run_all, two_group_null_grid
 from equivar.cli import _config_from_json, main
 
@@ -276,7 +279,7 @@ class TestSimulateCommand:
             ({"replications": "3"}, "replications must be an integer"),
             ({"bootstrap_b": 20.0}, "bootstrap_b must be an integer"),
             ({"seed": True}, "master_seed must be an integer"),
-            ({"seed": -1}, "master_seed must be nonnegative"),
+            ({"seed": -1}, "master_seed must be an integer of at least 0, got -1"),
             ({"alpha": True}, "alpha must be a finite real number"),
             ({"alpha": "0.05"}, "alpha must be a finite real number"),
             ({"variances": [1, "nan"]}, "variances must hold finite real numbers"),
@@ -285,7 +288,7 @@ class TestSimulateCommand:
             ({"tests": None}, "tests must be a sequence of test names"),
             ({"distribution": "cauchy"}, "unknown distribution 'cauchy'; choose from"),
             ({"variances": [1, 1e101]}, "variances must be positive, from 1e-100 to 1e100"),
-            ({"replications": 2**32 + 1}, "replications must be at most 2**32"),
+            ({"replications": 2**32 + 1}, "replications must be an integer of at least 1 and at most 4294967296, got 4294967297"),
             ({"tests": ["box", "box"]}, "duplicate tests: box"),
             ({"alpha": 1e-17}, "alpha must leave 1 - alpha below 1.0 in floating point, got 1e-17"),
         ],
@@ -391,7 +394,7 @@ class TestSimulateCommand:
         assert main(["simulate", self._config(tmp_path), "--threads", "0"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: threads must be an integer >= 1, got 0\n"
+        assert captured.err == "error: threads must be an integer of at least 1, got 0\n"
 
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -445,6 +448,9 @@ class TestCriticalCommand:
         assert main(["critical", "--sizes", "10,1"]) == 2
         assert main(["critical", "--sizes", "10,x"]) == 2
         capsys.readouterr()
+        # one size names the sizes, not the shape parameters they become
+        assert main(["critical", "--sizes", "10"]) == 2
+        assert capsys.readouterr() == ("", "error: need at least two group sizes, got [10]\n")
         # refused before its shape (n - 1) / 2 overflows the float conversion
         assert main(["critical", "--sizes", f"{10**400},5", "--draws", "1000"]) == 2
         assert capsys.readouterr() == ("", f"error: group size {10**400} is beyond the float range\n")
@@ -464,8 +470,8 @@ class TestCriticalCommand:
     @pytest.mark.parametrize(
         "alpha, message",
         [
-            ("1.5", "alpha must lie in (0, 1), got 1.5"),
-            ("0", "alpha must lie in (0, 1), got 0.0"),
+            ("1.5", "alpha must lie in (0, 1], got 1.5"),
+            ("0", "alpha must lie in (0, 1], got 0.0"),
             ("nan", "alpha must be a finite real number, got nan"),
         ],
     )
@@ -476,13 +482,22 @@ class TestCriticalCommand:
         assert captured.err == f"error: {message}\n"
 
     def test_alpha_below_one_draw_exits_2(self, capsys):
-        # the box would be the largest draw, printed with "se 0.000000" and "coverage 1.000000"
+        # the box would be the largest draw, printed with "se 0.000000" and "coverage 1.000000"; an alpha
+        # whose 1 - alpha rounds to 1.0 fails the level rule before the rank is taken
         assert main(["critical", "--sizes", "3,3", "--alpha", "1e-17", "--draws", "1000"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
+        assert captured.err == "error: alpha must leave 1 - alpha below 1.0 in floating point, got 1e-17\n"
+
+    @pytest.mark.parametrize("alpha", ["1e-4", "1"])
+    def test_alpha_without_a_box_exits_2(self, capsys, alpha):
+        # at 1e-4 the box would be the largest of 1000 draws, covering every draw; at 1 it would cover none
+        assert main(["critical", "--sizes", "3,3", "--alpha", alpha, "--draws", "1000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
         assert captured.err == (
-            "error: alpha 1e-17 is too small for 1000 draws: the box would be the largest draw, "
-            "covering every draw; use more draws or a larger alpha\n"
+            f"error: alpha {float(alpha)} leaves no box among 1000 draws: the box would cover every draw or none; "
+            "use an alpha below 1, and more draws for a smaller one\n"
         )
 
     def test_gate_output_is_pinned(self, capsys):
@@ -564,6 +579,57 @@ def test_bad_seed_exits_2_naming_the_option(argv, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "argument --seed: expected a nonnegative integer" in err and "Traceback" not in err
+
+
+class TestOversizedWork:
+    """Work beyond ``errors.MAX_VALUES`` values is refused with exit 2, naming it, before anything is drawn."""
+
+    GOOD = {"distribution": "normal", "sizes": [5, 5], "variances": [1.0, 1.0], "replications": 3,
+            "bootstrap_b": 10, "seed": 1}
+
+    @pytest.fixture(autouse=True)
+    def no_draws(self, monkeypatch):
+        def reached(*args, **kwargs):
+            raise AssertionError("the work was drawn")
+
+        monkeypatch.setattr(equivar.simulation, "sample_standardized", reached)
+        monkeypatch.setattr(equivar.dirichlet, "_dirichlet_rows", reached)
+        for name in ("slices", "_resample_rows", "_pooled_draws"):
+            monkeypatch.setattr(equivar.homogeneity, name, reached)
+
+    @pytest.mark.parametrize(
+        "cell, message",
+        [
+            # a data chunk of min(105, replications) * sum(sizes) values; numpy called this "array is too big"
+            ({"sizes": [4611686018427387904, 5]},
+             "sum(sizes) must be an integer of at least 4 and at most 1431655765, got 4611686018427387909"),
+            ({"sizes": [2**40, 5], "replications": 105},
+             "sum(sizes) must be an integer of at least 4 and at most 40904450, got 1099511627781"),
+            # b resamples of sum(sizes) values each: bootstrap Levene would have listed 26843546 slices
+            ({"sizes": [10, 10], "bootstrap_b": 2**40},
+             "bootstrap_b must be an integer of at least 1 and at most 214748364, got 1099511627776"),
+        ],
+        ids=["sizes_2**62", "sizes_2**40", "bootstrap_b_2**40"],
+    )
+    def test_oversized_cell_exits_2_before_the_grid_runs(self, tmp_path, capsys, cell, message):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps([self.GOOD, {**self.GOOD, **cell}]))
+        assert main(["simulate", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: experiment 1: {message}\n")
+
+    def test_oversized_bootstrap_b_exits_2_before_any_draw(self, data_csv, capsys):
+        # two groups of 10 values: at most 2**32 // 20 resamples
+        assert main(["test", data_csv, "--bootstrap-b", str(2**40)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: bootstrap replicate count b must be an integer of at least 1 and at most 214748364, "
+                "got 1099511627776\n"
+        )
+
+    def test_oversized_draws_exit_2(self, capsys):
+        assert main(["critical", "--sizes", "10,10", "--draws", str(2**40)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: draws must be an integer of at least 1000 and at most 2147483648, got 1099511627776\n"
+        )
 
 
 class TestParserReuse:

@@ -135,9 +135,9 @@ class TestDirichletParams:
     @pytest.mark.parametrize(
         "make, message",
         [
-            (lambda: DirichletParams.from_group_sizes([5.7, 5]), "group sizes must be integers"),
-            (lambda: DirichletParams.from_group_sizes([True, 5]), "group sizes must be integers"),
-            (lambda: DirichletParams.from_group_sizes(["5", 5]), "group sizes must be integers"),
+            (lambda: DirichletParams.from_group_sizes([5.7, 5]), r"sizes\[0\] must be an integer of at least 2, got 5.7"),
+            (lambda: DirichletParams.from_group_sizes([True, 5]), r"sizes\[0\] must be an integer of at least 2, got True"),
+            (lambda: DirichletParams.from_group_sizes(["5", 5]), r"sizes\[0\] must be an integer of at least 2, got '5'"),
             (lambda: DirichletParams((1.0, math.nan)), "shape parameters must hold finite real numbers"),
             (lambda: DirichletParams((1.0, math.inf)), "shape parameters must hold finite real numbers"),
             (lambda: DirichletParams((True, 1.0)), "shape parameters must hold finite real numbers"),
@@ -145,9 +145,11 @@ class TestDirichletParams:
             (lambda: DirichletParams("12"), "shape parameters must be a sequence of finite real numbers"),
             (lambda: DirichletParams((1.0,)), "need at least two shape parameters"),
             (lambda: DirichletParams.from_group_sizes([10**400, 5]), r"group size 10{400} is beyond the float range"),
+            (lambda: DirichletParams.from_group_sizes([10]), r"need at least two group sizes, got \[10\]"),
+            (lambda: DirichletParams.from_group_sizes([5, 1]), r"sizes\[1\] must be an integer of at least 2, got 1"),
         ],
         ids=["size 5.7", "size True", "size '5'", "shape nan", "shape inf", "shape True", "scalar", "string",
-             "one shape", "size 10**400"],
+             "one shape", "size 10**400", "one size", "size 1"],
     )
     def test_malformed_input_rejected_at_construction(self, make, message):
         with pytest.raises(ValueError, match=message):
@@ -254,14 +256,25 @@ class TestCalibrateBox:
         with pytest.raises(ValueError, match="draws must be an integer"):
             calibrate_box(DirichletParams((1.0, 2.0)), 0.05, draws, stream(0))
 
-    @pytest.mark.parametrize("alpha, draws", [(1e-17, 1000), (9.99e-4, 1000), (4e-4, 2000)])
+    @pytest.mark.parametrize("alpha, draws", [(1e-17, 1000), (9.99e-4, 1000), (4e-4, 2000), (1e-4, 1000)])
     def test_alpha_whose_box_is_the_largest_draw_refused(self, alpha, draws):
-        # the box would be the last order statistic, with coverage 1 and a standard error of 0, whatever alpha is
+        # the box would be the last order statistic, with coverage 1 and a standard error of 0, whatever alpha is;
+        # an alpha whose 1 - alpha rounds to 1.0, as 1e-17 does, fails the level rule first
         assert box_rank(draws, alpha) == draws - 1
-        with pytest.raises(ValueError, match=f"alpha {alpha} is too small for {draws} draws"):
+        message = (
+            f"alpha must leave 1 - alpha below 1.0 in floating point, got {alpha}" if 1.0 - alpha == 1.0
+            else f"alpha {alpha} leaves no box among {draws} draws: the box would cover every draw or none"
+        )
+        with pytest.raises(ValueError, match=message):
             calibrate_box(DirichletParams((1.0, 2.0)), alpha, draws, stream(0))
         assert box_rank(draws, 1.0 / draws) == draws - 2
         assert calibrate_box(DirichletParams((1.0, 2.0)), 1.0 / draws, draws, stream(0)).coverage == (draws - 1) / draws
+
+    def test_alpha_one_leaves_no_box(self):
+        # box_rank gives -1 at alpha = 1: the box would cover no draw, and row_max[-1] is the largest
+        assert box_rank(2000, 1.0) == -1
+        with pytest.raises(ValueError, match="alpha 1.0 leaves no box among 2000 draws: the box would cover every draw or none"):
+            calibrate_box(DirichletParams((1.0, 2.0)), 1.0, 2000, stream(0))
 
     @pytest.mark.parametrize("alpha", ["0.05", None, True, math.nan])
     def test_alpha_must_be_a_real_number(self, alpha):

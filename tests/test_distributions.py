@@ -70,13 +70,13 @@ def test_reproducible_bitwise():
 
 
 def test_empty_sample_rejected():
-    with pytest.raises(ValueError, match="at least one"):
+    with pytest.raises(ValueError, match="n must be an integer of at least 1, got 0"):
         sample_standardized(Distribution.NORMAL, 0, stream(0, 0))
 
 
 @pytest.mark.parametrize("n", [2.5, 5.0, True, "5"])
 def test_non_integer_size_rejected(n):
-    with pytest.raises(ValueError, match=f"at least one, got n={n!r}"):
+    with pytest.raises(ValueError, match=f"n must be an integer of at least 1, got {n!r}"):
         sample_standardized(Distribution.NORMAL, n, stream(0, 0))
 
 

@@ -484,14 +484,16 @@ class TestBatched:
             (ALL_METHODS, 0.0, 40, r"alpha must lie in \(0, 1\]"),
             (ALL_METHODS, 1.5, 40, r"alpha must lie in \(0, 1\]"),
             (ALL_METHODS, 1e-17, 40, "alpha must leave 1 - alpha below 1.0 in floating point, got 1e-17"),
-            (("bootstrap_levene", "box"), 0.1, 2.5, "b must be an integer, got 2.5"),
-            (("bootstrap_levene", "box"), 0.1, True, "b must be an integer, got True"),
-            (("bootstrap_levene", "box"), 0.1, "5", "b must be an integer, got '5'"),
-            (("bootstrap_levene", "box"), 0.1, 0, "b must be >= 1"),
+            (("bootstrap_levene", "box"), 0.1, 2.5, "b must be an integer of at least 1 and at most 429496729, got 2.5"),
+            (("bootstrap_levene", "box"), 0.1, True, "b must be an integer of at least 1 and at most 429496729, got True"),
+            (("bootstrap_levene", "box"), 0.1, "5", "b must be an integer of at least 1 and at most 429496729, got '5'"),
+            (("bootstrap_levene", "box"), 0.1, 0, "b must be an integer of at least 1 and at most 429496729, got 0"),
+            # b * sum(sizes) = 10 * b values of resamples per dataset, at most MAX_VALUES = 2**32
+            (("bootstrap_levene", "box"), 0.1, 2**32 // 10 + 1, "at most 429496729, got 429496730"),
         ],
         ids=[
             "alpha_true", "alpha_str", "alpha_nan", "alpha_zero", "alpha_above_1", "alpha_level_rounds_to_1",
-            "b_float", "b_true", "b_str", "b_zero",
+            "b_float", "b_true", "b_str", "b_zero", "b_beyond_the_ceiling",
         ],
     )
     def test_bad_arguments_rejected(self, methods, alpha, b, message):

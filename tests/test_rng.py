@@ -52,16 +52,16 @@ def test_derive_seed_deterministic_and_distinct():
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: stream(True), "master_seed must be a nonnegative integer, got True"),
-    (lambda: stream(1, True), r"path\[0\] must be a nonnegative integer, got True"),
-    (lambda: stream(1, 0, 2.0), r"path\[1\] must be a nonnegative integer, got 2.0"),
-    (lambda: stream(1.5), "master_seed must be a nonnegative integer, got 1.5"),
-    (lambda: stream(-1), "master_seed must be a nonnegative integer, got -1"),
-    (lambda: stream(1, -3), r"path\[0\] must be a nonnegative integer, got -3"),
-    (lambda: derive_seed(True, 0), "master_seed must be a nonnegative integer, got True"),
-    (lambda: derive_seed(1.0, 0), "master_seed must be a nonnegative integer, got 1.0"),
-    (lambda: derive_seed(1, -2), "index must be a nonnegative integer, got -2"),
-    (lambda: derive_seed(1, np.bool_(False)), "index must be a nonnegative integer, got "),
+    (lambda: stream(True), "master_seed must be an integer of at least 0, got True"),
+    (lambda: stream(1, True), r"path\[0\] must be an integer of at least 0, got True"),
+    (lambda: stream(1, 0, 2.0), r"path\[1\] must be an integer of at least 0, got 2.0"),
+    (lambda: stream(1.5), "master_seed must be an integer of at least 0, got 1.5"),
+    (lambda: stream(-1), "master_seed must be an integer of at least 0, got -1"),
+    (lambda: stream(1, -3), r"path\[0\] must be an integer of at least 0, got -3"),
+    (lambda: derive_seed(True, 0), "master_seed must be an integer of at least 0, got True"),
+    (lambda: derive_seed(1.0, 0), "master_seed must be an integer of at least 0, got 1.0"),
+    (lambda: derive_seed(1, -2), "index must be an integer of at least 0, got -2"),
+    (lambda: derive_seed(1, np.bool_(False)), "index must be an integer of at least 0, got "),
 ], ids=["seed_true", "path_true", "path_float", "seed_float", "seed_negative", "path_negative",
         "derive_true", "derive_float", "derive_index_negative", "derive_index_numpy_bool"])
 def test_seeds_and_path_words_must_be_nonnegative_integers(call, message):

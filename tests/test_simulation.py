@@ -93,11 +93,11 @@ class TestExperimentConfig:
             ({"replications": "3"}, "replications must be an integer"),
             ({"replications": 3.0}, "replications must be an integer"),
             ({"bootstrap_b": False}, "bootstrap_b must be an integer"),
-            ({"master_seed": -2}, "master_seed must be nonnegative"),
+            ({"master_seed": -2}, "master_seed must be an integer of at least 0, got -2"),
             ({"tests": "levene"}, "tests must be a sequence of test names"),
             ({"variances": (1.0, 1e101)}, "from 1e-100 to 1e100"),
             ({"variances": (1e-101, 1.0)}, "from 1e-100 to 1e100"),
-            ({"replications": 2**32 + 1}, "replications must be at most"),
+            ({"replications": 2**32 + 1}, "replications must be an integer of at least 1 and at most"),
             ({"tests": ("box", "levene", "box")}, "duplicate tests: box"),
         ],
     )
@@ -109,8 +109,8 @@ class TestExperimentConfig:
         "overrides, message",
         [
             ({"sizes": (8,), "variances": (1.0,)}, "need at least two groups"),
-            ({"replications": 0}, "need at least one replication"),
-            ({"bootstrap_b": 0}, "need at least one bootstrap replicate"),
+            ({"replications": 0}, "replications must be an integer of at least 1 and at most 4294967296, got 0"),
+            ({"bootstrap_b": 0}, "bootstrap_b must be an integer of at least 1 and at most 268435456, got 0"),
             ({"tests": ()}, "select at least one test"),
         ],
         ids=["one_group", "no_replications", "no_bootstrap", "no_tests"],
@@ -637,7 +637,7 @@ class TestRunGrid:
         monkeypatch.setattr(equivar.simulation, "ThreadPoolExecutor", _recording_pool(widths))
         cells = [_cfg(master_seed=s, tests=("levene",), replications=5) for s in (1, 2)]
         for grid in (cells, cells[:1]):
-            with pytest.raises(ValueError, match="threads must be an integer >= 1"):
+            with pytest.raises(ValueError, match="threads must be an integer of at least 1"):
                 run_grid(grid, threads=threads)
         assert widths == []
 
