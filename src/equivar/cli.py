@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .descriptive import GroupedSample
 from .dirichlet import DirichletParams, calibrate_box
-from .errors import DegenerateDataError, NumericError
+from .errors import MAX_VALUES, DegenerateDataError, NumericError, count
 from .homogeneity import BootstrapConfig, TestResult, run_all
 from .rng import stream
 from .simulation import CellEstimate, ExperimentConfig, run_grid
@@ -89,7 +89,8 @@ def _print_result_table(results: list[TestResult]) -> None:
 
 def _cmd_test(args) -> int:
     data = _read_grouped_csv(args.data)
-    cfg = BootstrapConfig.from_seed(args.seed, b=args.bootstrap_b, pivot_variant=args.pivot_variant)
+    b = count("--bootstrap-b", args.bootstrap_b, 1, MAX_VALUES // sum(data.sizes))  # refused under its own name
+    cfg = BootstrapConfig.from_seed(args.seed, b=b, pivot_variant=args.pivot_variant)
     results, errors = run_all(data, args.alpha, cfg)
     for name, msg in errors.items():
         print(f"note: {name} not computed: {msg}", file=sys.stderr)

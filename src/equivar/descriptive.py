@@ -172,9 +172,9 @@ def slice_rows(values_per_row: int) -> int:
     return max(1, _RESAMPLE_ELEMENTS // values_per_row)
 
 
-def slices(stop: int, step: int, start: int = 0) -> list[slice]:
-    """The slices of at most ``step`` indices that cover ``range(start, stop)`` in order."""
-    return [slice(lo, min(lo + step, stop)) for lo in range(start, stop, step)]
+def slices(stop: int, step: int) -> list[slice]:
+    """The slices of at most ``step`` indices that cover ``range(stop)`` in order."""
+    return [slice(lo, min(lo + step, stop)) for lo in range(0, stop, step)]
 
 
 _row_sum_checked = False

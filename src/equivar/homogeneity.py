@@ -18,26 +18,25 @@ levels in (0, 1).
 
 Every test is written once, for a batch of datasets with equal group
 sizes (``batched``): a batch is a list whose entry i is the (R, n_i)
-array of group i over the R datasets, the statistics come from row
-kernels over it, and a bootstrap test resamples it in windows of
-``resample_width`` datasets, drawing each dataset's resamples from that
-dataset's own generator.  A window's resamples are reduced group by
-group: a per-group reduction (``group_moments`` for the box test,
-``_levene_group`` for bootstrap Levene) and one combine step
-(``pooled_moments``, ``_levene_combine``), the same two steps that the
-observed statistics take.  Where one dataset's resamples are more than
-the cap (``descriptive.slice_rows``), they are drawn in slices of rows
-and each slice is reduced as it lands, so no drawn array exceeds the
-cap but the smoothed blocks of bootstrap Levene, kept whole until
-their jitter.  Bootstrap Levene without p-values may evaluate a window
-in two rounds (see ``batched``).  One call runs the selected tests on a
-batch and computes each observed
-statistic that several of them use once.  The functions above pass their
-dataset as the batch of one (``GroupedSample.rows``), ``run_all`` passes
-it to all four tests at once, and the Monte Carlo harness draws chunks of
-replications straight into batches.  Rows are evaluated
-independently, in the same arithmetic order whatever the batch, so
-results do not depend on how datasets are batched.
+array of group i over the R datasets, and the statistics come from row
+kernels over it.  A bootstrap test resamples the batch in windows of
+``resample_width`` datasets through one draw, ``_resample``: dataset j
+draws rows with replacement from its own pool (a group's values for the
+box test, the pooled median residuals for bootstrap Levene) and its own
+generator.  Every draw lands through one loop, ``_landed``, in slices of
+at most ``descriptive.slice_rows(n)`` rows, so no drawn array exceeds
+the cap, each slice reduced per group as it lands (``group_moments``,
+``_levene_group``) and combined in one step (``pooled_moments``,
+``_levene_combine``), as the observed statistics are.  Bootstrap Levene
+lands its smoothed blocks whole, for their jitter, and without p-values
+may evaluate a window in two rounds (see ``batched``).  One call runs
+the selected tests on a batch and computes each observed statistic that
+several of them use once.  The functions above pass their dataset as the
+batch of one (``GroupedSample.rows``), ``run_all`` passes it to all four
+tests at once, and the Monte Carlo harness draws chunks of replications
+straight into batches.  Rows are evaluated independently, in the same
+arithmetic order whatever the batch, so results do not depend on how
+datasets are batched.
 """
 
 from __future__ import annotations
@@ -318,14 +317,39 @@ def _jitter_scale(moments) -> np.ndarray:
     return np.sqrt(moments[2])
 
 
-def _pooled_draws(pools: np.ndarray, rows, rngs, out: np.ndarray) -> None:
-    """Fill ``out``, (len(rows), count, n), with bootstrap-Levene resample rows: ``out[j]`` from pool and stream ``rows[j]``.
+def _resample(pools, rngs, count: int) -> np.ndarray:
+    """(R, count, n) resample rows: dataset j draws ``count`` rows from ``pools[j]`` with replacement, by ``rngs[j]``."""
+    out = np.empty((len(rngs), count, pools.shape[1]))
+    for pool, rng, rows in zip(pools, rngs, out):
+        # pool[indices] written straight into the rows; the indices are in range, and mode="clip" spares take the
+        # copy it makes under mode="raise".  The method, not np.take, whose Python wrapper costs about as much
+        # again on one dataset's resamples (3.7 against 7.6 µs on (500, 10))
+        pool.take(rng.integers(0, pool.size, size=rows.shape), out=rows, mode="clip")
+    return out
 
-    Each row draws n residuals with replacement from ``pools[rows[j]]``,
-    from ``rngs[rows[j]]``; the groups take contiguous blocks of the row.
+
+def _landed(reduce, pools, rngs, stop: int, start: int = 0) -> list[np.ndarray]:
+    """The outputs of ``reduce`` over resample rows ``start:stop`` of a batch, each an (R, stop - start, ...) array.
+
+    ``_resample`` draws the rows in slices of at most ``slice_rows(n)``,
+    and ``reduce`` maps each slice, (R, count, n), to (R, count, ...)
+    arrays that land in turn; those of a lone slice are returned as they are.
     """
-    for j, r in enumerate(rows):
-        _resample_rows([pools[r]], rngs[r], [out[j]])
+    parts = slices(stop - start, slice_rows(pools.shape[1]))
+    if len(parts) == 1:
+        return reduce(_resample(pools, rngs, stop - start))
+    landed = None
+    for part in parts:
+        outputs = reduce(_resample(pools, rngs, part.stop - part.start))
+        landed = landed or [np.empty((len(rngs), stop - start) + y.shape[2:]) for y in outputs]
+        for whole, y in zip(landed, outputs):
+            whole[:, part] = y
+    return landed
+
+
+def _per_resample(kernel):
+    """A ``reduce`` for ``_landed``: ``kernel`` over a draw's (R * count, n) rows, each output shaped (R, count)."""
+    return lambda draws: [y.reshape(draws.shape[:2]) for y in kernel(draws.reshape(-1, draws.shape[2]))]
 
 
 def _jitter(blocks, q: np.ndarray, rngs) -> None:
@@ -387,53 +411,46 @@ def _levene_counts(pools, q, sizes, rngs, observed, b: int, curtailment) -> np.n
 
     Dataset j resamples ``pools[j]`` from ``rngs[j]``; ``q`` is the
     jitter scale, None when no group is smoothed, and ``curtailment`` the
-    (c, m, gate) of ``_curtailment``, (b, b, -inf) for full counts.  The
-    resample rows are drawn in slices of at most ``slice_rows(n)`` rows,
-    all b in one slice when they fit.  When a dataset is below the gate,
-    the first m resamples of every dataset are counted in an early round,
-    and the datasets that reach c stop there.  Without smoothed groups
-    each round draws its own rows, and each slice is evaluated as it
-    lands.  With smoothed groups every stream draws all b rows of indices
-    before its jitter: when they fit in one slice, every block is kept
-    until its round; otherwise only the smoothed blocks, under 10 values
-    a row, are kept, and the others are reduced to their ``_levene_group``
-    parts as each slice lands.
+    (c, m, gate) of ``_curtailment``, (b, b, -inf) for full counts.  When
+    a dataset is below the gate, the first m resamples of every dataset
+    are counted in an early round, and the datasets that reach c stop
+    there.  Each group's block lands (``_landed``) as its ``_levene_group``
+    parts, or whole, to be reduced in each round.  Without smoothed groups
+    each round lands its own rows.  With them every stream draws all b
+    rows before its jitter: the smoothed blocks land whole, and every
+    block does when the b rows fit in one slice, so that a dataset settled
+    in the early round reduces none of its later rows.
     """
     c, m, gate = curtailment
     bounds = np.cumsum((0,) + tuple(sizes)).tolist()
-    blocks = list(zip(bounds, bounds[1:]))
-    step = min(b, slice_rows(bounds[-1]))
+    blocks = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    whole = [q is not None and (size < 10 or slice_rows(bounds[-1]) >= b) for size in sizes]
+    levene_parts = _per_resample(_levene_group)
+
+    def reduce(draws):
+        out = []
+        for block, keep in zip(blocks, whole):
+            out += [draws[:, :, block]] if keep else levene_parts(draws[:, :, block])
+        return out
+
+    def land(rows, stop, start=0):
+        # each block as its drawn (R, count, n_i) array if whole, else the list of its three (R, count) parts
+        landed = iter(_landed(reduce, pools[rows], [rngs[r] for r in rows], stop, start))
+        return [next(landed) if keep else [next(landed) for _ in range(3)] for keep in whole]
+
     hits = np.zeros(len(observed), dtype=int)
     rows = np.arange(len(observed))
     if q is not None:
-        draws = np.empty((rows.size, step, bounds[-1]))
-        views = [draws[:, :, lo:hi] for lo, hi in blocks]
-        kept = views if step == b else [np.empty((rows.size, b, size)) if size < 10 else None for size in sizes]
-        landed = [None if whole is not None else np.empty((3, rows.size, b)) for whole in kept]
-        for part in slices(b, step):
-            count = part.stop - part.start
-            _pooled_draws(pools, rows, rngs, draws[:, :count])
-            if step < b:
-                for view, whole, reduced in zip(views, kept, landed):
-                    if whole is not None:
-                        whole[:, part] = view[:, :count]
-                    else:
-                        parts = _levene_group(view[:, :count].reshape(-1, view.shape[2]))
-                        reduced[:, :, part] = np.reshape(parts, (3, rows.size, count))
-        _jitter([whole for whole, size in zip(kept, sizes) if size < 10], q, rngs)
+        landed = land(rows, b)
+        _jitter([x for x, size in zip(landed, sizes) if size < 10], q, rngs)
     for lo, hi in [(0, m), (m, b)] if (observed < gate).any() else [(0, b)]:
         if q is None:
-            for part in slices(hi, step, lo):
-                draws = np.empty((rows.size, part.stop - part.start, bounds[-1]))
-                _pooled_draws(pools, rows, rngs, draws)
-                flat = draws.reshape(-1, bounds[-1])
-                parts = [_levene_group(flat[:, start:stop]) for start, stop in blocks]
-                hits[rows] += _exceedances(sizes, parts, observed[rows])
+            landed, window = land(rows, hi, lo), np.s_[:, :]
         else:
-            live = slice(None) if rows.size == len(observed) else rows
-            parts = [_levene_group(whole[live, lo:hi].reshape(-1, whole.shape[2])) if whole is not None
-                     else reduced[:, live, lo:hi].reshape(3, -1) for whole, reduced in zip(kept, landed)]
-            hits[rows] += _exceedances(sizes, parts, observed[rows])
+            window = np.s_[:, lo:hi] if rows.size == len(observed) else np.s_[rows, lo:hi]
+        parts = [[y[window].reshape(-1) for y in x] if isinstance(x, list)
+                 else _levene_group(x[window].reshape(-1, x.shape[2])) for x in landed]
+        hits[rows] += _exceedances(sizes, parts, observed[rows])
         rows = rows[hits[rows] < c]  # a row with c exceedances accepts, whatever its other resamples give
         if not rows.size:
             break
@@ -475,36 +492,15 @@ def bootstrap_levene(data: GroupedSample, alpha: float, cfg: BootstrapConfig) ->
     return batched((BOOTSTRAP_LEVENE,), data.rows, rngs, alpha, cfg.b)[BOOTSTRAP_LEVENE].result()
 
 
-def _resample_rows(groups, rng: np.random.Generator, outs) -> list[np.ndarray]:
-    """Fill outs[i], shape (count, n_i), with resamples of group i drawn with replacement."""
-    # g[indices] written straight into out; the indices are in range,
-    # and mode="clip" spares take the copy it makes under mode="raise".
-    # The method, not np.take, whose Python wrapper costs about as much
-    # again on one dataset's resamples (3.7 against 7.6 µs on (500, 10))
-    return [g.take(rng.integers(0, g.size, size=out.shape), out=out, mode="clip") for g, out in zip(groups, outs)]
-
-
 def _box_t(groups, rngs, b: int) -> np.ndarray:
     """The t vectors of b resamples of each dataset of a batch, as a (k, R, b) stack of group rows.
 
-    Dataset j resamples ``[g[j] for g in groups]`` from ``rngs[j]``, each
-    group in turn, as ``_resample_rows`` draws them in one call.  A group
-    is drawn in slices of at most ``slice_rows(n_i)`` resample rows, all
-    b of all R datasets in one slice when they fit, and each slice is
-    reduced to its ``group_moments`` as it lands; ``pooled_moments``
-    combines the groups.
+    Dataset j resamples ``g[j]`` of each of ``groups`` in turn from
+    ``rngs[j]``.  Each group's resamples land as their ``group_moments``
+    (``_landed``), and ``pooled_moments`` combines the groups.
     """
     sizes = [g.shape[1] for g in groups]
-    parts = []
-    for g, size in zip(groups, sizes):
-        landed = []
-        for part in slices(b, slice_rows(size)):
-            samples = np.empty((len(rngs), part.stop - part.start, size))
-            for j, rng in enumerate(rngs):
-                _resample_rows([g[j]], rng, [samples[j]])
-            landed.append(group_moments(samples.reshape(-1, size)))
-        # more than one slice only for one dataset, whose rows then join in slice order
-        parts.append(landed[0] if len(landed) == 1 else [np.concatenate(sums) for sums in zip(*landed)])
+    parts = [[y.reshape(-1) for y in _landed(_per_resample(group_moments), g, rngs, b)] for g in groups]
     return log_variance_t(sizes, pooled_moments(sizes, parts)).reshape(-1, len(rngs), b)
 
 
@@ -512,11 +508,11 @@ def _redraw_degenerate(t: np.ndarray, groups, rngs) -> np.ndarray:
     """Replace the non-finite t vectors of bootstrap resamples, in place, by those of fresh resamples.
 
     ``t`` is (k, R, b), group rows: ``t[:, j]`` holds the t vectors of
-    dataset j's b resamples of ``[g[j] for g in groups]``, drawn from
+    dataset j's b resamples of ``g[j]`` of each of ``groups``, drawn from
     ``rngs[j]``.  Each round draws fresh resamples for every resample
-    whose t vector is still non-finite, each dataset from its own
-    generator in order, and evaluates them in one ``log_variance_t``
-    call.  Returns the datasets that still have such a resample after
+    whose t vector is still non-finite, group by group (no two datasets
+    share a generator), and evaluates them in one ``log_variance_t`` call.
+    Returns the datasets that still have such a resample after
     ``_MAX_REDRAWS`` rounds.
     """
     b = t.shape[2]
@@ -525,10 +521,9 @@ def _redraw_degenerate(t: np.ndarray, groups, rngs) -> np.ndarray:
     for _ in range(_MAX_REDRAWS):
         if not bad.size:
             break
-        fresh = [np.empty((bad.size, g.shape[1])) for g in groups]
-        owners, starts, counts = np.unique(bad // b, return_index=True, return_counts=True)
-        for j, lo, count in zip(owners, starts, counts):
-            _resample_rows([g[j] for g in groups], rngs[j], [f[lo:lo + count] for f in fresh])
+        owners, counts = np.unique(bad // b, return_counts=True)
+        fresh = [np.concatenate([_resample(g[j, None], [rngs[j]], n)[0] for j, n in zip(owners, counts)])
+                 for g in groups]
         flat[:, bad] = t_fresh = log_variance_t([g.shape[1] for g in groups], moment_rows(fresh))
         bad = bad[~np.logical_and.reduce(np.isfinite(t_fresh))]
     return np.unique(bad // b)
@@ -606,13 +601,14 @@ def batched(methods, groups, rngs, alpha: float, b: int = 500, pivot_variant: bo
 
     A bootstrap test computes its observed statistics over all R rows,
     then resamples the rows that have one in batches: the rows r with
-    equal ``r // resample_width(sizes, b)``, where ``sizes`` are the n_i.
-    It fetches ``rngs[method][r]`` once, just before that batch's draws,
-    and in increasing r, so each entry of ``rngs`` may be any sequence whose item r is row r's generator
-    when fetched; the rows of one batch may not share a generator object,
-    as the box redraws from all of them after the batch's first draws, and
-    bootstrap Levene with ``p_values=False`` may draw from all of them
-    after its early round.
+    equal ``r // resample_width(sizes, b)``, where ``sizes`` are the n_i,
+    drawn by ``_resample`` and reduced as they land (``_landed``).  It
+    fetches ``rngs[method][r]`` once, just before that batch's draws, and
+    in increasing r, so each entry of ``rngs`` may be any sequence whose
+    item r is row r's generator when fetched; the rows of one batch may
+    not share a generator object, as the box redraws from all of them
+    after the batch's first draws, and bootstrap Levene with
+    ``p_values=False`` may draw from all of them after its early round.
 
     ``p_values=False`` makes bootstrap Levene decide without p-values
     (``Outcomes.p_value`` is None), with the same ``reject`` and
@@ -630,14 +626,15 @@ def batched(methods, groups, rngs, alpha: float, b: int = 500, pivot_variant: bo
     the rest only if it goes on: bounded integers carry no state between
     calls, so the draws are those of one call.  With smoothed groups the
     jitter follows all b rows of indices in the stream, so every row
-    draws in full up front.  The other tests ignore ``p_values``.
+    draws in full up front, and reduces only the rows of its rounds when
+    they fit in one slice.  The other tests ignore ``p_values``.
     """
     alpha = level(alpha)
     for method in methods:
         if method not in ALL_METHODS:
             raise ValueError(f"unknown test {method!r}; choose from {list(ALL_METHODS)}")
     if BOOTSTRAP_LEVENE in methods or BOX in methods:
-        b = count("bootstrap replicate count b", b, 1, MAX_VALUES // sum(g.shape[1] for g in groups))
+        b = count("b", b, 1, MAX_VALUES // sum(g.shape[1] for g in groups))
     obs = _Observed(groups)
     outcomes = {}
     for method in methods:

@@ -12,7 +12,7 @@ from equivar import (
 )
 from equivar.bootstrap import box_rank, first_count
 from equivar.descriptive import log_variance_rows
-from equivar.homogeneity import _jitter, _pooled_draws, _resample_rows
+from equivar.homogeneity import _jitter, _resample
 
 
 def brute_force_search(rows, alpha):
@@ -28,7 +28,7 @@ def brute_force_search(rows, alpha):
 
 def _within(data, rng, count):
     """``count`` within-group resamples of each group of ``data``, one (count, n_i) array per group."""
-    return _resample_rows(data.groups, rng, [np.empty((count, n)) for n in data.sizes])
+    return [_resample(g, [rng], count)[0] for g in data.rows]
 
 
 def _pooled_batch(pools, q, sizes, rngs, b):
@@ -38,14 +38,13 @@ def _pooled_batch(pools, q, sizes, rngs, b):
     10, are jittered.
     """
     bounds = np.cumsum((0,) + tuple(sizes))
-    out = np.empty((len(pools), b, bounds[-1]))
-    _pooled_draws(pools, range(len(pools)), rngs, out)
+    out = _resample(pools, rngs, b)
     _jitter([out[:, :, lo:hi] for lo, hi in zip(bounds, bounds[1:]) if hi - lo < 10], q, rngs)
     return out
 
 
 def _pooled(pool, q, sizes, rng, b):
-    """One dataset's ``b`` bootstrap-Levene resamples, drawn as a batch of one."""
+    """One dataset's ``b`` bootstrap-Levene resamples, drawn as a batch of one from its pool of sum(sizes) values."""
     return _pooled_batch(np.asarray(pool, dtype=float)[None], np.array([q]), sizes, [rng], b)[0]
 
 
@@ -71,36 +70,32 @@ class TestResampleWithinGroups:
 # Groups of 10 or more are resampled without smoothing.
 class TestResamplePooled:
     def test_single_atom_pool(self):
-        out = _pooled([7.5], 1.0, (10, 12), stream(0, 4), 5)
+        out = _pooled(np.full(22, 7.5), 1.0, (10, 12), stream(0, 4), 5)
         np.testing.assert_array_equal(out, 7.5)
 
     def test_block_sizes(self):
         # only the first block, a group of 3, is smoothed; with q = 0 smoothing only shrinks
-        pool = np.arange(1.0, 13.0)
+        pool = np.arange(1.0, 16.0)
         out = _pooled(pool, 0.0, (3, 12), stream(0, 5), 40)
         assert out.shape == (40, 15)
         assert np.isin(out[:, 3:], pool).all()
         assert np.isin(out[:, :3] / SMOOTH_FACTOR, pool).all()
         assert not np.isin(out[:, :3], pool).any()
 
-    def test_empty_pool_rejected(self):
-        with pytest.raises(ValueError):
-            _pooled([], 1.0, (2, 2), stream(0, 6), 3)
-
     def test_marginal_uniformity(self):
-        out = _pooled(np.arange(8.0), 1.0, (10, 12), stream(0, 7), 2_000)
+        out = _pooled(np.tile(np.arange(8.0), 3), 1.0, (12, 12), stream(0, 7), 2_000)
         np.testing.assert_allclose(np.bincount(out.astype(int).ravel()) / out.size, 1.0 / 8.0, atol=0.01)
 
 
 class TestSmooth:
     def test_zero_scale_only_shrinks(self):
-        pool = np.array([1.0, -2.0, 0.5])
+        pool = np.tile([1.0, -2.0, 0.5], 3)
         out = _pooled(pool, 0.0, (4, 5), stream(0, 8), 30)
         drawn = pool[stream(0, 8).integers(0, pool.size, size=out.shape)]
         np.testing.assert_array_equal(out, SMOOTH_FACTOR * drawn)
 
     def test_jitter_range_on_zeros(self):
-        out = _pooled([0.0], 1.0, (5, 5), stream(0, 9), 1_000)
+        out = _pooled(np.zeros(10), 1.0, (5, 5), stream(0, 9), 1_000)
         bound = SMOOTH_FACTOR / 2.0
         assert np.all(out >= -bound) and np.all(out <= bound)
         assert out.std() > bound / 2.0
@@ -109,7 +104,8 @@ class TestSmooth:
         # Smoothing draws from a unit-variance pool with q = 1 keeps variance
         # at (12/13) * (1 + 1/12) = 1.
         rng = stream(0, 10)
-        pool = rng.standard_normal(100_000)
+        pool = rng.standard_normal(10)
+        pool = (pool - pool.mean()) / pool.std()
         out = _pooled(pool, 1.0, (5, 5), rng, 100_000)
         assert out.var() == pytest.approx((12.0 / 13.0) * (pool.var() + 1.0 / 12.0), rel=5e-3)
         assert out.var() == pytest.approx(1.0, abs=0.01)

@@ -144,7 +144,7 @@ def test_any_option_values_exit_0_2_or_3_naming_the_option(workdir, data):
         # --bootstrap-b is always given, as its default of 500 is past the bound on the work
         argv = ["test", str(workdir / "data.csv"), "--bootstrap-b", data.draw(_counts(st.integers(1, 20)))]
         argv += _options(data.draw, {"--alpha": ALPHAS, "--seed": SEEDS})
-        names = ["alpha", "bootstrap", "seed", str(workdir / "data.csv")]
+        names = ["alpha", "--bootstrap-b", "seed", str(workdir / "data.csv")]
     elif command == "simulate":
         argv = ["simulate", str(workdir / "cell.json")] + _options(data.draw, {"--threads": _counts(st.integers(1, 3))})
         names = ["threads", str(workdir / "cell.json")]

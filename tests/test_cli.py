@@ -373,6 +373,19 @@ class TestSimulateCommand:
         assert main(["simulate", str(grid), "--out", str(out), "--threads", threads]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_smoothed_cell_past_the_cap_is_pinned(self, tmp_path, threads):
+        # a group of 6 with one of 400: b = 1000 resamples of 406 values are drawn in slices of 403 rows,
+        # the smoothed blocks landing whole and the unsmoothed ones as their Levene parts; each test rejects 3 of 12
+        cell = {"distribution": "normal", "sizes": [6, 400], "variances": [4.0, 1.0], "replications": 12,
+                "bootstrap_b": 1000, "seed": 15, "tests": ["box", "bootstrap_levene"]}
+        grid, out = tmp_path / "cell.json", tmp_path / "cell.csv"
+        grid.write_text(json.dumps(cell))
+        assert main(["simulate", str(grid), "--out", str(out), "--threads", threads]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "e58e1c842b37ac292b1c24dc4f71897ab0e9158ace73b5fec6d008b65a470e73"
+        )
+
     @pytest.mark.parametrize(
         "grid, message",
         [
@@ -565,6 +578,13 @@ def test_numeric_failure_exits_3(data_csv, monkeypatch, capsys):
     assert captured.err == "numeric failure: a bootstrap replicate stayed degenerate after 100 redraws\n"
 
 
+def test_bootstrap_b_below_one_exits_2_naming_the_option(data_csv, capsys):
+    assert main(["test", data_csv, "--bootstrap-b", "0"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: --bootstrap-b must be an integer of at least 1 and at most 214748364, got 0\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -594,7 +614,7 @@ class TestOversizedWork:
 
         monkeypatch.setattr(equivar.simulation, "sample_standardized", reached)
         monkeypatch.setattr(equivar.dirichlet, "_dirichlet_rows", reached)
-        for name in ("slices", "_resample_rows", "_pooled_draws"):
+        for name in ("slices", "_resample"):
             monkeypatch.setattr(equivar.homogeneity, name, reached)
 
     @pytest.mark.parametrize(
@@ -621,8 +641,7 @@ class TestOversizedWork:
         # two groups of 10 values: at most 2**32 // 20 resamples
         assert main(["test", data_csv, "--bootstrap-b", str(2**40)]) == 2
         assert capsys.readouterr() == (
-            "", "error: bootstrap replicate count b must be an integer of at least 1 and at most 214748364, "
-                "got 1099511627776\n"
+            "", "error: --bootstrap-b must be an integer of at least 1 and at most 214748364, got 1099511627776\n"
         )
 
     def test_oversized_draws_exit_2(self, capsys):

@@ -23,7 +23,9 @@ from equivar import (
     stream,
 )
 from equivar.descriptive import log_variance_rows, moment_rows
-from equivar.homogeneity import BOOTSTRAP_LEVENE, BOX, LEVENE, SHOEMAKER, _jitter_scale, _row_medians, batched
+from equivar.homogeneity import (
+    BOOTSTRAP_LEVENE, BOX, LEVENE, SHOEMAKER, _curtailment, _jitter_scale, _levene_stat_rows, _row_medians, batched,
+)
 from equivar.special import chi2_quantile, f_quantile
 
 FIXED_A = [0.1, -0.3, 0.5, 1.2, -0.9]
@@ -174,6 +176,43 @@ class TestBootstrapLevene:
         res = bootstrap_levene(_random_data(325, spread=(1.0, 2.0, 1.0)), 0.05,
                                BootstrapConfig.from_seed(5, b=80))
         assert res.reject == (res.p_value < res.alpha)
+
+
+class TestEarlyRoundWithSmoothing:
+    """Decision-only bootstrap Levene on a smoothed batch whose b resamples fit in one slice.
+
+    Every stream draws all b rows before its jitter, and every block, the
+    unsmoothed ones too, lands whole and is reduced round by round: a row
+    settled in the early round reduces only its first m resamples.
+    """
+
+    def test_a_settled_row_reduces_fewer_than_b_unsmoothed_rows(self, monkeypatch):
+        sizes, b, alpha, seeds = (5, 12), 500, 0.05, (400, 402, 414)
+        draws = []
+        for seed in seeds:
+            rng = stream(seed)
+            draws.append([rng.normal(size=n) for n in sizes])
+        groups = [np.stack(column) for column in zip(*draws)]
+        c, m, gate = _curtailment(alpha, b, sizes)
+        assert (c, m) == (25, 100) and equivar.descriptive.slice_rows(sum(sizes)) >= b
+        assert (_levene_stat_rows(groups)[0] < gate).tolist() == [True, False, True]
+        reduced = []
+        real = equivar.homogeneity._levene_group
+
+        def counting(block):
+            if block.shape[1] == sizes[1]:
+                reduced.append(block.shape[0])
+            return real(block)
+
+        def run(p_values):
+            rngs = {BOOTSTRAP_LEVENE: [stream(seed, 1) for seed in seeds]}
+            return batched((BOOTSTRAP_LEVENE,), groups, rngs, alpha, b, p_values=p_values)[BOOTSTRAP_LEVENE]
+
+        monkeypatch.setattr(equivar.homogeneity, "_levene_group", counting)
+        decided = run(False)
+        # the observed statistics, the early round of all three rows, then the two rows that go on
+        assert reduced == [3, 3 * m, 2 * (b - m)]
+        assert np.array_equal(decided.reject, run(True).reject)
 
 
 class _ConstantIndexRng(np.random.Generator):

@@ -7,8 +7,10 @@ resample batches of every width from 1 to R occur.  The row kernels give
 their plain numpy formulas bit for bit on stacks of both sides of the
 shape rule.  A Monte Carlo cell gives what its replications give one at
 a time, with the cap patched so that resample batches and slices of
-every width occur, and a re-keyed generator draws what ``stream`` of its
-path draws.
+every width occur; a grid of such cells on 2 or 3 workers gives what
+its cells give one by one, and a cell's ranges cover its replications in
+order at whole resample batches.  A re-keyed generator draws what
+``stream`` of its path draws.
 """
 
 from unittest import mock
@@ -19,9 +21,10 @@ from hypothesis import strategies as st
 
 import equivar.descriptive
 import equivar.homogeneity
-from equivar import ALL_METHODS, Distribution, ExperimentConfig, GroupedSample, run_cell, stream
+import equivar.simulation
+from equivar import ALL_METHODS, Distribution, ExperimentConfig, GroupedSample, run_cell, run_grid, stream
 from equivar.descriptive import _COLUMNS_FROM_ROWS, log_variance_rows, moment_rows, row_sum, running_sum
-from equivar.homogeneity import BOOTSTRAP_LEVENE, BOX, _levene_stat_rows, _row_medians, batched
+from equivar.homogeneity import BOOTSTRAP_LEVENE, BOX, _levene_stat_rows, _row_medians, batched, resample_width
 from equivar.rng import KeyedGenerator, mt19937_keys, rekey
 from test_descriptive import _reference_contrasts, _reference_levene, _reference_moments, _same_bits
 from test_simulation import _reference_cell
@@ -188,6 +191,43 @@ def test_a_cell_is_its_replications_at_any_cap(cell):
     np.testing.assert_equal(est.rates, ref.rates)
     np.testing.assert_equal(est.standard_errors, ref.standard_errors)
     assert est.error_counts == ref.error_counts
+
+
+def _assert_same_estimates(ours, theirs) -> None:
+    assert [e.config for e in ours] == [e.config for e in theirs]
+    for a, b in zip(ours, theirs):
+        np.testing.assert_equal(a.rates, b.rates)  # NaN rates compare equal
+        np.testing.assert_equal(a.standard_errors, b.standard_errors)
+        assert a.error_counts == b.error_counts
+
+
+@settings(derandomize=True, max_examples=10, deadline=None, database=None)
+@given(st.lists(cells().map(lambda cell: cell[0]), min_size=1, max_size=3), st.integers(1, 4000))
+def test_a_grid_is_its_cells_on_2_and_3_workers(grid, cap):
+    # the cap makes resample batches narrow, so that a cell splits into ranges of them
+    expected = [run_cell(cfg) for cfg in grid]
+    with mock.patch.object(equivar.simulation.os, "cpu_count", lambda: 3), \
+            mock.patch.object(equivar.descriptive, "_RESAMPLE_ELEMENTS", cap):
+        for threads in (2, 3):
+            _assert_same_estimates(run_grid(grid, threads=threads), expected)
+
+
+@PROPERTY
+@given(
+    st.lists(st.integers(2, 400), min_size=2, max_size=17),
+    st.integers(1, 5000),
+    st.one_of(st.integers(1, 1000), st.integers(1, 2**32)),
+    st.integers(1, 70),
+)
+def test_ranges_cover_the_replications_in_order_at_whole_batches(sizes, b, replications, parts):
+    cfg = ExperimentConfig(distribution="normal", sizes=sizes, variances=[1.0] * len(sizes),
+                           replications=replications, bootstrap_b=b)
+    width = resample_width(cfg.sizes, b)
+    ranges = equivar.simulation._ranges(cfg, parts)
+    assert len(ranges) == min(parts, -(-replications // width))
+    assert ranges[0].start == 0 and ranges[-1].stop == replications
+    assert all(r.step == 1 and r.start < r.stop and r.start % width == 0 for r in ranges)
+    assert all(a.stop == b.start for a, b in zip(ranges, ranges[1:]))
 
 
 _KEYED = KeyedGenerator(np.random.Generator(np.random.MT19937(0)))
