@@ -64,19 +64,14 @@ def _read_grouped_csv(path: str) -> GroupedSample:
         raise DegenerateDataError(f"{path}: {exc}") from None
 
 
-def _fmt_stat(stat) -> str:
-    if hasattr(stat, "__len__"):
-        return ";".join(f"{float(v):.6g}" for v in stat)
-    return f"{float(stat):.6g}"
-
-
 def _print_result_table(results: list[TestResult]) -> None:
     rows = [("method", "statistic", "critical", "p-value", "reject")]
     for r in results:
+        stat = r.statistic
         rows.append(
             (
                 r.method,
-                _fmt_stat(r.statistic),
+                ";".join(f"{float(v):.6g}" for v in stat) if hasattr(stat, "__len__") else f"{float(stat):.6g}",
                 "-" if r.critical_value is None else f"{r.critical_value:.6g}",
                 "-" if r.p_value is None else f"{r.p_value:.6g}",
                 "yes" if r.reject else "no",

@@ -5,17 +5,18 @@ take a stack of datasets with equal group sizes: a list whose entry i is
 the (R, n_i) array of group i over R datasets, one dataset per row
 (``GroupedSample.rows`` is the stack of one).  ``moment_rows`` gives the
 sample variances and the pooled fourth and second central moments of
-each row, and ``log_variance_rows`` the per-group var(ln s_i^2)
-estimates and the standardized log-variance contrasts built from them,
-which feed the kurtosis-adjusted log-variance test and the box-type
-bootstrap test (``log_variance_t`` gives the contrasts' t ratios alone,
-for bootstrap resamples).  ``moment_rows`` is one reduction per group
-(``group_moments``) and one combine step (``pooled_moments``), so a
-caller can reduce each group as it is drawn, in slices of rows, and
-combine the (R,) summaries after.  Every per-group statistic is held as
-group rows, a C-ordered (groups, R) array with one contiguous row per
-group, and a sum across the groups is ``row_sum`` over the list of those
-rows, in numpy's order for a C-ordered (R, groups) array.  The per-value
+each row, and ``log_variance_rows``, from those moments, the per-group
+var(ln s_i^2) estimates and the standardized log-variance contrasts
+built from them, which feed the kurtosis-adjusted log-variance test and
+the box-type bootstrap test (``log_variance_t`` gives the contrasts' t
+ratios alone, for bootstrap resamples).  ``moment_rows`` is one
+reduction per group (``group_moments``) and one combine step
+(``pooled_moments``), so a caller can reduce each group as it is drawn,
+in slices of rows, and combine the (R,) summaries after.  Every
+per-group statistic is held as group rows, a C-ordered (groups, R)
+array with one contiguous row per group, and a sum across the groups is
+``row_sum`` over the list of those rows, in numpy's order for a
+C-ordered (R, groups) array.  The per-value
 kernels, the group moments here and the Levene deviations, run a stack
 of many short rows (``by_columns``) one whole column at a time, in
 numpy's own order of operations, so the bits do not depend on the
@@ -352,14 +353,14 @@ def _contrast_rows(sizes, use_harmonic: bool, moments):
 def log_variance_t(sizes, moments) -> np.ndarray:
     """The contrasts' t ratios, as group rows, from ``moments``, the ``moment_rows`` of groups of ``sizes``.
 
-    They are ``log_variance_rows(groups)[0].t`` without the error mapping:
+    They are ``log_variance_rows(sizes, moments)[0].t`` without the error mapping:
     an undefined row has a non-finite entry.
     """
     return _contrast_rows(sizes, False, moments)[-1].t
 
 
-def log_variance_rows(groups, use_harmonic: bool = False, moments=None):
-    """Log-variance contrasts of datasets stacked row-wise, as in ``moment_rows``.
+def log_variance_rows(sizes, moments, use_harmonic: bool = False):
+    """Log-variance contrasts of datasets stacked row-wise, from ``moments``, the ``moment_rows`` of groups of ``sizes``.
 
     var(ln s_i^2) is estimated as [mu4/sigma2^2 - (m-3)/m] / (m-1), where
     m is the harmonic mean group size when ``use_harmonic`` is set (the
@@ -368,11 +369,9 @@ def log_variance_rows(groups, use_harmonic: bool = False, moments=None):
     Returns (contrasts, var_log_s2, errors): ``contrasts`` and the
     estimates ``var_log_s2`` hold group rows, (groups, R) arrays; ``errors``
     maps each row on which the contrasts are undefined to the exception a
-    one-dataset call raises.  ``moments`` is ``moment_rows(groups)``,
-    when the caller has it already.
+    one-dataset call raises.
     """
-    moments = moment_rows(groups) if moments is None else moments
-    kurt, m, var_log_s2, contrasts = _contrast_rows([g.shape[1] for g in groups], use_harmonic, moments)
+    kurt, m, var_log_s2, contrasts = _contrast_rows(sizes, use_harmonic, moments)
     s2 = moments[0]
     # the first zero-variance group of each undefined row, without a per-row loop
     zero = s2 <= 0.0
@@ -400,7 +399,7 @@ def log_variance_contrasts(data: GroupedSample) -> LogVarianceContrasts:
     Standard errors combine the per-group var(ln s_i^2) estimates with the
     weights induced by the centering.
     """
-    rows, _, errors = log_variance_rows(data.rows)
+    rows, _, errors = log_variance_rows(data.sizes, moment_rows(data.rows))
     if errors:
         raise errors[0]
     return LogVarianceContrasts(rows.contrast[:, 0], rows.se[:, 0], rows.t[:, 0])

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import count
+from .errors import MAX_VALUES, count
 
 __all__ = ["Distribution", "sample_standardized"]
 
@@ -52,9 +52,9 @@ def sample_standardized(kind: Distribution, n: int, rng: np.random.Generator) ->
 
     Student's t5 is sampled as normal / sqrt(chi2_5 / 5) and the extreme
     value (Gumbel) distribution by the inverse CDF -ln(-ln U); both are
-    exact constructions.
+    exact constructions.  ``n`` is an integer from 1 to ``MAX_VALUES``.
     """
-    n = count("n", n, 1)
+    n = count("n", n, 1, MAX_VALUES)
     kind = Distribution(kind)
     if kind is Distribution.UNIFORM:
         return (rng.random(n) - 0.5) * _UNIFORM_SCALE

@@ -34,9 +34,9 @@ def is_real(value) -> bool:
 
 
 # The ceiling on the values one piece of work may span, refused before anything is drawn: one dataset's
-# b resamples (b * sum(sizes)), a simulation chunk of data (min(105, replications) * sum(sizes)) and a
-# calibration's draws (draws * groups).  2**32 float64 values are 32 GiB, 200 times the most of any cell
-# of the tests, demos, bench or acceptance suite.
+# b resamples (b * sum(sizes)), a simulation chunk of data (min(105, replications) * sum(sizes)), one
+# sample of a distribution (n) and a calibration's draws (draws * groups).  2**32 float64 values are
+# 32 GiB, 200 times the most of any cell of the tests, demos, bench or acceptance suite.
 MAX_VALUES = 2**32
 
 

@@ -51,22 +51,17 @@ def stream(master_seed: int, *path: int) -> np.random.Generator:
     ``SeedSequence`` hash mixer rather than by jump-ahead.  The seed and
     every path word must be nonnegative integers; booleans are not.
     """
-    _check_words(master_seed=master_seed, **{f"path[{i}]": word for i, word in enumerate(path)})
+    count("master_seed", master_seed, 0)
+    for i, word in enumerate(path):
+        count(f"path[{i}]", word, 0)
     seq = np.random.SeedSequence(master_seed, spawn_key=tuple(path))
     return np.random.Generator(np.random.MT19937(seq))
 
 
 def derive_seed(master_seed: int, index: int) -> int:
     """Derive a child seed deterministically, e.g. one per simulation cell; both arguments are nonnegative integers."""
-    _check_words(master_seed=master_seed, index=index)
-    seq = np.random.SeedSequence(master_seed, spawn_key=(index,))
+    seq = np.random.SeedSequence(count("master_seed", master_seed, 0), spawn_key=(count("index", index, 0),))
     return int(seq.generate_state(1, np.uint64)[0])
-
-
-def _check_words(**words) -> None:
-    """Raise a ValueError naming the first of ``words`` that is not an integer of at least 0 (``errors.count``)."""
-    for name, value in words.items():
-        count(name, value, 0)
 
 
 # generate_state's word i is ((pool[i % pool size] ^ c_i) * c_{i+1}) ^ its top half, c_i = INIT_B * MULT_B**i

@@ -247,21 +247,19 @@ def run_grid(cells, threads: int = 1) -> list[CellEstimate]:
     if not cells:
         raise ValueError("empty grid")
     threads = min(threads, os.cpu_count() or 1)
-    if threads == 1:
-        return [run_cell(c) for c in cells]
     splits = [_ranges(c, -(-threads // len(cells))) for c in cells]
     tasks = [(c, reps) for c, ranges in zip(cells, splits) for reps in ranges]
-    if len(tasks) == 1:
-        return [run_cell(cells[0])]
-    # Measured on a 2-core Xeon.  A lone laplace 4x40 cell ran about 1.5x faster on 2 processes
-    # than on 2 threads, but each worker process peaked at 47 MB of its own, so a lone cell stays
-    # on threads, in this process.  At two replications per resample batch, its 100 replications
-    # take 0.19 s on 2 threads (0.20-0.22 s at one) against 0.17-0.18 s on 2 processes.  The
-    # 36-cell null grid, at 100 replications, took 2.2-2.3 s on threads, its per-replication
-    # Python loops waiting on the GIL, 2.3-2.4 s serially and 1.2-1.9 s on 2 processes, so a grid
-    # goes to processes.
+    workers = min(threads, len(tasks))
+    if workers == 1:
+        return [run_cell(c) for c in cells]
+    # Measured on a 2-core Xeon, as medians of 5 runs, from three runs of one script.  A lone laplace
+    # 4x40 cell of 100 replications took 0.26-0.29 s serially, 0.17-0.19 s on 2 threads and 0.15-0.17 s
+    # on 2 processes, but each worker process peaked at 50-54 MB (ru_maxrss), so a lone cell stays on
+    # threads, in this process.  The 36-cell null grid of 100 replications took 1.20-1.25 s serially,
+    # 1.38-1.44 s on 2 threads, its per-replication Python loops waiting on the GIL, and 0.75-0.82 s on
+    # 2 processes, so a grid goes to processes.
     executor = ThreadPoolExecutor if len(cells) == 1 else ProcessPoolExecutor
-    with executor(max_workers=min(threads, len(tasks))) as pool:
+    with executor(max_workers=workers) as pool:
         # consumed in task order, so a failing draw raises for the lowest replication of the first failing cell
         tallies = pool.map(_tally, *zip(*tasks))
         return [_estimate(c, [next(tallies) for _ in ranges]) for c, ranges in zip(cells, splits)]

@@ -11,7 +11,7 @@ from equivar import (
     stream,
 )
 from equivar.bootstrap import box_rank, first_count
-from equivar.descriptive import log_variance_rows
+from equivar.descriptive import log_variance_rows, moment_rows
 from equivar.homogeneity import _jitter, _resample
 
 
@@ -144,7 +144,7 @@ class TestBatchJitter:
 def _box_rows(data, seed, b):
     """The bootstrap t rows box_test draws from BootstrapConfig.from_seed(seed, b)."""
     samples = _within(data, BootstrapConfig.from_seed(seed, b).rng, b)
-    rows, _, errors = log_variance_rows(samples)
+    rows, _, errors = log_variance_rows(data.sizes, moment_rows(samples))
     assert errors == {}  # no resample is degenerate, so box_test redraws none
     return np.ascontiguousarray(rows.t.T)  # (b, k), C-ordered as the reference means take it
 

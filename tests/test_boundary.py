@@ -8,13 +8,17 @@ b at most 20 and 60 values) mutated by type swaps, booleans, strings,
 NaN and infinities, nesting, huge integers, and missing or unknown keys,
 and option values for ``test``, ``simulate`` and ``critical``.  Huge
 integers start at 2**40, so a size, a b or a draw count either stays in
-the small range or is refused: nothing large is drawn.
+the small range or is refused: nothing large is drawn.  The data CSVs
+of ``test`` are a small valid file mutated in its header, quoting, byte
+order mark, bytes, blank lines, values and groups; a fault in one of
+its rows is named by ``path:line``.
 """
 
 import contextlib
 import io
 import json
 import math
+import re
 import warnings
 
 import pytest
@@ -157,3 +161,49 @@ def test_any_option_values_exit_0_2_or_3_naming_the_option(workdir, data):
     code, err = _run(argv)
     if code == 2:
         assert any(name in err for name in names), (argv, err)
+
+
+HEADERS = ["group,value", " group , value ", '"group","value"', "Group,Value", "value,group", "group;value",
+           "group,value,extra", "group", ""]
+VALUES = ["1e308", "-1e308", "1e309", "5e-324", "-5e-324", "0", "nan", "x", "", " 1.5 ", '"0,5"']
+LINES = ['"a","0.25"', '"a', '"a\nb",1', "a,1,2", "", "   ", ","]
+BYTES = [b"\xff", b"\xc3\x28", b"\xed\xa0\x80", b"\x00"]
+# the messages of a fault in one row, each of which names its line
+ROW_FAULTS = ("is not a number", "is not finite", "expected 2 fields", "line contains NUL", "unexpected end of data")
+
+
+@st.composite
+def csv_texts(draw) -> bytes:
+    """``DATA_CSV`` with up to three row mutations, a BOM, a foreign byte and CRLF line ends, each drawn."""
+    rows = [line.split(",") for line in DATA_CSV.splitlines()[1:]]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(rows) - 1))
+        action = draw(st.sampled_from(["value", "line", "single", "lone"]))
+        if action == "value" and len(rows[i]) == 2:
+            rows[i][1] = draw(st.sampled_from(VALUES))
+        elif action == "line":  # quoting, a quoted line break, a third field, blank lines
+            rows.insert(i, [draw(st.sampled_from(LINES))])
+        elif action == "single":  # a group of one value
+            rows.append(["c", "0.5"])
+        else:  # a lone group
+            rows = [["a", row[-1]] for row in rows]
+    header = draw(st.one_of(st.just(HEADERS[0]), st.sampled_from(HEADERS)))
+    text = "\n".join([header] + [",".join(row) for row in rows]) + "\n"
+    data = text.replace("\n", "\r\n" if draw(st.booleans()) else "\n").encode("utf-8")
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from(BYTES)) + data[at:]
+    return (b"\xef\xbb\xbf" if draw(st.booleans()) else b"") + data
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(data=csv_texts())
+def test_any_csv_text_exits_0_2_or_3_naming_the_file_and_line(workdir, data):
+    path = workdir / "mutated.csv"
+    path.write_bytes(data)
+    code, err = _run(["test", str(path), "--bootstrap-b", "20"])
+    if code == 2:
+        assert str(path) in err, (data, err)
+        if any(fault in err for fault in ROW_FAULTS):
+            line = re.search(re.escape(str(path)) + r":(\d+): ", err)
+            assert line and 1 <= int(line.group(1)) <= data.count(b"\n") + 1, (data, err)

@@ -28,6 +28,43 @@ def data_csv(tmp_path):
     return str(path)
 
 
+# One-cell grids whose CSV must not depend on the thread count: each cell, the thread counts it runs at,
+# and the sha256 of its CSV.
+ONE_CELL_PINS = {
+    # a one-cell grid runs ranges of its resample batches on threads (here two replications per batch, in
+    # one chunk of 20)
+    "cell": ({"distribution": "laplace", "sizes": [40, 40, 40, 40], "variances": [1.0, 2.0, 3.0, 4.0],
+              "replications": 20, "seed": 7},
+             ("1", "2"), "0a5e8b9c4f94f8e2f7c116ac7cb76f636fa75f426e8b126eb1f406afc537379c"),
+    # groups of fewer than 8 sum rows by whole columns at every stack size; resample batches are 218 wide,
+    # so serially each chunk, of 105, 105 and 15 replications, is one batch (5250 box rows, by columns; the
+    # last 750, by rows); on 2 threads the ranges 0-217 and 218-224 end in chunks of 8 and 7
+    "short": ({"distribution": "uniform", "sizes": [3, 5, 7], "variances": [1.0, 1.0, 1.0], "replications": 225,
+               "bootstrap_b": 50, "seed": 8},
+              ("1", "2"), "a6d587f99b3949322d0e04e9c5c2e56fa14d976f152d8d93adf9c03b872a1a7a"),
+    # groups of 8 and 15, one chunk of 75 replications in resample batches of 71 and 4: box stacks of 7100
+    # rows take the kernels by columns, and the last batch's 400 rows by rows
+    "columns": ({"distribution": "laplace", "sizes": [8, 15], "variances": [1.0, 1.0], "replications": 75,
+                 "bootstrap_b": 100, "seed": 11},
+                ("1", "2"), "fd307194cf35e6b46bfeca9c7a11a4a186632c7c7dd7bf6c48fa07cdbb46d7ea"),
+    # bootstrap Levene only, null and unsmoothed: a replication stops resampling once its decision is
+    # settled, and one that goes on draws its remaining indices in a second call; batches of 9
+    "decide": ({"distribution": "normal", "sizes": [12, 12, 12], "variances": [1.0, 1.0, 1.0], "replications": 120,
+                "seed": 10, "tests": ["bootstrap_levene"]},
+               ("1", "2"), "eda6fcf6264d07f8b516ac9acd05b0e8b4c7e920becdabbc1cae772b4187464a"),
+    # box only, with redraw rounds: serially, chunks of 105 and 95 replications resampled in batches of 81
+    "redraw": ({"distribution": "normal", "sizes": [2, 2], "variances": [1.0, 1.0], "replications": 200,
+                "bootstrap_b": 500, "seed": 9, "tests": ["box"]},
+               ("1", "2", "3"), "6cbfb841b7c98c0a8c29c994e863f1978f60b9f54bf085c17cce65f46971487b"),
+    # resamples beyond the cap: a replication's 2000 resamples of 400 values are drawn in slices of rows,
+    # each box group in slices of 819 and bootstrap Levene's pooled rows in slices of 409, reduced as they
+    # land; a variance ratio of 1.5 makes both tests reject some replications and accept others
+    "slices": ({"distribution": "normal", "sizes": [200, 200], "variances": [1.0, 1.5], "replications": 4,
+                "bootstrap_b": 2000, "seed": 14, "tests": ["box", "bootstrap_levene"]},
+               ("1", "2"), "8aa0a7560fc2dc20362c3c952abf3b54b20005594d195d64871ac134e252f6c3"),
+}
+
+
 class TestTestCommand:
     def test_table_output(self, data_csv, capsys):
         assert main(["test", data_csv, "--seed", "3", "--bootstrap-b", "60"]) == 0
@@ -385,6 +422,20 @@ class TestSimulateCommand:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "e58e1c842b37ac292b1c24dc4f71897ab0e9158ace73b5fec6d008b65a470e73"
         )
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "name, threads", [(name, t) for name, (_, counts, _) in ONE_CELL_PINS.items() for t in counts],
+        ids=str,
+    )
+    def test_one_cell_output_is_pinned_at_each_thread_count(self, tmp_path, monkeypatch, name, threads):
+        # a CPU per worker, as on a 4-CPU machine, so that 3 threads run 3 ranges
+        monkeypatch.setattr(equivar.simulation.os, "cpu_count", lambda: 4)
+        cell, _, expected = ONE_CELL_PINS[name]
+        grid, out = tmp_path / "cell.json", tmp_path / "cell.csv"
+        grid.write_text(json.dumps(cell))
+        assert main(["simulate", str(grid), "--out", str(out), "--threads", threads]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
 
     @pytest.mark.parametrize(
         "grid, message",

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from equivar import Distribution, sample_standardized, stream
+from equivar.errors import MAX_VALUES
 
 N = 1_000_000
 
@@ -69,15 +70,31 @@ def test_reproducible_bitwise():
         np.testing.assert_array_equal(a, b)
 
 
+_COUNT_RULE = f"n must be an integer of at least 1 and at most {MAX_VALUES}, got "
+
+
 def test_empty_sample_rejected():
-    with pytest.raises(ValueError, match="n must be an integer of at least 1, got 0"):
+    with pytest.raises(ValueError, match=_COUNT_RULE + "0"):
         sample_standardized(Distribution.NORMAL, 0, stream(0, 0))
 
 
 @pytest.mark.parametrize("n", [2.5, 5.0, True, "5"])
 def test_non_integer_size_rejected(n):
-    with pytest.raises(ValueError, match=f"n must be an integer of at least 1, got {n!r}"):
+    with pytest.raises(ValueError, match=_COUNT_RULE + repr(n)):
         sample_standardized(Distribution.NORMAL, n, stream(0, 0))
+
+
+class _NoDraws:
+    """A generator stand-in that fails the test if anything is drawn from it."""
+
+    def __getattr__(self, name):
+        pytest.fail(f"drew from the generator ({name}) for a refused n")
+
+
+@pytest.mark.parametrize("kind", list(Distribution))
+def test_size_past_the_ceiling_refused_before_any_draw(kind):
+    with pytest.raises(ValueError, match=_COUNT_RULE + str(2**32 + 1)):
+        sample_standardized(kind, 2**32 + 1, _NoDraws())
 
 
 def test_string_kind_accepted():

@@ -24,7 +24,7 @@ from equivar import (
 )
 from equivar.descriptive import log_variance_rows, moment_rows
 from equivar.homogeneity import (
-    BOOTSTRAP_LEVENE, BOX, LEVENE, SHOEMAKER, _curtailment, _jitter_scale, _levene_stat_rows, _row_medians, batched,
+    BOOTSTRAP_LEVENE, BOX, LEVENE, SHOEMAKER, _curtailment, _levene_stat_rows, _row_medians, batched,
 )
 from equivar.special import chi2_quantile, f_quantile
 
@@ -134,7 +134,8 @@ class TestShoemaker:
 
 class TestBootstrapLevene:
     def test_jitter_scale_worked_example(self):
-        assert _jitter_scale(moment_rows(GroupedSample([[0.0, 2.0], [1.0, 3.0]]).rows))[0] == pytest.approx(1.0)
+        # q, the jitter scale, is the pooled standard deviation about the group means: sqrt(sigma2)
+        assert np.sqrt(moment_rows(GroupedSample([[0.0, 2.0], [1.0, 3.0]]).rows)[2])[0] == pytest.approx(1.0)
 
     def test_p_value_on_lattice(self):
         cfg = BootstrapConfig.from_seed(7, b=40)
@@ -230,7 +231,8 @@ class TestBoxTest:
         data = _random_data(330, sizes=(6, 9, 7))
         rngs = [stream(331, i) for i in range(5)]
         boots = [GroupedSample([rng.choice(g, g.size) for g in data.groups]) for rng in rngs]
-        rows, _, errors = log_variance_rows([np.stack(column) for column in zip(*(b.groups for b in boots))])
+        groups = [np.stack(column) for column in zip(*(b.groups for b in boots))]
+        rows, _, errors = log_variance_rows(data.sizes, moment_rows(groups))
         assert errors == {}
         for t, boot in zip(rows.t.T, boots):
             np.testing.assert_array_equal(t, log_variance_contrasts(boot).t)
