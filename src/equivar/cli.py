@@ -1,10 +1,10 @@
 """Command line interface: run tests on CSV data, simulate grids, calibrate boxes.
 
 Exit codes: 0 success, 2 input/data error, 3 numeric failure or out of memory.
-A data CSV that cannot be decoded or parsed is reported by its path, and by
-``path:line`` where a line is at fault.  The argument parser is built on the
-first ``main`` call and reused by every later call in the process; parsing
-keeps no state between calls.
+A data CSV that cannot be parsed is reported by its path, and by ``path:line``
+where a line is at fault, as a byte that is not UTF-8 always is (with its
+offset in the file).  The argument parser is built on the first ``main`` call
+and reused by every later call in the process; parsing keeps no state.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import math
 import sys
@@ -21,7 +22,7 @@ from pathlib import Path
 from .descriptive import GroupedSample
 from .dirichlet import DirichletParams, calibrate_box
 from .errors import MAX_VALUES, DegenerateDataError, NumericError, count
-from .homogeneity import BootstrapConfig, TestResult, run_all
+from .homogeneity import BootstrapConfig, run_all
 from .rng import stream
 from .simulation import CellEstimate, ExperimentConfig, run_grid
 
@@ -32,54 +33,62 @@ _CONFIG_FIELDS = {("seed" if f.name == "master_seed" else f.name): f for f in da
 
 
 def _read_grouped_csv(path: str) -> GroupedSample:
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        values: dict[str, list[float]] = {}
-        try:
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header] != ["group", "value"]:
-                raise ValueError(f"{path}: expected header 'group,value', got {header}")
-            for row in reader:
-                # line_num is the physical line a record ends on, quoted newlines included
-                lineno = reader.line_num
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                if len(row) != 2:
-                    raise ValueError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
-                label = row[0].strip()
-                try:
-                    value = float(row[1])
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: value {row[1]!r} is not a number") from None
-                if not math.isfinite(value):
-                    raise ValueError(f"{path}:{lineno}: value {row[1]!r} is not finite")
-                values.setdefault(label, []).append(value)
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-        except csv.Error as exc:
-            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        # exc.start is the byte's offset in the file; bytes.splitlines ends lines where csv does, at \n, \r\n, \r
+        raise ValueError(f"{path}:{len(raw[: exc.start + 1].splitlines())}: {exc}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    values: dict[str, list[float]] = {}
+    try:
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header] != ["group", "value"]:
+            raise ValueError(f"{path}: expected header 'group,value', got {header}")
+        for row in reader:
+            # line_num is the physical line a record ends on, quoted newlines included
+            lineno = reader.line_num
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != 2:
+                raise ValueError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
+            label = row[0].strip()
+            try:
+                value = float(row[1])
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: value {row[1]!r} is not a number") from None
+            if not math.isfinite(value):
+                raise ValueError(f"{path}:{lineno}: value {row[1]!r} is not finite")
+            values.setdefault(label, []).append(value)
+    except csv.Error as exc:
+        raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     try:
         return GroupedSample(values)
     except DegenerateDataError as exc:
         raise DegenerateDataError(f"{path}: {exc}") from None
 
 
-def _print_result_table(results: list[TestResult]) -> None:
-    rows = [("method", "statistic", "critical", "p-value", "reject")]
-    for r in results:
-        stat = r.statistic
-        rows.append(
-            (
-                r.method,
-                ";".join(f"{float(v):.6g}" for v in stat) if hasattr(stat, "__len__") else f"{float(stat):.6g}",
-                "-" if r.critical_value is None else f"{r.critical_value:.6g}",
-                "-" if r.p_value is None else f"{r.p_value:.6g}",
-                "yes" if r.reject else "no",
-            )
-        )
-    widths = [max(len(row[i]) for row in rows) for i in range(5)]
-    for row in rows:
-        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+_SHOWN = ("method", "statistic", "critical_value", "p_value", "reject")  # the as_dict fields the text formats show
+# Per text format: its header, how it writes a number, and its text for a missing value and for each decision.
+_TEXT_FORMATS = {
+    "table": (("method", "statistic", "critical", "p-value", "reject"), "{:.6g}".format,
+              {None: "-", True: "yes", False: "no"}),
+    "csv": (_SHOWN, repr, {None: "", True: "true", False: "false"}),
+}
+
+
+def _text_rows(shown: list[dict], fmt: str) -> list[tuple | list]:
+    """The header and one row of cells per ``as_dict()`` in ``shown``, written as ``fmt`` writes them."""
+    header, number, words = _TEXT_FORMATS[fmt]
+
+    def cell(v) -> str:
+        if isinstance(v, list):  # the box test's t vector
+            return ";".join(map(number, v))
+        # a float before the words, which would take 1.0 for True; a method name is its own text
+        return number(v) if isinstance(v, float) else words.get(v, v)
+
+    return [header] + [[cell(d[f]) for f in _SHOWN] for d in shown]
 
 
 def _cmd_test(args) -> int:
@@ -90,29 +99,17 @@ def _cmd_test(args) -> int:
     for name, msg in errors.items():
         print(f"note: {name} not computed: {msg}", file=sys.stderr)
     if not results:
-        print("error: no test could run on this data", file=sys.stderr)
-        return 2
+        raise ValueError(f"{args.data}: no test could run on this data")
+    shown = [r.as_dict() for r in results]
     if args.format == "json":
-        print(json.dumps([r.as_dict() for r in results], indent=2))
+        print(json.dumps(shown, indent=2))
     elif args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["method", "statistic", "critical_value", "p_value", "reject"])
-        for r in results:
-            stat = r.statistic
-            stat_text = (
-                ";".join(repr(float(v)) for v in stat) if hasattr(stat, "__len__") else repr(float(stat))
-            )
-            writer.writerow(
-                [
-                    r.method,
-                    stat_text,
-                    "" if r.critical_value is None else repr(float(r.critical_value)),
-                    "" if r.p_value is None else repr(float(r.p_value)),
-                    "true" if r.reject else "false",
-                ]
-            )
+        csv.writer(sys.stdout, lineterminator="\n").writerows(_text_rows(shown, "csv"))
     else:
-        _print_result_table(results)
+        rows = _text_rows(shown, "table")
+        widths = [max(map(len, column)) for column in zip(*rows)]
+        for row in rows:
+            print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
     return 0
 
 

@@ -169,7 +169,8 @@ VALUES = ["1e308", "-1e308", "1e309", "5e-324", "-5e-324", "0", "nan", "x", "", 
 LINES = ['"a","0.25"', '"a', '"a\nb",1', "a,1,2", "", "   ", ","]
 BYTES = [b"\xff", b"\xc3\x28", b"\xed\xa0\x80", b"\x00"]
 # the messages of a fault in one row, each of which names its line
-ROW_FAULTS = ("is not a number", "is not finite", "expected 2 fields", "line contains NUL", "unexpected end of data")
+ROW_FAULTS = ("is not a number", "is not finite", "expected 2 fields", "line contains NUL", "unexpected end of data",
+              "can't decode")
 
 
 @st.composite

@@ -21,6 +21,13 @@ GOOD_CSV = "group,value\n" + "".join(
 ) + "".join(f"b,{v}\n" for v in [0.4, 0.0, -0.2, 0.8, -1.1, 0.3, -0.7, 0.9, -0.5, 0.6])
 
 
+DEMO_CSV = Path(__file__).resolve().parent.parent / "demos" / "data.csv"
+
+_LINES = [b"group,value"] + [b"%c,%d.25" % (b"ab"[i % 2], i) for i in range(2000)]
+# 2001 lines, the 1820th opened by 0xff, past the first 8 KiB that a text decoder reads
+LATE_BYTE_CSV = b"\n".join(_LINES[:1819] + [b"\xff" + _LINES[1819]] + _LINES[1820:]) + b"\n"
+
+
 @pytest.fixture
 def data_csv(tmp_path):
     path = tmp_path / "data.csv"
@@ -89,6 +96,40 @@ class TestTestCommand:
         assert lines[0] == "method,statistic,critical_value,p_value,reject"
         assert len(lines) == 5
 
+    @pytest.mark.parametrize("flags, expected", [
+        ([], "cb1d72d8a6b124869aef52c66c7a8d1c73207e4a796c00df62546c4b20cb04e3"),
+        (["--pivot-variant"], "db0fe90d2317c270f1427cb325ec6f10c94ba02ebed15a570e70c2113ae4fceb"),
+    ], ids=["plain", "pivot"])
+    def test_demo_table_output_is_pinned(self, capsys, flags, expected):
+        assert main(["test", str(DEMO_CSV), *flags]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == expected
+
+    @pytest.mark.parametrize("text", [
+        DEMO_CSV.read_text(),
+        # a constant group: shoemaker and box do not run
+        "group,value\n" + "a,5.0\n" * 5 + "".join(f"b,{v}\n" for v in [1.0, 2.0, 3.0, 4.0, 5.0]),
+    ], ids=["demo", "two_fail"])
+    @pytest.mark.parametrize("flags", [[], ["--pivot-variant"]], ids=["plain", "pivot"])
+    def test_csv_cells_are_the_json_values(self, tmp_path, capsys, text, flags):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        argv = ["test", str(path), "--bootstrap-b", "60", *flags, "--format"]
+        assert main([*argv, "json"]) == 0
+        expected = json.loads(capsys.readouterr().out)
+        assert main([*argv, "csv"]) == 0
+        header, *rows = csv.reader(capsys.readouterr().out.splitlines())
+        assert header == ["method", "statistic", "critical_value", "p_value", "reject"]
+        assert len(rows) == len(expected)
+        for row, d in zip(rows, expected):
+            method, statistic, critical, p_value, reject = row
+            assert method == d["method"]
+            assert [float(v) for v in statistic.split(";")] == (
+                d["statistic"] if isinstance(d["statistic"], list) else [d["statistic"]]
+            )
+            for cell, value in ((critical, d["critical_value"]), (p_value, d["p_value"])):
+                assert (cell == "") if value is None else (float(cell) == value)
+            assert reject == ("true" if d["reject"] else "false")
+
     def test_identical_groups_accept(self, tmp_path, capsys):
         rows = "group,value\n" + "".join(f"a,{v}\nb,{v}\n" for v in [1.0, 2.0, 3.0, 4.0, 5.0])
         path = tmp_path / "same.csv"
@@ -148,18 +189,35 @@ class TestTestCommand:
         assert captured.err == f"error: {path}:3: field larger than field limit ({limit})\n"
 
     @pytest.mark.parametrize(
-        "content, byte",
-        [(b"\xffgroup,value\n", "0xff"), (b"group,value\na,1.0\na,2.0\nb\xe9,1.0\nb\xe9,2.0\n", "0xe9")],
-        ids=["header", "label"],
+        "content, byte, line",
+        [(b"\xffgroup,value\n", 0xFF, 1), (b"group,value\na,1.0\na,2.0\nb\xe9,1.0\nb\xe9,2.0\n", 0xE9, 4),
+         (LATE_BYTE_CSV, 0xFF, 1820), (b"group,value\r\na,1.0\r\na,2.0\r\nb,1.0\r\nb,\xff\r\n", 0xFF, 5),
+         (b"group,value\ra,1.0\ra,2.0\rb,1.0\rb,\xff\r", 0xFF, 5)],
+        ids=["header", "label", "past_the_first_chunk", "crlf", "cr"],
     )
-    def test_undecodable_file_exits_2_naming_it(self, tmp_path, capsys, content, byte):
+    def test_undecodable_file_exits_2_naming_it(self, tmp_path, capsys, content, byte, line):
         path = tmp_path / "latin1.csv"
         path.write_bytes(content)
         assert main(["test", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"error: {path}: 'utf-8' codec can't decode byte {byte} in position ")
+        # the byte is named by its line and by its offset in the file
+        offset = content.index(bytes([byte]))
+        assert captured.err.startswith(
+            f"error: {path}:{line}: 'utf-8' codec can't decode byte {byte:#x} in position {offset}: "
+        )
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_other_line_ends_parse_as_newlines(self, tmp_path, capsys, newline):
+        path = tmp_path / "ends.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + GOOD_CSV.replace("\n", newline).encode("utf-8"))
+        plain = tmp_path / "plain.csv"
+        plain.write_text(GOOD_CSV)
+        assert main(["test", str(path), "--seed", "3", "--bootstrap-b", "40", "--format", "json"]) == 0
+        ends = capsys.readouterr().out
+        assert main(["test", str(plain), "--seed", "3", "--bootstrap-b", "40", "--format", "json"]) == 0
+        assert ends == capsys.readouterr().out
 
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     def test_non_finite_value_exits_2(self, tmp_path, capsys, value):
@@ -188,7 +246,7 @@ class TestTestCommand:
         assert captured.out == ""
         for name in ("levene", "shoemaker", "bootstrap_levene", "box"):
             assert f"note: {name} not computed: " in captured.err
-        assert captured.err.endswith("error: no test could run on this data\n")
+        assert captured.err.endswith(f"error: {path}: no test could run on this data\n")
 
     def test_alpha_whose_level_rounds_to_one_exits_2(self, data_csv, capsys):
         assert main(["test", data_csv, "--alpha", "1e-17"]) == 2
