@@ -23,11 +23,14 @@ kernels over it.  A bootstrap test resamples the batch in windows of
 ``resample_width`` datasets through one draw, ``_resample``: dataset j
 draws rows with replacement from its own pool (a group's values for the
 box test, the pooled median residuals for bootstrap Levene) and its own
-generator.  Every draw lands through one loop, ``_landed``, in slices of
-at most ``descriptive.slice_rows(n)`` rows, so no drawn array exceeds
-the cap, each slice reduced per group as it lands (``group_moments``,
-``_levene_group``) and combined in one step (``pooled_moments``,
-``_levene_combine``), as the observed statistics are.  Bootstrap Levene
+generator.  A batch's draws land through one loop, ``_landed``, in
+slices of at most ``descriptive.slice_rows(n)`` rows, so no drawn array
+exceeds the cap, each slice reduced per group as it lands
+(``group_moments``, ``_levene_group``) and combined in one step
+(``pooled_moments``, ``_levene_combine``), as the observed statistics
+are.  The box test's redraws of non-finite resamples land through it too
+when one dataset redraws; the redraws of several datasets, fewer rows
+than their batch, are joined and reduced at once.  Bootstrap Levene
 lands its smoothed blocks whole, for their jitter, and without p-values
 may evaluate a window in two rounds (see ``batched``).  One call runs
 the selected tests on a batch and computes each observed statistic that
@@ -491,8 +494,11 @@ def _redraw_degenerate(t: np.ndarray, groups, rngs) -> np.ndarray:
     dataset j's b resamples of ``g[j]`` of each of ``groups``, drawn from
     ``rngs[j]``.  Each round draws fresh resamples for every resample
     whose t vector is still non-finite, group by group (no two datasets
-    share a generator), and evaluates them in one ``log_variance_t`` call.
-    Returns the datasets that still have such a resample after
+    share a generator).  A round of one dataset's draws lands through
+    ``_box_t``, within the cap; a round of several datasets' draws is
+    joined and evaluated in one ``log_variance_t`` call, as it holds fewer
+    rows than the batch, which the cap already bounds once a batch has two
+    datasets.  Returns the datasets that still have such a resample after
     ``_MAX_REDRAWS`` rounds.
     """
     b = t.shape[2]
@@ -502,9 +508,13 @@ def _redraw_degenerate(t: np.ndarray, groups, rngs) -> np.ndarray:
         if not bad.size:
             break
         owners, counts = np.unique(bad // b, return_counts=True)
-        fresh = [np.concatenate([_resample(g[j, None], [rngs[j]], n)[0] for j, n in zip(owners, counts)])
-                 for g in groups]
-        flat[:, bad] = t_fresh = log_variance_t([g.shape[1] for g in groups], moment_rows(fresh))
+        if len(owners) == 1:
+            t_fresh = _box_t([g[owners] for g in groups], [rngs[owners[0]]], counts[0]).reshape(len(groups), -1)
+        else:
+            fresh = [np.concatenate([_resample(g[j, None], [rngs[j]], n)[0] for j, n in zip(owners, counts)])
+                     for g in groups]
+            t_fresh = log_variance_t([g.shape[1] for g in groups], moment_rows(fresh))
+        flat[:, bad] = t_fresh
         bad = bad[~np.logical_and.reduce(np.isfinite(t_fresh))]
     return np.unique(bad // b)
 
@@ -524,16 +534,15 @@ def _box_outcomes(obs: _Observed, alpha: float, rngs, b: int, pivot_variant: boo
     for rows in _resample_batches(observed.shape[1], errors, obs.sizes, b):
         batch, streams = [g[rows] for g in groups], [rngs[r] for r in rows]
         t = _box_t(batch, streams, b)
-        for j in _redraw_degenerate(t, batch, streams):
+        failed = _redraw_degenerate(t, batch, streams)
+        t[:, failed] = 0.0  # a failed redraw leaves non-finite t vectors; each row is searched on its own
+        # each (group, dataset) row of b resamples summed left to right, as numpy sums an axis
+        # that is not innermost in memory: the bits of t.mean(axis=1) in an (R, b, k) layout
+        t -= (observed[:, rows] if pivot_variant else running_sum(t) / b)[:, :, None]
+        c_star[rows] = search_critical(np.moveaxis(t, 0, -1), alpha).c_star
+        for j in failed:
             errors[rows[j]] = NumericError(f"a bootstrap replicate stayed degenerate after {_MAX_REDRAWS} redraws")
-        keep = [j for j, r in enumerate(rows) if r not in errors]  # a failed redraw leaves non-finite t vectors
-        if keep:
-            t = t[:, keep]
-            kept = [rows[j] for j in keep]
-            # each (group, dataset) row of b resamples summed left to right, as numpy sums an axis
-            # that is not innermost in memory: the bits of t.mean(axis=1) in an (R, b, k) layout
-            t -= (observed[:, kept] if pivot_variant else running_sum(t) / b)[:, :, None]
-            c_star[kept] = search_critical(np.moveaxis(t, 0, -1), alpha).c_star
+            c_star[rows[j]] = np.nan
     t_max = np.abs(observed).max(axis=0)
     return Outcomes(BOX, alpha, observed.T, _decide(alpha, t_max > c_star), errors, critical_value=c_star)
 
@@ -585,10 +594,11 @@ def batched(methods, groups, rngs, alpha: float, b: int = 500, pivot_variant: bo
     drawn by ``_resample`` and reduced as they land (``_landed``).  It
     fetches ``rngs[method][r]`` once, just before that batch's draws, and
     in increasing r, so each entry of ``rngs`` may be any sequence whose
-    item r is row r's generator when fetched; the rows of one batch may
-    not share a generator object, as the box redraws from all of them
-    after the batch's first draws, and bootstrap Levene with
-    ``p_values=False`` may draw from all of them after its early round.
+    item r is row r's generator when fetched, such as an ``rng.Rekeyed``
+    view under its lending rule: the rows of one batch may not share a
+    generator object, as the box redraws from all of them after the
+    batch's first draws, and bootstrap Levene with ``p_values=False`` may
+    draw from all of them after its early round.
 
     ``p_values=False`` makes bootstrap Levene decide without p-values
     (``Outcomes.p_value`` is None), with the same ``reject`` and
@@ -641,9 +651,10 @@ def run_all(
     The two bootstrap tests consume disjoint child streams of ``cfg.rng``:
     the two that ``cfg.rng.spawn(2)`` gives, with its spawn counter
     advanced as that advances it, so each call on one config takes the
-    next two children.  For an MT19937 they are drawn by generators of the
-    calling thread's pool, re-keyed (``rng.spawned``), so the call builds
-    no generator.  The four tests run as one batch of one dataset, so the
+    next two children.  For an MT19937 they are fetched from the calling
+    thread's pool through an ``rng.Rekeyed`` view (``rng.spawned``), as the
+    Monte Carlo harness fetches its streams, so the call builds no
+    generator.  The four tests run as one batch of one dataset, so the
     Levene statistic, the group medians and the group moments are computed
     once.  A test that cannot run on this data contributes an entry in the
     returned error mapping instead of aborting the rest.

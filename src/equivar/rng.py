@@ -14,13 +14,14 @@ constants do not depend on the data.  ``pool_keys`` is its last step, the
 expansion of finished ``SeedSequence`` pools into keys.
 
 Building an MT19937 costs about 150 µs, so nothing on a hot path builds
-one: each thread keeps a pool of ``KeyedGenerator``s (``generator_pool``),
-built on first need, and ``rekey`` restarts one of them on a key in place,
-through a view of its state made once with it, after which it draws
-exactly what ``stream`` of that path draws.  The Monte Carlo harness
-re-keys the pool to each replication's streams, and ``spawned`` re-keys it
-to the children that ``Generator.spawn`` would build, for the one-dataset
-``run_all``.
+one: each thread keeps a pool of generators, built on first need, and
+``Rekeyed`` lends them out.  Fetching its item r restarts a generator of
+the pool on key r in place, through a view of its state made once with
+it, after which it draws exactly what ``stream`` of that path draws.  The
+Monte Carlo harness fetches each replication's streams through one view
+per stream slot, and ``spawned`` fetches the children that
+``Generator.spawn`` would build, for the one-dataset ``run_all``, through
+another.
 """
 from __future__ import annotations
 
@@ -128,7 +129,7 @@ def mt19937_keys(master_seed: int, paths) -> np.ndarray:
     words in [0, 2**32).  Returns an (R, 624) uint32 array: word 0 is
     0x80000000, as numpy's seeding sets it, and words 1-623 equal
     ``SeedSequence(master_seed, spawn_key=path).generate_state(624)[1:]``.
-    ``rekey`` sets a generator to the stream of a key.
+    ``Rekeyed`` lends out generators re-keyed to them.
     """
     paths = np.asarray(paths, dtype=np.uint32)
     seed_pool, const = _seed_pool(master_seed)
@@ -145,71 +146,59 @@ class _MT19937State(ctypes.Structure):
 
 _layout_checked = False
 
-
-class KeyedGenerator:
-    """An MT19937 generator and a view of its ``mt19937_state``, made once, through which ``rekey`` writes keys.
-
-    The view sits at the bit generator's documented ctypes address
-    (``bit_generator.ctypes.state_address``), which stays put while the
-    generator lives; this object keeps the generator alive.  A bit
-    generator of any type but exactly ``np.random.MT19937`` raises a
-    ``TypeError`` and is left as it was.
-    """
-
-    __slots__ = ("generator", "_state", "_key")
-
-    def __init__(self, generator: np.random.Generator):
-        bitgen = generator.bit_generator
-        if type(bitgen) is not np.random.MT19937:
-            raise TypeError(f"rekey needs an MT19937 bit generator, got {type(bitgen).__name__}")
-        self.generator = generator
-        self._state = _MT19937State.from_address(bitgen.ctypes.state_address)
-        self._key = np.frombuffer(self._state.key, dtype=np.uint32)
-
-
-def rekey(keyed: KeyedGenerator, key: np.ndarray) -> np.random.Generator:
-    """Restart ``keyed``'s generator as the fresh stream whose key is ``key``, a row of ``pool_keys``; returns it.
-
-    The key and pos 623, as numpy's seeding leaves them, are written
-    through the kept state view: about 0.5 µs a call, against 1.4 µs when
-    the view is built on each call and 76 µs through the ``state`` setter,
-    which reads a 624-item list (timeit, 2-core Xeon).  The first call in
-    a process reads the state back through ``bit_generator.state`` and
-    raises a ``RuntimeError`` if it is not what was written, so a numpy
-    with another layout fails at once.
-    """
-    global _layout_checked
-    keyed._key[:] = key
-    keyed._state.pos = _KEY_WORDS - 1
-    if not _layout_checked:
-        written = keyed.generator.bit_generator.state["state"]
-        if written["pos"] != _KEY_WORDS - 1 or not np.array_equal(written["key"], key):
-            raise RuntimeError("the MT19937 state does not have the layout rekey writes; numpy changed it")
-        _layout_checked = True
-    return keyed.generator
-
-
 # Each thread's generators, built on first need and kept: building an
-# MT19937 costs about 150 µs, and every use re-keys it first.
+# MT19937 costs about 150 µs, and every fetch re-keys one first.
 _local = threading.local()
 
 
-def _generator() -> KeyedGenerator:
-    # an MT19937 generator to be re-keyed before each use
-    return KeyedGenerator(np.random.Generator(np.random.MT19937(0)))
+def _generator() -> tuple:
+    # a pool entry: an MT19937 generator, a view of its mt19937_state at the documented ctypes address, which
+    # stays put while the generator lives, and the view's key words; the entry keeps the generator alive
+    generator = np.random.Generator(np.random.MT19937(0))
+    state = _MT19937State.from_address(generator.bit_generator.ctypes.state_address)
+    return generator, state, np.frombuffer(state.key, dtype=np.uint32)
 
 
-def generator_pool(width: int) -> list[KeyedGenerator]:
-    """The first ``width`` generators of this thread's pool, which grows to ``width`` if it is narrower.
+class Rekeyed:
+    """Row r's stream, on fetching item r: generator ``r % width`` of this thread's pool, re-keyed to ``keys[r]``.
 
-    Callers re-key each generator before they draw from it, so no state
-    carries over from an earlier use, and a pool is never shared between
-    threads.  Its users on one thread take turns: the Monte Carlo harness
-    for the span of one tally range, ``spawned`` for one ``run_all`` call.
+    ``keys`` are rows of ``pool_keys``.  Making the view grows the calling
+    thread's pool to ``width`` generators.  A fetch writes the key and pos
+    623, as numpy's seeding leaves them, through the state view kept with
+    the generator: about 0.5 µs a re-key, against 1.4 µs when the view is
+    built on each call and 76 µs through the ``state`` setter, which reads
+    a 624-item list (timeit, 2-core Xeon).  The first fetch in a process
+    reads the state back through ``bit_generator.state`` and raises a
+    ``RuntimeError`` if it is not what was written, so a numpy with
+    another layout fails at once.
+
+    The lending rule: a fetched generator is the stream of its key until
+    its next fetch, by any view on this thread.  A pool is never shared
+    between threads, and on one thread its users take turns: the Monte
+    Carlo harness for one tally range, ``spawned`` for one ``run_all``
+    call.  Rows drawn side by side, those of one resample batch, must be
+    at most ``width`` consecutive rows, so that they map to distinct
+    generators.
     """
-    pool = _local.__dict__.setdefault("pool", [])
-    pool.extend(_generator() for _ in range(width - len(pool)))
-    return pool[:width]
+
+    __slots__ = ("keys", "_pool")
+
+    def __init__(self, keys: np.ndarray, width: int):
+        pool = _local.__dict__.setdefault("pool", [])
+        pool.extend(_generator() for _ in range(width - len(pool)))
+        self.keys, self._pool = keys, pool[:width]
+
+    def __getitem__(self, r: int) -> np.random.Generator:
+        global _layout_checked
+        generator, state, key = self._pool[r % len(self._pool)]
+        key[:] = self.keys[r]
+        state.pos = _KEY_WORDS - 1
+        if not _layout_checked:
+            written = generator.bit_generator.state["state"]
+            if written["pos"] != _KEY_WORDS - 1 or not np.array_equal(written["key"], self.keys[r]):
+                raise RuntimeError("the MT19937 state does not have the layout Rekeyed writes; numpy changed it")
+            _layout_checked = True
+        return generator
 
 
 def spawned(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
@@ -217,12 +206,12 @@ def spawned(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
 
     For an MT19937 seeded from a ``SeedSequence`` the children are spawned
     from ``rng.bit_generator.seed_seq``, keyed by ``pool_keys`` from their
-    pools, and drawn by the first ``n`` generators of this thread's pool,
-    re-keyed; they serve until the pool's next use on this thread.  Any
-    other generator gets ``rng.spawn(n)``, which builds new generators.
+    pools, and fetched through a ``Rekeyed`` view of their keys, under its
+    lending rule.  Any other generator gets ``rng.spawn(n)``, which builds
+    new generators.
     """
     bitgen = rng.bit_generator
     if type(bitgen) is not np.random.MT19937 or type(bitgen.seed_seq) is not np.random.SeedSequence:
         return rng.spawn(n)
-    keys = pool_keys([child.pool for child in bitgen.seed_seq.spawn(n)])
-    return [rekey(keyed, key) for keyed, key in zip(generator_pool(n), keys)]
+    children = Rekeyed(pool_keys([child.pool for child in bitgen.seed_seq.spawn(n)]), n)
+    return [children[j] for j in range(n)]

@@ -19,7 +19,7 @@ import numpy as np
 from .distributions import Distribution, sample_standardized
 from .errors import MAX_VALUES, DegenerateDataError, checked_tuple, count, is_int, is_real, level
 from .homogeneity import ALL_METHODS, BOOTSTRAP_LEVENE, BOX, batched, resample_width
-from .rng import derive_seed, generator_pool, mt19937_keys, rekey
+from .rng import Rekeyed, derive_seed, mt19937_keys
 
 __all__ = [
     "ExperimentConfig",
@@ -127,11 +127,12 @@ def run_cell(cfg: ExperimentConfig) -> CellEstimate:
     (master_seed, r, 2), each replication drawing from its own streams in
     the order a one-dataset test call would.  The replications are
     evaluated in chunks of 105, each bootstrap test resampling a chunk in
-    batches of ``resample_width(sizes, B)``, from re-keyed generators of
-    the calling thread's pool (``rng.generator_pool``); the README's "How a simulation cell is
-    computed" sets this out.  Rows are evaluated independently, so the
-    estimates are byte-identical to evaluating each replication on its
-    own.  The estimate is computed from integer rejection and error counts summed
+    batches of ``resample_width(sizes, B)``, from generators of the
+    calling thread's pool re-keyed to each replication's streams
+    (``rng.Rekeyed``); the README's "How a simulation cell is computed"
+    sets this out.  Rows are evaluated independently, so the estimates are
+    byte-identical to evaluating each replication on its own.  The
+    estimate is computed from integer rejection and error counts summed
     over ranges of replications, here the one range of all of them;
     ``run_grid`` sums several ranges run on a pool, with the same result.
     Replications where a test raises a degeneracy or numeric error are
@@ -142,48 +143,32 @@ def run_cell(cfg: ExperimentConfig) -> CellEstimate:
     return _estimate(cfg, [_tally(cfg, range(cfg.replications))])
 
 
-class _Rekeyed:
-    """Row r's stream, on fetching item r: generator ``r % len(pool)`` of ``pool``, re-keyed to ``keys[r]``."""
-
-    __slots__ = ("pool", "keys")
-
-    def __init__(self, pool: list, keys: np.ndarray):
-        self.pool, self.keys = pool, keys
-
-    def __getitem__(self, r: int) -> np.random.Generator:
-        return rekey(self.pool[r % len(self.pool)], self.keys[r])
-
-
 def _tally(cfg: ExperimentConfig, reps: range) -> tuple[dict[str, int], dict[str, int]]:
     """Rejections and errors per test over replications ``reps``, chunk by chunk.
 
     This is the one unit of work: ``run_cell`` tallies the range of all
     replications, and ``run_grid`` maps it over (cell, range) tasks on a
-    worker pool.  Its generators are a prefix of the calling thread's
-    pool (``generator_pool``), so concurrent calls on other threads share
-    none, and each is re-keyed before every use, so no state carries over
-    from an earlier call.  Only decisions are counted, so bootstrap Levene
-    runs with ``p_values=False`` and stops a replication's resampling once
-    its decision is settled.  A chunk of up to ``_CHUNK_ROWS`` replications
-    is drawn, scaled, keyed and checked at once, and ``batched`` is called
-    once on it with all the tests, so the observed statistics that
-    several of them use are computed once per chunk.  The pool serves
-    every slot: a chunk's data draws end before any test is called, and
-    the tests run one after another.  Each slot sees the
-    pool as a ``_Rekeyed`` view of its keys.  A bootstrap test fetches a
-    row's stream once, just before that row's batch draws, and the rows of
-    one batch, a window of ``resample_width`` rows, map to distinct
-    generators, as the pool is that wide at most.
+    worker pool.  Only decisions are counted, so bootstrap Levene runs
+    with ``p_values=False`` and stops a replication's resampling once its
+    decision is settled.  A chunk of up to ``_CHUNK_ROWS`` replications is
+    drawn, scaled, keyed and checked at once, and ``batched`` is called
+    once on it with all the tests, so the observed statistics that several
+    of them use are computed once per chunk.  Each stream slot fetches its
+    rows' streams through a ``Rekeyed`` view of the chunk's keys, as wide
+    as a resample batch at most, under its lending rule: the views share
+    the thread's pool, as a chunk's data draws end before any test is
+    called and the tests run one after another, and a bootstrap test
+    fetches a row's stream once, just before that row's batch draws.
     """
     rejects = dict.fromkeys(cfg.tests, 0)
     errors = dict.fromkeys(cfg.tests, 0)
     scales = [math.sqrt(v) for v in cfg.variances]
     slots = [_DATA_SLOT] + sorted({_BOOTSTRAP_SLOTS[t] for t in cfg.tests if t in _BOOTSTRAP_SLOTS})
-    pool = generator_pool(min(resample_width(cfg.sizes, cfg.bootstrap_b), _CHUNK_ROWS, len(reps)))
+    width = min(resample_width(cfg.sizes, cfg.bootstrap_b), _CHUNK_ROWS, len(reps))
     for first in range(reps.start, reps.stop, _CHUNK_ROWS):
         chunk = range(first, min(first + _CHUNK_ROWS, reps.stop))
         keys = mt19937_keys(cfg.master_seed, [(r, slot) for slot in slots for r in chunk])
-        streams = {slot: _Rekeyed(pool, k) for slot, k in zip(slots, keys.reshape(len(slots), len(chunk), -1))}
+        streams = {slot: Rekeyed(k, width) for slot, k in zip(slots, keys.reshape(len(slots), len(chunk), -1))}
         groups = [np.empty((len(chunk), n)) for n in cfg.sizes]
         for j in range(len(chunk)):
             rng = streams[_DATA_SLOT][j]

@@ -312,9 +312,16 @@ class TestRunAll:
     def test_large_groups_are_resampled_within_the_cap(self):
         # b * n = 20 million values a test: drawn whole, bootstrap Levene's peak was 381.8 MiB.  Groups of 6
         # and 20 000: bootstrap Levene lands the smoothed 6-value block whole, and joining the slices
-        # (np.concatenate) instead of placing them kept every slice's draws alive, 78.7 MiB
-        for sizes in [(20_000, 20_000), (6, 20_000)]:
-            data = GroupedSample([stream(341, i).standard_normal(n) for i, n in enumerate(sizes)])
+        # (np.concatenate) instead of placing them kept every slice's draws alive, 78.7 MiB.  19 999 zeros and
+        # a one: about 37% of the box test's resamples miss the one and are redrawn, and redrawing the lone
+        # dataset's resamples in one array, past the cap, peaked at 81.4 MiB
+        lone_one = np.zeros(20_000)
+        lone_one[-1] = 1.0
+        inputs = {sizes: [stream(341, i).standard_normal(n) for i, n in enumerate(sizes)]
+                  for sizes in [(20_000, 20_000), (6, 20_000)]}
+        inputs["lone_one"] = [lone_one, stream(341, 1).standard_normal(20_000)]
+        for sizes, groups in inputs.items():
+            data = GroupedSample(groups)
             tracemalloc.start()
             try:
                 results, errors = run_all(data, 0.05, BootstrapConfig.from_seed(14, b=500))
@@ -470,6 +477,22 @@ class TestBatched:
         assert list(batch.errors) == skipped
         assert fetched == [r for r in range(12) if r not in skipped]  # each row once, in order
         self._assert_rows_match(test, datasets, batch, seed=363)
+
+    @pytest.mark.parametrize("pivot", [False, True])
+    def test_a_row_whose_redraws_fail_leaves_its_batch_as_it_is(self, pivot):
+        # row 2 resamples element 0 only, so every redraw of its groups of two stays degenerate
+        groups = [[[0.0, 1.0], [2.0, 5.0, 3.0]], [[0.0, 1.0], [2.0, 5.0, 3.0]], [[0.0, 1.0], [2.0, 5.0, 3.0]],
+                  [[1.5, 4.0], [2.5, 0.5, 3.0]]]
+        stacked = [np.array([g[i] for g in groups]) for i in range(2)]
+        test = self._test(BOX, 0.05, b=30, pivot_variant=pivot)
+        rngs = [stream(366, r) for r in range(2)] + [_ConstantIndexRng(), stream(366, 3)]
+        batch = test(stacked, rngs)
+        assert list(batch.errors) == [2] and "redraws" in str(batch.errors[2])
+        assert np.isnan(batch.critical_value[2])
+        for r in (0, 1, 3):
+            one = test(GroupedSample(groups[r]).rows, [stream(366, r)])
+            assert one.errors == {}
+            assert one.critical_value[0] == batch.critical_value[r] and np.isfinite(one.critical_value[0])
 
     @pytest.mark.parametrize("sizes", [(10, 12), (4, 12)], ids=["split_draws", "smoothed"])
     def test_decision_mode_keeps_the_p_value_decisions(self, sizes, monkeypatch):

@@ -10,9 +10,13 @@ a time, with the cap patched so that resample batches and slices of
 every width occur; a grid of such cells on 2 or 3 workers gives what
 its cells give one by one, and a cell's ranges cover its replications in
 order at whole resample batches.  A re-keyed generator draws what
-``stream`` of its path draws.
+``stream`` of its path draws.  Library callers on several threads at
+once each get, bit for bit, what the same calls give one after another.
 """
 
+import pickle
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -22,10 +26,13 @@ from hypothesis import strategies as st
 import equivar.descriptive
 import equivar.homogeneity
 import equivar.simulation
-from equivar import ALL_METHODS, Distribution, ExperimentConfig, GroupedSample, run_cell, run_grid, stream
+from equivar import (
+    ALL_METHODS, BootstrapConfig, DegenerateDataError, Distribution, ExperimentConfig, GroupedSample, NumericError,
+    bootstrap_levene, box_test, run_all, run_cell, run_grid, stream,
+)
 from equivar.descriptive import _COLUMNS_FROM_ROWS, log_variance_rows, moment_rows, row_sum, running_sum
 from equivar.homogeneity import BOOTSTRAP_LEVENE, BOX, _levene_stat_rows, _row_medians, batched, resample_width
-from equivar.rng import KeyedGenerator, mt19937_keys, rekey
+from equivar.rng import Rekeyed, mt19937_keys
 from test_descriptive import _reference_contrasts, _reference_levene, _reference_moments, _same_bits
 from test_simulation import _reference_cell
 
@@ -230,13 +237,80 @@ def test_ranges_cover_the_replications_in_order_at_whole_batches(sizes, b, repli
     assert all(a.stop == b.start for a, b in zip(ranges, ranges[1:]))
 
 
-_KEYED = KeyedGenerator(np.random.Generator(np.random.MT19937(0)))
-
-
 @PROPERTY
 @given(st.integers(0, 2**128), st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3))
 def test_a_rekeyed_generator_draws_what_its_stream_draws(seed, path):
-    ours, theirs = rekey(_KEYED, mt19937_keys(seed, [path])[0]), stream(seed, *path)
+    ours, theirs = Rekeyed(mt19937_keys(seed, [path]), 1)[0], stream(seed, *path)
     assert np.array_equal(ours.integers(0, 2**32, size=700, dtype=np.uint32), theirs.integers(0, 2**32, size=700,
                                                                                              dtype=np.uint32))
     assert np.array_equal(ours.standard_normal(9), theirs.standard_normal(9))
+
+
+@st.composite
+def callers(draw):
+    """(callers, cap): 2-4 library callers, each a list of calls on a dataset of its own, and a resample cap.
+
+    A caller's dataset has 2-6 groups of 2-40 values and its calls take b
+    from 1 to 300: ``run_all``, ``box_test`` and ``bootstrap_levene``, and
+    ``run_cell`` on a small cell of the caller's first two group sizes,
+    in an order of its own.  The cap is either the package's or small
+    enough that some calls draw in slices and resample batches of one.
+    """
+    calls = []
+    for _ in range(draw(st.integers(2, 4))):
+        sizes = draw(st.lists(st.integers(2, 40), min_size=2, max_size=6))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        data = GroupedSample([rng.normal(scale=rng.choice([0.5, 1.0, 3.0]), size=n) for n in sizes])
+        b, seed = draw(st.integers(1, 300)), draw(st.integers(0, 2**64))
+        cell = ExperimentConfig(
+            distribution=draw(st.sampled_from(list(Distribution))), sizes=[min(n, 8) for n in sizes[:2]],
+            variances=(1.0, draw(st.sampled_from([1.0, 4.0]))), replications=draw(st.integers(1, 40)),
+            bootstrap_b=min(b, 40), master_seed=seed,
+        )
+        kinds = draw(st.permutations(["run_all", "box_test", "bootstrap_levene", "run_cell"]))
+        calls.append([(kind, data, b, seed, cell) for kind in kinds])
+    return calls, draw(st.sampled_from([equivar.descriptive._RESAMPLE_ELEMENTS, 64, 700]))
+
+
+def _call(kind: str, data, b: int, seed: int, cell) -> bytes:
+    """One library call, made afresh from its arguments; its result, or its error, pickled."""
+    try:
+        if kind == "run_all":
+            results, errors = run_all(data, 0.05, BootstrapConfig.from_seed(seed, b=b))
+            return pickle.dumps(([r.as_dict() for r in results], errors))
+        if kind == "run_cell":
+            return pickle.dumps(run_cell(cell))
+        test, path = (box_test, 1) if kind == "box_test" else (bootstrap_levene, 2)
+        return pickle.dumps(test(data, 0.05, BootstrapConfig(stream(seed, path), b=b)).as_dict())
+    except (DegenerateDataError, NumericError) as exc:
+        return pickle.dumps((type(exc).__name__, str(exc)))
+
+
+@settings(derandomize=True, max_examples=8, deadline=None, database=None)
+@given(callers())
+def test_concurrent_library_callers_get_their_serial_results(case):
+    calls, cap = case
+    with mock.patch.object(equivar.descriptive, "_RESAMPLE_ELEMENTS", cap):
+        expected = [[_call(*call) for call in caller] for caller in calls]
+        got = [[] for _ in calls]
+        start = threading.Barrier(len(calls), timeout=60)
+
+        def work(caller, out):
+            start.wait()  # every caller starts at once, each on a fresh thread with no pool yet
+            try:
+                out.extend(_call(*call) for call in caller)
+            except Exception as exc:  # recorded, so that the comparison below names it
+                out.append(repr(exc))
+
+        threads = [threading.Thread(target=work, args=(caller, out)) for caller, out in zip(calls, got)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # the callers' Python code interleaves finely, not in 5 ms turns
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == expected

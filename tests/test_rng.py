@@ -1,11 +1,12 @@
 import ctypes
+import threading
 
 import numpy as np
 import pytest
 
 import equivar.rng
 from equivar import derive_seed, stream
-from equivar.rng import KeyedGenerator, mt19937_keys, pool_keys, rekey
+from equivar.rng import Rekeyed, mt19937_keys, pool_keys
 
 # First ten uniforms of stream(7, 3), recorded from a reference run.  These
 # pin the generator choice and the seed-mixing scheme across machines and
@@ -74,12 +75,8 @@ def test_numpy_integers_seed_as_python_ints():
     assert derive_seed(np.int64(99), np.uint8(4)) == derive_seed(99, 4)
 
 
-def _keyed():
-    return KeyedGenerator(np.random.Generator(np.random.MT19937(0)))
-
-
 def _rekeyed(key):
-    return rekey(_keyed(), key)
+    return Rekeyed(key[None], 1)[0]
 
 
 class TestMT19937Keys:
@@ -108,20 +105,19 @@ class TestMT19937Keys:
             np.testing.assert_array_equal(ours.uniform(-0.5, 0.5, 40), ref.uniform(-0.5, 0.5, 40))
 
     def test_rekeying_after_use_restarts_the_stream(self):
-        key = mt19937_keys(7, [(3,)])[0]
-        keyed = _keyed()
-        rekey(keyed, key).standard_normal(1001)
-        np.testing.assert_array_equal(rekey(keyed, key).random(10), GOLDEN_7_3)
+        view = Rekeyed(mt19937_keys(7, [(3,)]), 1)
+        view[0].standard_normal(1001)
+        np.testing.assert_array_equal(view[0].random(10), GOLDEN_7_3)
 
 
 class TestRekey:
-    """``rekey`` writes the key into the bit generator's memory; the result is the state numpy's seeding leaves."""
+    """A ``Rekeyed`` fetch writes the key into the bit generator's memory, as the state numpy's seeding leaves."""
 
     def test_state_reads_back_as_the_key_at_pos_623(self):
         key = mt19937_keys(11, [(4, 2)])[0]
-        keyed = _keyed()
-        rekey(keyed, key).random(3)
-        state = rekey(keyed, key).bit_generator.state
+        view = Rekeyed(key[None], 1)
+        view[0].random(3)
+        state = view[0].bit_generator.state
         assert state["bit_generator"] == "MT19937"
         assert list(state["state"]) == ["key", "pos"]
         np.testing.assert_array_equal(state["state"]["key"], key)
@@ -139,22 +135,14 @@ class TestRekey:
         ids=["integers", "uniform", "standard_normal", "laplace", "standard_gamma"],
     )
     def test_draws_equal_stream_after_earlier_draws(self, draw):
-        keys = mt19937_keys(13, [(r, 1) for r in range(3)])
-        keyed = _keyed()
-        rng = keyed.generator
-        for r, key in enumerate(keys):
+        view = Rekeyed(mt19937_keys(13, [(r, 1) for r in range(3)]), 1)
+        rng = view[0]
+        for r in range(3):
             draw(rng)  # a used generator, left mid-key
-            assert rekey(keyed, key) is rng
+            assert view[r] is rng
             ref = stream(13, r, 1)
             for _ in range(2):
                 np.testing.assert_array_equal(draw(rng), draw(ref))
-
-    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.Philox])
-    def test_other_bit_generators_refused_untouched(self, bit_generator):
-        rng = np.random.Generator(bit_generator(5))
-        with pytest.raises(TypeError, match="MT19937"):
-            KeyedGenerator(rng)
-        np.testing.assert_array_equal(rng.random(10), np.random.Generator(bit_generator(5)).random(10))
 
     def test_a_layout_that_does_not_read_back_raises(self, monkeypatch):
         class PosFirst(ctypes.Structure):  # the same size, the fields swapped
@@ -162,8 +150,14 @@ class TestRekey:
 
         monkeypatch.setattr(equivar.rng, "_MT19937State", PosFirst)
         monkeypatch.setattr(equivar.rng, "_layout_checked", False)
+        monkeypatch.setattr(equivar.rng, "_local", threading.local())  # a pool built with the swapped fields
         with pytest.raises(RuntimeError, match="layout"):
-            rekey(_keyed(), mt19937_keys(1, [(0,)])[0])
+            Rekeyed(mt19937_keys(1, [(0,)]), 1)[0]
+
+    def test_row_r_is_generator_r_modulo_the_width(self):
+        view = Rekeyed(mt19937_keys(3, [(r,) for r in range(5)]), 2)
+        assert [id(view[r]) for r in range(5)] == [id(view[r % 2]) for r in range(5)]
+        assert view[0] is not view[1]
 
 
 class TestPoolKeys:
@@ -206,10 +200,10 @@ class TestSpawned:
         np.testing.assert_array_equal(ours.random(4), ref.random(4))  # the parent stream is untouched
 
     def test_builds_no_generator_once_the_pool_is_wide_enough(self, monkeypatch):
-        equivar.rng.generator_pool(2)
+        view = Rekeyed(mt19937_keys(1, [(0,), (1,)]), 2)
         monkeypatch.setattr(equivar.rng, "_generator", lambda: pytest.fail("built a generator"))
         rngs = equivar.rng.spawned(stream(1), 2)
-        assert [id(g) for g in rngs] == [id(k.generator) for k in equivar.rng.generator_pool(2)]
+        assert [id(g) for g in rngs] == [id(view[j]) for j in range(2)]
 
     @pytest.mark.parametrize(
         "rng",

@@ -401,13 +401,15 @@ class TestResampleBatches:
             assert pickle.dumps(run_cell(cfg)) == expected
 
     @staticmethod
-    def _pool_widths(cfg, monkeypatch) -> list[int]:
+    def _pool_widths(cfg, monkeypatch) -> set[int]:
+        # the widths of the views the tally fetches its streams through, one per slot and chunk
         sim = equivar.simulation
         widths = []
-        real = sim.generator_pool
-        monkeypatch.setattr(sim, "generator_pool", lambda width: widths.append(width) or real(width))
+        real = sim.Rekeyed
+        monkeypatch.setattr(sim, "Rekeyed", lambda keys, width: widths.append(width) or real(keys, width))
         sim._tally(cfg, range(cfg.replications))
-        return widths
+        assert widths
+        return set(widths)
 
     @staticmethod
     def _generators_built(run, monkeypatch) -> int:
@@ -422,11 +424,12 @@ class TestResampleBatches:
         # one pool, at most a resample batch wide, serves the data and both bootstrap slots
         width = equivar.homogeneity.resample_width(cfg.sizes, cfg.bootstrap_b)
         widths = self._pool_widths(cfg, monkeypatch)
-        assert widths == [min(width, equivar.simulation._CHUNK_ROWS, cfg.replications)]
+        assert widths == {min(width, equivar.simulation._CHUNK_ROWS, cfg.replications)}
         if cfg.sizes == (40,) * 4:
-            assert widths == [2]
-        pool = equivar.rng.generator_pool(widths[0])
-        assert len({id(rng) for rng in pool}) == len(pool) == widths[0]
+            assert widths == {2}
+        (width,) = widths
+        view = equivar.rng.Rekeyed(equivar.simulation.mt19937_keys(1, [(r,) for r in range(width)]), width)
+        assert len({id(view[r]) for r in range(width)}) == width
 
     @pytest.mark.parametrize(
         "sizes, width",
@@ -441,7 +444,7 @@ class TestResampleBatches:
     def test_generators_built_for_a_null_grid_cell(self, sizes, expected, monkeypatch):
         # 5 * 2**15 // (500 * 10) and 5 * 2**15 // (500 * 30) replications per resample batch
         cfg = _cfg(sizes=sizes, replications=200, bootstrap_b=500)
-        assert self._pool_widths(cfg, monkeypatch) == [expected]
+        assert self._pool_widths(cfg, monkeypatch) == {expected}
 
     def test_a_second_tally_on_a_thread_builds_no_generator(self, monkeypatch):
         cfg = self.CELLS[0]
@@ -468,17 +471,18 @@ class TestResampleBatches:
         monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
         rekeyed: dict[int, list] = {}
         both_running = threading.Barrier(2, timeout=60)
-        real = sim.rekey
+        real = equivar.rng.Rekeyed.__getitem__
 
-        def spy(rng, key):
+        def spy(view, r):
             thread = threading.get_ident()
             if thread not in rekeyed:
                 rekeyed[thread] = []
                 both_running.wait()  # neither range starts until the other one's thread has
+            rng = real(view, r)
             rekeyed[thread].append(rng)  # holds the generator, so its id stays its own
-            return real(rng, key)
+            return rng
 
-        monkeypatch.setattr(sim, "rekey", spy)
+        monkeypatch.setattr(equivar.rng.Rekeyed, "__getitem__", spy)
         assert pickle.dumps(run_grid([cfg], threads=2)) == expected
         assert len(rekeyed) == 2
         first, second = ({id(rng) for rng in used} for used in rekeyed.values())
@@ -487,7 +491,7 @@ class TestResampleBatches:
     def test_fetched_streams_are_the_keyed_streams(self):
         seed, slot, pool = 12, 2, 2
         keys = equivar.simulation.mt19937_keys(seed, [(r, slot) for r in range(6)])
-        rekeyed = equivar.simulation._Rekeyed([equivar.rng._generator() for _ in range(pool)], keys)
+        rekeyed = equivar.rng.Rekeyed(keys, pool)
 
         def draws(rng):
             return rng.integers(0, 1000, 7), rng.uniform(-0.5, 0.5, 5), rng.standard_normal(3)
